@@ -168,9 +168,9 @@ def run_analyze(cfg: dict, out_dir: Path, seed: int) -> int:
     center = (2 * math.pi * center_frac[0], 2 * math.pi * center_frac[1], t_center)
     cyl = ra.SubCylinder(center=center, r=r,
                          time_halfwidth=float(cfg["time_halfwidth"]) if "time_halfwidth" in cfg else None)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = ra.seminorm_sweep(traj, cyl, alphas, delta)
     ball = ra.check_caccioppoli(traj, center[:2], r, big_r)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_rows = []
     for row in rows:
         for a, s in zip(row.alpha_grid, row.seminorms):

@@ -32,6 +32,11 @@ class GeometryError(ValueError):
     """A sub-cylinder or ball violates the interior-margin requirements."""
 
 
+class TrajectoryFormatError(ValueError):
+    """A stored trajectory is incomplete: missing model parameters or a size that
+    does not match its header."""
+
+
 class UnsupportedDimensionError(ValueError):
     """Requested spatial dimension is outside the supported set."""
 

@@ -23,12 +23,21 @@ sample: constants then get their exact geometric-measure norm, and the weight
 is monotone in m, which makes restriction and shifting of index sets
 norm-decreasing -- the two properties the inequality proofs rely on.  L^infty
 in time is the max over samples.
+
+Spatial norms have one engine, ``_features``: a map that is linear in the
+samples, applied once, then a per-sample reduction (l2, max-abs, or pointwise
+magnitude followed by masked l^q).  Time differences commute with the map, so
+every difference norm -- seminorms, the Hoelder sup, the Marchaud remainder,
+divided differences -- differences feature rows instead of recomputing
+gradients, FFTs or dictionary pairings per step.  Only
+``_NormContext.difference_sample_norms`` snaps per-sample values below the
+binomial-stencil rounding floor to zero; every other path reports raw values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,10 +117,6 @@ def wm1p(q: float) -> XNorm:
     return XNorm("wm1p", float(q))
 
 
-def _space_axes(values: np.ndarray, geom: SpaceGeometry):
-    return tuple(range(1, 1 + geom.ndim))
-
-
 def _grad_time_batch(values: np.ndarray, geom: SpaceGeometry) -> np.ndarray:
     """Centered-difference spatial gradient, appended as a trailing axis.
 
@@ -119,32 +124,9 @@ def _grad_time_batch(values: np.ndarray, geom: SpaceGeometry) -> np.ndarray:
     wraparound along every spatial axis.
     """
     grads = []
-    for ax in _space_axes(values, geom):
+    for ax in range(1, 1 + geom.ndim):
         grads.append((np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * geom.h))
     return np.stack(grads, axis=-1)
-
-
-def _pointwise_mag(values: np.ndarray, n_space_axes: int) -> np.ndarray:
-    """Euclidean/Frobenius magnitude over all component axes.
-
-    Collapses every axis after the time axis and the spatial axes, producing
-    shape (m, n, ...spatial).
-    """
-    comp_axes = tuple(range(1 + n_space_axes, values.ndim))
-    if not comp_axes:
-        return np.abs(values)
-    return np.sqrt(np.sum(values**2, axis=comp_axes))
-
-
-def _masked_lq(mag: np.ndarray, q: float, geom: SpaceGeometry) -> np.ndarray:
-    """(h^d * sum |.|^q)^(1/q) over the (optionally masked) grid, per time sample."""
-    axes = tuple(range(1, mag.ndim))
-    if geom.mask is not None:
-        mag = mag[:, geom.mask]
-        axes = (1,)
-    if math.isinf(q):
-        return np.max(mag, axis=axes) if mag.size else np.zeros(mag.shape[0])
-    return (geom.cell_measure() * np.sum(mag**q, axis=axes)) ** (1.0 / q)
 
 
 _DICTIONARY_SIZE = 32
@@ -174,60 +156,99 @@ def _test_dictionary(shape, ncomp: int, geom: SpaceGeometry) -> np.ndarray:
     return _dictionary_cache[key]
 
 
-def _negative_norm(values: np.ndarray, q: float, geom: SpaceGeometry) -> np.ndarray:
-    """W^{-1,q'} norm per time sample.
+def _dictionary_functionals(geom: SpaceGeometry, shape, ncomp: int, q: float) -> np.ndarray:
+    """Matrix of the dual lower-bound functionals u -> <u, v>/|v|_{W^{1,q*}} (q* dual to q)."""
+    dictionary = _test_dictionary(shape, ncomp, geom)
+    q_dual = math.inf if q == 1.0 else 1.0 if math.isinf(q) else q / (q - 1.0)
+    vnorms = xnorms_over_time(dictionary, w1p(q_dual), geom)
+    keep = vnorms > 0
+    weight = np.where(geom.mask, 1.0, 0.0)[..., None] if geom.mask is not None else 1.0
+    rows = (dictionary * weight).reshape(len(dictionary), -1)[keep]
+    return rows * geom.cell_measure() / vnorms[keep, None]
 
-    q = 2 on the full grid: exact spectral form, the l2 norm of Fourier
-    coefficients weighted by (1 + |k|^2)^(-1/2) under the same normalization
-    as the rectangle-rule L^2 norm.  Otherwise: lower bound
-    sup_v <f, v> / |v|_{W^{1,q*}} over the fixed dictionary (q* dual to q').
+
+def _spectral_rows(values: np.ndarray, geom: SpaceGeometry) -> np.ndarray:
+    """Fourier coefficients weighted by (1 + |k|^2)^(-1/2), one row per sample.
+
+    Their l2 norm is the W^{-1,2} norm under the normalization of the
+    rectangle-rule L^2 norm (Parseval: h^d sum_x |u|^2 = h^d/n^d sum_k |u_hat|^2).
     """
-    space_axes = _space_axes(values, geom)
-    nspace = len(space_axes)
-    if q == 2.0 and geom.mask is None:
-        n = values.shape[1]
-        freqs = np.fft.fftfreq(n, d=1.0 / n)
-        ksq = np.zeros((n,) * nspace)
-        for ax in range(nspace):
-            shape = [1] * nspace
-            shape[ax] = n
-            ksq = ksq + freqs.reshape(shape) ** 2
-        weight = 1.0 / (1.0 + ksq)
-        fhat = np.fft.fftn(values, axes=space_axes)
-        comp_axes = tuple(range(1 + nspace, values.ndim))
-        power = np.abs(fhat) ** 2
-        if comp_axes:
-            power = np.sum(power, axis=comp_axes)
-        total = np.sum(power * weight[None], axis=tuple(range(1, 1 + nspace)))
-        # Parseval: h^d * sum_x |u|^2 = h^d / n^d * sum_k |u_hat|^2
-        return np.sqrt(geom.cell_measure() / n**nspace * total)
-
-    flat_comp = values.reshape(values.shape[: 1 + nspace] + (-1,))
-    dictionary = _test_dictionary(values.shape[1 : 1 + nspace], flat_comp.shape[-1], geom)
-    q_dual = math.inf if q == 1.0 else q / (q - 1.0)
-    best = np.zeros(values.shape[0])
-    unmasked = replace(geom, mask=None)
-    for v in dictionary:
-        pair = flat_comp * v[None]
-        if geom.mask is not None:
-            pair = pair[:, geom.mask]
-            pairing = geom.cell_measure() * np.sum(pair, axis=(1, 2))
-        else:
-            pairing = geom.cell_measure() * np.sum(pair, axis=tuple(range(1, pair.ndim)))
-        vnorm = _w1q_norm(v[None], q_dual, geom if geom.mask is not None else unmasked)[0]
-        if vnorm > 0:
-            best = np.maximum(best, np.abs(pairing) / vnorm)
-    return best
+    nspace = geom.ndim
+    shape = values.shape[1 : 1 + nspace]
+    nside = shape[0]
+    freqs = np.fft.fftfreq(nside, d=1.0 / nside)
+    ksq = sum(k**2 for k in np.meshgrid(*([freqs] * nspace), indexing="ij"))
+    coeff = np.sqrt(geom.cell_measure() / nside**nspace / (1.0 + ksq))
+    fhat = np.fft.fftn(values, axes=tuple(range(1, 1 + nspace)))
+    coeff = coeff.reshape(coeff.shape + (1,) * (values.ndim - 1 - nspace))
+    return (fhat * coeff).reshape(values.shape[0], -1)
 
 
-def _w1q_norm(values: np.ndarray, q: float, geom: SpaceGeometry) -> np.ndarray:
-    mag = _pointwise_mag(values, geom.ndim)
-    gmag = _pointwise_mag(_grad_time_batch(values, geom), geom.ndim)
-    if math.isinf(q):
-        base = _masked_lq(mag, q, geom)
-        grad = _masked_lq(gmag, q, geom)
-        return np.maximum(base, grad)
-    return (_masked_lq(mag, q, geom) ** q + _masked_lq(gmag, q, geom) ** q) ** (1.0 / q)
+def _l2(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+
+
+def _amax(rows: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(rows), axis=1) if rows.size else np.zeros(rows.shape[0])
+
+
+def _lq_reduction(points: int, comps: list, q: float, cell: float):
+    """Reduction for L^q / W^{1,q}: pointwise magnitude, then rectangle-rule l^q.
+
+    A row holds consecutive blocks, block b with ``comps[b]`` components at
+    each of the same ``points`` grid points.  Each block yields the Euclidean
+    magnitude of its components per point; all blocks enter one l^q sum
+    (h^d * sum |.|^q)^(1/q), or one max for q = inf, which is the l^q
+    combination of the per-block norms.
+    """
+    def reduce(rows: np.ndarray) -> np.ndarray:
+        m, mags, start = rows.shape[0], [], 0
+        for c in comps:
+            block = rows[:, start : start + points * c].reshape(m, points, c)
+            mags.append(np.sqrt(np.sum(block**2, axis=2)))
+            start += points * c
+        mag = np.concatenate(mags, axis=1)
+        if math.isinf(q):
+            return np.max(mag, axis=1) if mag.size else np.zeros(m)
+        return (cell * np.sum(mag**q, axis=1)) ** (1.0 / q)
+    return reduce
+
+
+def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
+    """The one evaluation path of every state-space norm.
+
+    Returns ``(rows, reduce)``: ``rows`` has shape (m, M), is linear in the m
+    samples (axis 0 of ``values``), and ``reduce(rows)`` is the vector of the m
+    norms.  The maps and reductions are
+
+    * euclid: all entries, l2;
+    * L^2, W^{1,2}: sqrt(h^d) times the masked values (and masked periodic
+      gradient), l2;
+    * W^{-1,2} on the full grid: weighted Fourier coefficients, l2;
+    * W^{-1,q'} otherwise: the dictionary functionals, max-abs (lower bound);
+    * L^q, W^{1,q}, q != 2: masked values (and masked gradient), masked l^q.
+    """
+    values = np.asarray(values, dtype=float)
+    m = values.shape[0]
+    if geom is None or norm.kind == "euclid":
+        return values.reshape(m, -1), _l2
+    if norm.kind == "wm1p":
+        if norm.q == 2.0 and geom.mask is None:
+            return _spectral_rows(values, geom), _l2
+        shape = values.shape[1 : 1 + geom.ndim]
+        flat = values.reshape((m,) + shape + (-1,))
+        mat = _dictionary_functionals(geom, shape, flat.shape[-1], norm.q)
+        return flat.reshape(m, -1) @ mat.T, _amax
+    fields = [values]
+    if norm.kind == "w1p":
+        fields.append(_grad_time_batch(values, geom))
+    comps = [int(np.prod(f.shape[1 + geom.ndim :])) for f in fields]
+    if geom.mask is not None:
+        fields = [f[:, geom.mask] for f in fields]
+    rows = np.concatenate([f.reshape(m, -1) for f in fields], axis=1)
+    if norm.q == 2.0:
+        return math.sqrt(geom.cell_measure()) * rows, _l2
+    return rows, _lq_reduction(rows.shape[1] // sum(comps), comps, norm.q, geom.cell_measure())
 
 
 def spatial_norm(snapshot: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) -> float:
@@ -237,16 +258,8 @@ def spatial_norm(snapshot: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) 
 
 def xnorms_over_time(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) -> np.ndarray:
     """Vector of state-space norms, one per time sample (axis 0)."""
-    values = np.asarray(values, dtype=float)
-    if geom is None or norm.kind == "euclid":
-        if values.ndim == 1:
-            return np.abs(values)
-        return np.sqrt(np.sum(values**2, axis=tuple(range(1, values.ndim))))
-    if norm.kind == "lp":
-        return _masked_lq(_pointwise_mag(values, geom.ndim), norm.q, geom)
-    if norm.kind == "w1p":
-        return _w1q_norm(values, norm.q, geom)
-    return _negative_norm(values, norm.q, geom)
+    rows, reduce = _features(values, norm, geom)
+    return reduce(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +316,23 @@ def _binomial_weights(r: int) -> np.ndarray:
     return _BINOM_SIGNS[r]
 
 
+def _difference(a: np.ndarray, r: int, k: int, dt: float) -> np.ndarray:
+    """Binomial stencil sum_j (-1)**(r-j) C(r,j) a[j*k + i] along axis 0.
+
+    ``a`` holds samples spaced dt apart; the result keeps the len(a) - r*k
+    indices whose stencil fits.  Raises when fewer than two survive.
+    """
+    m = a.shape[0] - r * k
+    if m < 2:
+        raise EmptyDomainError(
+            f"difference of order {r} at step {k * dt} leaves an empty interval")
+    weights = _binomial_weights(r)
+    out = weights[0] * a[:m]
+    for j in range(1, r + 1):
+        out = out + weights[j] * a[j * k : j * k + m]
+    return out
+
+
 def higher_difference(f: TimeGridFunction, r: int, h: float) -> TimeGridFunction:
     """r-th order forward difference on the shrunken index set.
 
@@ -312,15 +342,7 @@ def higher_difference(f: TimeGridFunction, r: int, h: float) -> TimeGridFunction
     """
     if r < 1:
         raise ValueError("difference order must be >= 1")
-    k = steps_of(f, h)
-    m = f.n_samples - r * k
-    if m < 2:
-        raise EmptyDomainError(
-            f"difference of order {r} at step {h} leaves an empty interval")
-    weights = _binomial_weights(r)
-    out = weights[0] * f.values[:m]
-    for j in range(1, r + 1):
-        out = out + weights[j] * f.values[j * k : j * k + m]
+    out = _difference(f.values, r, steps_of(f, h), f.dt)
     return TimeGridFunction(out, t0=f.t0, dt=f.dt, geometry=f.geometry)
 
 
@@ -341,78 +363,11 @@ def time_lp(sample_norms: np.ndarray, p: float, dt: float) -> float:
     return float((w * np.sum(g**p)) ** (1.0 / p))
 
 
-def _dictionary_functionals(geom: SpaceGeometry, shape, ncomp: int, q: float) -> np.ndarray:
-    """Matrix of the dual lower-bound functionals u -> <u, v>/|v|_{W^{1,q*}}."""
-    dictionary = _test_dictionary(shape, ncomp, geom)
-    q_dual = math.inf if q == 1.0 else q / (q - 1.0)
-    rows = []
-    for v in dictionary:
-        vnorm = _w1q_norm(v[None], q_dual, geom)[0]
-        if vnorm == 0:
-            continue
-        weight = np.where(geom.mask, 1.0, 0.0) if geom.mask is not None else 1.0
-        rows.append((v * np.asarray(weight)[..., None]).ravel() * geom.cell_measure() / vnorm)
-    return np.array(rows)
-
-
-def _linearize(f: TimeGridFunction, x_norm: XNorm):
-    """Rewrite the state-space norm as a fixed linear map plus a reduction.
-
-    Returns ``(mapped, combine)`` with ``mapped`` of shape (n_samples, M) and
-    ``combine`` in {"l2", "amax"} such that the X-norm of each sample equals
-    the reduction of its row.  Differencing in time then acts directly on the
-    mapped rows, which saves recomputing gradients/FFTs per step size.
-    Returns None for norms without such a form (general L^q, q != 2).
-    """
-    geom = f.geometry
-    n = f.n_samples
-    if geom is None or x_norm.kind == "euclid":
-        return f.values.reshape(n, -1), "l2"
-    scale = math.sqrt(geom.cell_measure())
-    if x_norm.kind == "lp" and x_norm.q == 2.0:
-        v = f.values[:, geom.mask] if geom.mask is not None else f.values
-        return scale * v.reshape(n, -1), "l2"
-    if x_norm.kind == "w1p" and x_norm.q == 2.0:
-        g = _grad_time_batch(f.values, geom)
-        if geom.mask is not None:
-            base, grad = f.values[:, geom.mask], g[:, geom.mask]
-        else:
-            base, grad = f.values, g
-        flat = np.concatenate([base.reshape(n, -1), grad.reshape(n, -1)], axis=1)
-        return scale * flat, "l2"
-    if x_norm.kind == "wm1p":
-        nspace = geom.ndim
-        shape = f.values.shape[1 : 1 + nspace]
-        if x_norm.q == 2.0 and geom.mask is None:
-            nside = shape[0]
-            freqs = np.fft.fftfreq(nside, d=1.0 / nside)
-            ksq = np.zeros(shape)
-            for ax in range(nspace):
-                sh = [1] * nspace
-                sh[ax] = nside
-                ksq = ksq + freqs.reshape(sh) ** 2
-            coeff = np.sqrt(geom.cell_measure() / nside**nspace / (1.0 + ksq))
-            fhat = np.fft.fftn(f.values, axes=tuple(range(1, 1 + nspace)))
-            comp_shape = f.values.shape[1 + nspace :]
-            coeff = coeff.reshape(coeff.shape + (1,) * len(comp_shape))
-            return (fhat * coeff).reshape(n, -1), "l2"
-        flat = f.values.reshape((n,) + shape + (-1,))
-        mat = _dictionary_functionals(geom, shape, flat.shape[-1], x_norm.q)
-        return flat.reshape(n, -1) @ mat.T, "amax"
-    return None
-
-
-def _reduce_rows(mapped: np.ndarray, combine: str) -> np.ndarray:
-    if combine == "l2":
-        return np.sqrt(np.sum(np.abs(mapped) ** 2, axis=1))
-    return np.max(np.abs(mapped), axis=1) if mapped.size else np.zeros(mapped.shape[0])
-
-
 class _NormContext:
     """Per-(function, X-norm) evaluation context reused across step sizes.
 
-    Carries the linearized representation when one exists and the rounding
-    floor scale: per-sample difference norms below
+    Carries the feature rows of f with their reduction (see ``_features``)
+    and the rounding floor scale: per-sample difference norms below
     ``32 * 2**r * eps * max_t |f(t)|_X`` are pure binomial-stencil roundoff
     and are snapped to exact zero, so that analytically vanishing differences
     (affine data under second differences, constants) measure as zero.
@@ -420,32 +375,19 @@ class _NormContext:
 
     def __init__(self, f: TimeGridFunction, x_norm: XNorm):
         self.f = f
-        self.x_norm = x_norm
-        self.lin = _linearize(f, x_norm)
-        if self.lin is not None:
-            self.sample_norms = _reduce_rows(*self.lin)
-        else:
-            self.sample_norms = xnorms_over_time(f.values, x_norm, f.geometry)
+        self.rows, self.reduce = _features(f.values, x_norm, f.geometry)
+        self.sample_norms = self.reduce(self.rows)
         self.scale = float(np.max(self.sample_norms)) if len(self.sample_norms) else 0.0
 
     def lp_norm(self, p: float) -> float:
         return time_lp(self.sample_norms, p, self.f.dt)
 
+    def difference_rows(self, r: int, k: int) -> np.ndarray:
+        """Feature rows of D_h^r f at h = k*dt (differences commute with the map)."""
+        return _difference(self.rows, r, k, self.f.dt)
+
     def difference_sample_norms(self, r: int, k: int) -> np.ndarray:
-        m = self.f.n_samples - r * k
-        if m < 2:
-            raise EmptyDomainError(
-                f"difference of order {r} at step {k * self.f.dt} leaves an empty interval")
-        if self.lin is not None:
-            mapped, combine = self.lin
-            w = _binomial_weights(r)
-            out = w[0] * mapped[:m]
-            for j in range(1, r + 1):
-                out = out + w[j] * mapped[j * k : j * k + m]
-            vals = _reduce_rows(out, combine)
-        else:
-            d = higher_difference(self.f, r, k * self.f.dt)
-            vals = xnorms_over_time(d.values, self.x_norm, self.f.geometry)
+        vals = self.reduce(self.difference_rows(r, k))
         floor = 32.0 * 2.0**r * np.finfo(float).eps * self.scale
         return np.where(vals <= floor, 0.0, vals)
 
@@ -546,20 +488,19 @@ def sobolev_w1_norm(f: TimeGridFunction, delta: float, p: float,
 def divided_difference_w_norm(f: TimeGridFunction, order: int, p: float,
                               x_norm: XNorm = EUCLID) -> float:
     """Grid-native W^{k,p}(I;X) norm: L^p norms of divided differences up to k."""
-    total = lp_norm(f, p, x_norm)
+    ctx = _NormContext(f, x_norm)
+    total = ctx.lp_norm(p)
     for j in range(1, order + 1):
-        d = higher_difference(f, j, f.dt)
-        total += time_lp(xnorms_over_time(d.values, x_norm, d.geometry), p, d.dt) / f.dt**j
+        total += time_lp(ctx.reduce(ctx.difference_rows(j, 1)), p, f.dt) / f.dt**j
     return total
 
 
 def holder_seminorm(f: TimeGridFunction, lam: float, x_norm: XNorm = EUCLID) -> float:
     """Discrete Hoelder seminorm sup_{s != t} |f(t) - f(s)|_X / |t - s|**lam."""
-    g = xnorms_over_time  # pointwise X-norms of differences, lag by lag
+    rows, reduce = _features(f.values, x_norm, f.geometry)
     best = 0.0
     for k in range(1, f.n_samples):
-        diff = f.values[k:] - f.values[:-k]
-        best = max(best, np.max(g(diff, x_norm, f.geometry)) / (k * f.dt) ** lam)
+        best = max(best, np.max(reduce(rows[k:] - rows[:-k])) / (k * f.dt) ** lam)
     return float(best)
 
 
@@ -700,11 +641,9 @@ def check_marchaud(f, *, r=2, p=math.inf, x_norm=EUCLID, h_values=None):
     sides = []
     for h in h_values:
         k = steps_of(f, h)
-        m = f.n_samples - 2 * r * k
-        d_h = higher_difference(f, r, h).values[:m]
-        d_2h = higher_difference(f, r, 2 * h).values
-        lhs_vals = xnorms_over_time(d_h - 2.0 ** (-r) * d_2h, x_norm, f.geometry)
-        lhs = time_lp(lhs_vals, p, f.dt)
+        d_2h = ctx.difference_rows(r, 2 * k)
+        d_h = ctx.difference_rows(r, k)[: len(d_2h)]
+        lhs = time_lp(ctx.reduce(d_h - 2.0 ** (-r) * d_2h), p, f.dt)
         rhs = (r / 2.0) * ctx.difference_norm(r + 1, k, p)
         sides.append((f"h={h:g}", lhs, rhs))
     return _worst_side(MARCHAUD, sides, r / 2.0, {"r": r, "p": p, "x": x_norm.label()})

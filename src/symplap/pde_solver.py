@@ -24,12 +24,13 @@ tensor algebra applies along trailing axes without reshuffling.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .errors import SolverFailureError
+from .errors import SolverFailureError, TrajectoryFormatError
 from .function_spaces import SpaceGeometry
 from .tensor_models import (ModelParams, _phi_d_over_t, frob, phi, stress,
                             stress_derivative_apply)
@@ -357,9 +358,25 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
+    """Read a trajectory written by :func:`save_trajectory`.
+
+    Raises ``TrajectoryFormatError`` when the file size disagrees with its
+    header, or when the ``<path>.meta`` sidecar is missing or lacks the model
+    parameters (``model``, ``p``, ``mu``).
+    """
+    header_bytes = 8 * _HEADER_COUNT
     with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(8 * _HEADER_COUNT), dtype="<f8")
+        size = os.fstat(fh.fileno()).st_size
+        if size < header_bytes:
+            raise TrajectoryFormatError(
+                f"{path}: {size} bytes, shorter than the {header_bytes}-byte header")
+        header = np.frombuffer(fh.read(header_bytes), dtype="<f8")
         n, d, dt, steps = int(header[0]), int(header[1]), float(header[2]), int(header[3])
+        expected = header_bytes + 8 * (steps + 1) * n * n * d
+        if min(n, d, steps + 1) < 1 or size != expected:
+            raise TrajectoryFormatError(
+                f"{path}: {size} bytes, but its header (n = {n}, d = {d}, steps = {steps}) "
+                f"needs {expected}")
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(steps + 1, n, n, d).copy()
     meta = {}
     try:
@@ -369,7 +386,10 @@ def load_trajectory(path) -> Trajectory:
                     key, val = line.split("=", 1)
                     meta[key.strip()] = val.strip()
     except FileNotFoundError:
-        pass
-    model = ModelParams(p=float(meta.get("p", 2.0)), mu=float(meta.get("mu", 1.0)),
-                        model=meta.get("model", "A2"))
+        raise TrajectoryFormatError(
+            f"{path}.meta is missing, so the model parameters are unknown") from None
+    missing = [key for key in ("model", "p", "mu") if key not in meta]
+    if missing:
+        raise TrajectoryFormatError(f"{path}.meta lacks {', '.join(missing)}")
+    model = ModelParams(p=float(meta["p"]), mu=float(meta["mu"]), model=meta["model"])
     return Trajectory(data, dt, model, TorusGrid(n), [], meta)

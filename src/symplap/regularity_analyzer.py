@@ -34,7 +34,8 @@ import numpy as np
 from . import exponent_engine as ee
 from .errors import GeometryError, InsufficientResolutionError, PreconditionError
 from .function_spaces import (L2, W12, SpaceGeometry, TimeGridFunction, XNorm,
-                              _NormContext, lp, lp_norm, raw_seminorm, w1p, wm1p)
+                              _grad_time_batch, _NormContext, higher_difference, lp,
+                              lp_norm, raw_seminorm, w1p, wm1p)
 from .pde_solver import Trajectory, full_gradient, sym_gradient
 from .tensor_models import frob, phi, v_map
 
@@ -116,9 +117,7 @@ def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u") -> TimeGridF
 
 def sym_gradient4(snapshots: np.ndarray, grid) -> np.ndarray:
     """Symmetrized gradient of a whole snapshot stack: (m, n, n, 2) -> (m, n, n, 2, 2)."""
-    g = np.empty(snapshots.shape + (2,))
-    for j in range(2):
-        g[..., j] = (np.roll(snapshots, -1, axis=1 + j) - np.roll(snapshots, 1, axis=1 + j)) / (2 * grid.h)
+    g = _grad_time_batch(snapshots, SpaceGeometry(h=grid.h, ndim=2))
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
@@ -361,6 +360,7 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
         raise GeometryError("outer ball leaves no interior margin")
     mask_r = _ball_mask(grid, center_xy, r)
     mask_R = _ball_mask(grid, center_xy, big_r)
+    geom = SpaceGeometry(h=grid.h, ndim=2)
     h2 = grid.h**2
     phi_dd0 = traj.model.phi_dd0
 
@@ -370,10 +370,8 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
         u = traj.snapshots[k]
         du = sym_gradient(u, grid)
         vdu = v_map(du, traj.model)
-        grad_v = np.stack([(np.roll(vdu, -1, axis=j) - np.roll(vdu, 1, axis=j)) / (2 * grid.h)
-                           for j in range(2)], axis=-1)
-        grad_du = np.stack([(np.roll(du, -1, axis=j) - np.roll(du, 1, axis=j)) / (2 * grid.h)
-                            for j in range(2)], axis=-1)
+        grad_v = _grad_time_batch(vdu[None], geom)[0]
+        grad_du = _grad_time_batch(du[None], geom)[0]
         dens = np.sum(grad_v**2, axis=(-3, -2, -1)) + phi_dd0 * np.sum(grad_du**2, axis=(-3, -2, -1))
         lhs = max(lhs, h2 * float(np.sum(dens[mask_r])))
 
@@ -398,7 +396,6 @@ def vmap_consistency_gap(traj: Trajectory, cyl: SubCylinder, k: int = 2) -> floa
     the two routes must agree exactly; returns the max absolute gap.
     """
     f = restrict(traj, cyl, target="vmap")
-    from .function_spaces import higher_difference
     pipeline = higher_difference(f, 1, k * f.dt).values
     manual = f.values[k:] - f.values[:-k]
     return float(np.max(np.abs(pipeline - manual)))

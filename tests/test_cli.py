@@ -198,6 +198,18 @@ time_halfwidth = 0.35
         cfg = write_config(tmp_path / "a.ini", "[analyze]\ntrajectory = /nonexistent.bin\n")
         assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
 
+    def test_validation_error_writes_nothing(self, tmp_path, solved):
+        # a ball radius without interior margin fails in the sweep, before any output
+        cfg = write_config(tmp_path / "a.ini", f"""
+[analyze]
+trajectory = {solved}
+r = 3.0
+big_r = 3.1
+""")
+        out = tmp_path / "an"
+        assert run(["analyze", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+
     def test_determinism_byte_identical(self, tmp_path, solved):
         cfg = write_config(tmp_path / "a.ini", f"""
 [analyze]

@@ -1,6 +1,7 @@
 """Implicit solver: discrete calculus, Newton convergence, dissipation, persistence."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import symplap.pde_solver as ps
 import symplap.tensor_models as tm
 from symplap.baselines import NEWTON_ITER_BASELINE
-from symplap.errors import SolverFailureError
+from symplap.errors import SolverFailureError, TrajectoryFormatError
 
 LINEAR = tm.ModelParams(p=2, mu=1.0, model="A2")
 P3 = tm.ModelParams(p=3, mu=1.0, model="A2")
@@ -212,6 +213,31 @@ class TestPersistence:
         assert loaded.model.p == traj.model.p
         assert loaded.model.model == traj.model.model
         assert loaded.meta["ic"] == "random_smooth"
+
+    @pytest.fixture()
+    def saved(self, tmp_path, grid32):
+        traj = ps.solve(ps.SpatialField.zero(grid32), 0.01, 5e-3, P3)
+        path = tmp_path / "t.bin"
+        ps.save_trajectory(traj, path)
+        return path
+
+    def test_missing_meta_rejected(self, saved):
+        Path(f"{saved}.meta").unlink()
+        with pytest.raises(TrajectoryFormatError, match="meta is missing"):
+            ps.load_trajectory(saved)
+
+    @pytest.mark.parametrize("key", ["model", "p", "mu"])
+    def test_meta_without_model_parameter_rejected(self, saved, key):
+        meta = Path(f"{saved}.meta")
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join(ln for ln in lines if not ln.startswith(f"{key} =")))
+        with pytest.raises(TrajectoryFormatError, match=f"lacks {key}"):
+            ps.load_trajectory(saved)
+
+    def test_size_mismatch_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes()[:-8])
+        with pytest.raises(TrajectoryFormatError, match="header"):
+            ps.load_trajectory(saved)
 
     def test_header_is_little_endian_float64(self, tmp_path, grid32):
         traj = ps.solve(ps.SpatialField.zero(grid32), 0.01, 5e-3, P3)
