@@ -3,6 +3,8 @@
 Subpackages by concern:
 
 * ``tensor_models``        pointwise potential / stress / square-root algebra
+* ``stencil``              the centred periodic difference: gradient and
+                           Fourier symbol, the one spatial derivative
 * ``function_spaces``      discrete Bochner norms, differences, seminorms and
                            the structural-inequality harness
 * ``exponent_engine``      closed-form regularity-exponent machinery

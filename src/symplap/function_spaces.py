@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import stencil
 from .errors import (EmptyDomainError, GridMismatchError, PreconditionError)
 
 # ---------------------------------------------------------------------------
@@ -115,18 +116,6 @@ def w1p(q: float) -> XNorm:
 def wm1p(q: float) -> XNorm:
     """W^{-1,q'} tag; ``q`` here is the dual exponent q' the norm is taken in."""
     return XNorm("wm1p", float(q))
-
-
-def _grad_time_batch(values: np.ndarray, geom: SpaceGeometry) -> np.ndarray:
-    """Centered-difference spatial gradient, appended as a trailing axis.
-
-    Input (m, n, ..., *comp) -> output (m, n, ..., *comp, ndim) with periodic
-    wraparound along every spatial axis.
-    """
-    grads = []
-    for ax in range(1, 1 + geom.ndim):
-        grads.append((np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * geom.h))
-    return np.stack(grads, axis=-1)
 
 
 _DICTIONARY_SIZE = 32
@@ -205,7 +194,7 @@ def _lq_reduction(points: int, comps: list, q: float, cell: float):
         m, mags, start = rows.shape[0], [], 0
         for c in comps:
             block = rows[:, start : start + points * c].reshape(m, points, c)
-            mags.append(np.sqrt(np.sum(block**2, axis=2)))
+            mags.append(np.abs(block[:, :, 0]) if c == 1 else np.sqrt(np.sum(block**2, axis=2)))
             start += points * c
         mag = np.concatenate(mags, axis=1)
         if math.isinf(q):
@@ -227,8 +216,22 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     * W^{-1,2} on the full grid: weighted Fourier coefficients, l2;
     * W^{-1,q'} otherwise: the dictionary functionals, max-abs (lower bound);
     * L^q, W^{1,q}, q != 2: masked values (and masked gradient), masked l^q.
+
+    Rows whose squares or q-th powers would leave the normal range are brought
+    to unit size by an exact power of two (complex rows through their real
+    view), which ``reduce`` undoes; all other rows are returned as mapped.
     """
-    values = np.asarray(values, dtype=float)
+    rows, reduce = _feature_map(np.asarray(values, dtype=float), norm, geom)
+    top = float(max(rows.view(float).max(), -rows.view(float).min())) if rows.size else 0.0
+    k = 800.0 / (norm.q if 2.0 < norm.q < math.inf else 2.0)
+    if 0.0 < top < math.inf and not 2.0**-k < top < 2.0**k:
+        exp = math.frexp(top)[1]
+        rows = np.ldexp(rows.view(float), -exp).view(rows.dtype)
+        return rows, lambda r: np.ldexp(reduce(r), exp)
+    return rows, reduce
+
+
+def _feature_map(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     m = values.shape[0]
     if geom is None or norm.kind == "euclid":
         return values.reshape(m, -1), _l2
@@ -241,7 +244,7 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
         return flat.reshape(m, -1) @ mat.T, _amax
     fields = [values]
     if norm.kind == "w1p":
-        fields.append(_grad_time_batch(values, geom))
+        fields.append(stencil.gradient(values, geom.h, range(1, 1 + geom.ndim)))
     comps = [int(np.prod(f.shape[1 + geom.ndim :])) for f in fields]
     if geom.mask is not None:
         fields = [f[:, geom.mask] for f in fields]

@@ -7,8 +7,8 @@ time stepping: dissipation of the discrete energy then follows from convexity
 alone, with no step-size restriction, so regularity measurements on the
 trajectories are attributable to the system rather than to the integrator.
 
-Discrete calculus.  Gradient and divergence are centered second-order
-differences with periodic wraparound; they satisfy the exact duality
+Discrete calculus.  Gradient and divergence are the centered second-order
+periodic differences of :mod:`symplap.stencil`; they satisfy the exact duality
 ``<div T, v> = -<T, Dv>`` (summation by parts with no boundary terms), so the
 scheme inherits the weak-form structure: the implicit step solves
 ``u - u_prev - dt * div stress(Du) = 0`` by Newton iteration with the exact
@@ -30,10 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
+from . import stencil
 from .errors import SolverFailureError, TrajectoryFormatError
 from .function_spaces import SpaceGeometry
 from .tensor_models import (ModelParams, _phi_d_over_t, frob, phi, stress,
-                            stress_derivative_apply)
+                            stress_derivative_apply, sym)
 
 __all__ = [
     "TorusGrid", "SpatialField", "Trajectory", "StepDiagnostics",
@@ -87,42 +88,21 @@ class SpatialField:
     def zero(cls, grid: TorusGrid) -> "SpatialField":
         return cls(np.zeros((grid.n, grid.n, grid.d)), grid)
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid.h**2 * np.sum(self.data**2)))
-
-
-def _d1(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered first difference with periodic wraparound."""
-    return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * h)
-
 
 def sym_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Symmetrized gradient field: (n, n, 2, 2), entry [i, j] = (d_j u_i + d_i u_j)/2."""
-    h = grid.h
-    g = np.empty(u.shape + (2,))
-    for j in range(2):
-        g[..., j] = _d1(u, axis=j, h=h)
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
-
-
-def full_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Unsymmetrized gradient, entry [i, j] = d_j u_i."""
-    g = np.empty(u.shape + (2,))
-    for j in range(2):
-        g[..., j] = _d1(u, axis=j, h=grid.h)
-    return g
+    """Symmetrized gradient (d_j u_i + d_i u_j)/2: (..., n, n, 2) -> (..., n, n, 2, 2)."""
+    return sym(stencil.gradient(u, grid.h, (-3, -2)))
 
 
 def divergence(t_field: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Row-wise divergence of a tensor field: (div T)_i = sum_j d_j T_ij.
 
-    Adjoint (up to sign) of the symmetrized gradient under the plain grid
-    inner product, exactly: periodic centered differences telescope.
+    Accepts leading axes, (..., n, n, 2, 2) -> (..., n, n, 2); exactly minus
+    the adjoint of ``sym_gradient`` (periodic centered differences telescope).
     """
-    h = grid.h
-    out = np.zeros(t_field.shape[:-1])
-    for j in range(2):
-        out += _d1(t_field[..., j], axis=j, h=h)
+    out, term = np.zeros(t_field.shape[:-1]), np.empty(t_field.shape[:-1])
+    out += stencil.difference(t_field[..., 0], -3, grid.h, term)
+    out += stencil.difference(t_field[..., 1], -2, grid.h, term)
     return out
 
 
@@ -144,10 +124,8 @@ def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):
     inverts in closed form.  For the linear model (constant coefficient) this
     preconditioner is the exact inverse, so CG converges in one iteration.
     """
-    n, h = grid.n, grid.h
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    s1 = np.sin(freqs * h)[:, None] / h * np.ones((1, n))
-    s2 = np.ones((n, 1)) * np.sin(freqs * h)[None, :] / h
+    s = stencil.symbol(grid.n, grid.h)
+    s1, s2 = s[:, None], s[None, :]
     c = 0.5 * dt * gbar
     ssq = s1**2 + s2**2
     a = 1.0 + c * ssq
@@ -168,7 +146,6 @@ def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):
 class StepDiagnostics:
     newton_iterations: int
     residual: float
-    energy: float
 
 
 def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
@@ -205,8 +182,7 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
         rsup, rl2 = norms(r)
         history.append(rsup)
         if max(rsup, rl2) < tol:
-            return u, StepDiagnostics(newton_iterations=it, residual=max(rsup, rl2),
-                                      energy=energy(u, model, grid))
+            return u, StepDiagnostics(newton_iterations=it, residual=max(rsup, rl2))
         du = sym_gradient(u, grid)
         if precond is None:
             gbar = float(np.mean(_phi_d_over_t(frob(du), model)))
@@ -258,8 +234,8 @@ class Trajectory:
         return self.n_steps * self.dt
 
     def energies(self) -> np.ndarray:
-        return np.array([energy(self.snapshots[0], self.model, self.grid)]
-                        + [d.energy for d in self.diagnostics])
+        """Discrete energy of every snapshot, n_steps + 1 values; loaded trajectories too."""
+        return np.array([energy(u, self.model, self.grid) for u in self.snapshots])
 
     def component_means(self) -> np.ndarray:
         return np.mean(self.snapshots, axis=(1, 2))

@@ -33,10 +33,10 @@ import numpy as np
 
 from . import exponent_engine as ee
 from .errors import GeometryError, InsufficientResolutionError, PreconditionError
-from .function_spaces import (L2, W12, SpaceGeometry, TimeGridFunction, XNorm,
-                              _grad_time_batch, _NormContext, higher_difference, lp,
-                              lp_norm, raw_seminorm, w1p, wm1p)
-from .pde_solver import Trajectory, full_gradient, sym_gradient
+from . import stencil
+from .function_spaces import (L2, W12, TimeGridFunction, XNorm, _NormContext,
+                              higher_difference, lp, lp_norm, raw_seminorm, w1p, wm1p)
+from .pde_solver import Trajectory, sym_gradient
 from .tensor_models import frob, phi, v_map
 
 INTERIOR_MARGIN = 0.1  # fraction of each domain extent kept clear around a cylinder
@@ -111,14 +111,13 @@ def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u") -> TimeGridF
     mask = _ball_mask(traj.grid, cyl.center[:2], cyl.r)
     if not mask.any():
         raise GeometryError(f"ball of radius {cyl.r} contains no grid nodes")
-    geom = SpaceGeometry(h=traj.grid.h, ndim=2, mask=mask)
-    return TimeGridFunction(values, t0=k_lo * traj.dt, dt=traj.dt, geometry=geom)
+    return TimeGridFunction(values, t0=k_lo * traj.dt, dt=traj.dt,
+                            geometry=traj.grid.geometry(mask))
 
 
 def sym_gradient4(snapshots: np.ndarray, grid) -> np.ndarray:
     """Symmetrized gradient of a whole snapshot stack: (m, n, n, 2) -> (m, n, n, 2, 2)."""
-    g = _grad_time_batch(snapshots, SpaceGeometry(h=grid.h, ndim=2))
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
+    return sym_gradient(snapshots, grid)
 
 
 def estimate_exponent(h_values, norms):
@@ -360,7 +359,6 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
         raise GeometryError("outer ball leaves no interior margin")
     mask_r = _ball_mask(grid, center_xy, r)
     mask_R = _ball_mask(grid, center_xy, big_r)
-    geom = SpaceGeometry(h=grid.h, ndim=2)
     h2 = grid.h**2
     phi_dd0 = traj.model.phi_dd0
 
@@ -370,13 +368,13 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
         u = traj.snapshots[k]
         du = sym_gradient(u, grid)
         vdu = v_map(du, traj.model)
-        grad_v = _grad_time_batch(vdu[None], geom)[0]
-        grad_du = _grad_time_batch(du[None], geom)[0]
+        grad_v = stencil.gradient(vdu, grid.h, (0, 1))
+        grad_du = stencil.gradient(du, grid.h, (0, 1))
         dens = np.sum(grad_v**2, axis=(-3, -2, -1)) + phi_dd0 * np.sum(grad_du**2, axis=(-3, -2, -1))
         lhs = max(lhs, h2 * float(np.sum(dens[mask_r])))
 
         ut = (traj.snapshots[k] - traj.snapshots[k - 1]) / traj.dt
-        grad_u = full_gradient(u, grid)
+        grad_u = stencil.gradient(u, grid.h, (0, 1))
         dens_rhs = phi(frob(grad_u), traj.model) + np.sum(ut**2, axis=-1)
         rhs_sup = max(rhs_sup, h2 * float(np.sum(dens_rhs[mask_R])))
 

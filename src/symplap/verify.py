@@ -57,28 +57,30 @@ def _params_for(ineq_id: str, corrupt: bool) -> dict:
     return params
 
 
+def _entry_reports(entry: CorpusFunction, n_samples: int, ids, params_of):
+    """Yield (inequality id, report) per check of ``ids`` on one corpus entry;
+    None where the check needs a derivative the entry lacks."""
+    f = entry.sample(n_samples)
+    fprime = entry.sample_derivative(n_samples)
+    for ineq_id in ids:
+        if ineq_id in fs._NEEDS_DERIVATIVE and fprime is None:
+            yield ineq_id, None
+            continue
+        arg = lift_to_field(entry, n_samples) if ineq_id == fs.INTERPOLATION else f
+        yield ineq_id, fs.check_inequality(ineq_id, arg, fprime, **params_of(ineq_id))
+
+
 def run_matrix(corpus: list[CorpusFunction], n_samples: int = 1025,
                ids=fs.INEQUALITY_IDS, corrupt: bool = False) -> MatrixResult:
     """Evaluate every applicable (check, function) pair of the corpus."""
     rows, skipped = [], []
     for entry in corpus:
-        f = entry.sample(n_samples)
-        fprime = entry.sample_derivative(n_samples)
-        field = None
-        for ineq_id in ids:
-            if ineq_id in fs._NEEDS_DERIVATIVE and fprime is None:
+        for ineq_id, rep in _entry_reports(entry, n_samples, ids,
+                                           lambda i: _params_for(i, corrupt)):
+            if rep is None:
                 skipped.append((entry.name, ineq_id, "no tabulated derivative"))
-                continue
-            params = _params_for(ineq_id, corrupt)
-            if ineq_id == fs.INTERPOLATION:
-                if field is None:
-                    field = lift_to_field(entry, n_samples)
-                rep = fs.check_inequality(ineq_id, field, **params)
-            elif ineq_id in fs._NEEDS_DERIVATIVE:
-                rep = fs.check_inequality(ineq_id, f, fprime, **params)
             else:
-                rep = fs.check_inequality(ineq_id, f, **params)
-            rows.append((entry.name, rep))
+                rows.append((entry.name, rep))
     return MatrixResult(rows=rows, skipped=skipped)
 
 
@@ -90,22 +92,10 @@ def calibrate_constants(size: int = 100, seed: int = 1234, n_samples: int = 1025
     max realized lhs/rhs ratio over the corpus (ignoring 0/0 entries), padded
     by ``headroom``.  The result is meant to be frozen into ``baselines``.
     """
-    corpus = build_corpus(size, seed)
-    worst = {name: 0.0 for name in _CALIBRATED.values()}
-    for entry in corpus:
-        f = entry.sample(n_samples)
-        fprime = entry.sample_derivative(n_samples)
-        for ineq_id, name in _CALIBRATED.items():
-            if ineq_id in fs._NEEDS_DERIVATIVE and fprime is None:
-                continue
-            params = dict(CANONICAL_PARAMS[ineq_id])
-            params["calibrated"] = 1.0
-            if ineq_id == fs.INTERPOLATION:
-                rep = fs.check_inequality(ineq_id, lift_to_field(entry, n_samples), **params)
-            elif ineq_id in fs._NEEDS_DERIVATIVE:
-                rep = fs.check_inequality(ineq_id, f, fprime, **params)
-            else:
-                rep = fs.check_inequality(ineq_id, f, **params)
-            if rep.rhs > 0:
-                worst[name] = max(worst[name], rep.lhs / rep.rhs)
-    return {name: val * headroom for name, val in worst.items()}
+    worst = dict.fromkeys(_CALIBRATED, 0.0)
+    for entry in build_corpus(size, seed):
+        for ineq_id, rep in _entry_reports(entry, n_samples, _CALIBRATED,
+                                           lambda i: dict(CANONICAL_PARAMS[i], calibrated=1.0)):
+            if rep is not None and rep.rhs > 0:
+                worst[ineq_id] = max(worst[ineq_id], rep.lhs / rep.rhs)
+    return {_CALIBRATED[i]: val * headroom for i, val in worst.items()}

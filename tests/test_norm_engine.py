@@ -1,17 +1,17 @@
 """Property test of the spatial-norm engine against each norm's definition.
 
 The engine differences feature rows; the reference differences the field
-values (``higher_difference``) and then evaluates the norm directly:
-pointwise magnitude, masked rectangle-rule l^q, centred-difference gradient,
-``fftn``-weighted W^{-1,2}, and the dictionary lower bound for the other
-negative norms.
+values (``higher_difference``) and then evaluates the norm directly, in
+extended precision: pointwise magnitude, masked rectangle-rule l^q,
+centred-difference gradient, ``fftn``-weighted W^{-1,2}, and the dictionary
+lower bound for the other negative norms.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -64,7 +64,7 @@ def _negative(a, q, geom):
     return best
 
 
-def reference_norms(a, norm, geom):
+def _definition(a, norm, geom):
     if norm.kind == "euclid":
         return np.sqrt(np.sum(a.reshape(len(a), -1) ** 2, axis=1))
     if norm.kind == "lp":
@@ -72,6 +72,12 @@ def reference_norms(a, norm, geom):
     if norm.kind == "w1p":
         return _w1q(a, norm.q, geom)
     return _negative(a, norm.q, geom)
+
+
+def reference_norms(a, norm, geom):
+    """Each definition in extended precision, whose exponent range keeps every
+    square and power of a float64 input normal (x86-64 long double)."""
+    return _definition(np.asarray(a, dtype=np.longdouble), norm, geom).astype(float)
 
 
 @st.composite
@@ -87,9 +93,19 @@ def cases(draw):
     return fs.TimeGridFunction(values, 0.0, 0.1, geometry=geom), r, k
 
 
+def _single_entry_case(value, big=0.0):
+    values = np.zeros((3, N, N))
+    values[0, 0, :2] = value, big
+    mask = None if big == 0.0 else np.arange(N * N).reshape(N, N) == 0
+    return fs.TimeGridFunction(values, 0.0, 0.1, geometry=fs.SpaceGeometry(GEOM.h, 2, mask)), 1, 1
+
+
 @pytest.mark.parametrize("norm", NORMS, ids=lambda x: x.label())
 @settings(max_examples=30, deadline=None)
 @given(case=cases())
+@example(case=_single_entry_case(7.9e-286))  # a lone entry whose square underflows to 0
+@example(case=_single_entry_case(3.97908499e-159))  # squares of h * entry are subnormal
+@example(case=_single_entry_case(2.2250738585072014e-308, big=4.0))  # tiny on the mask, large off it
 def test_engine_matches_definition(norm, case):
     f, r, k = case
     geom = f.geometry

@@ -209,6 +209,7 @@ class TestPersistence:
         ps.save_trajectory(traj, path)
         loaded = ps.load_trajectory(path)
         assert np.array_equal(loaded.snapshots, traj.snapshots)
+        assert np.array_equal(loaded.energies(), traj.energies())
         assert loaded.dt == traj.dt
         assert loaded.model.p == traj.model.p
         assert loaded.model.model == traj.model.model
