@@ -26,7 +26,7 @@ from . import pde_solver as ps
 from . import regularity_analyzer as ra
 from . import verify as vf
 from .corpus import build_corpus
-from .errors import SolverFailureError
+from .errors import SolverFailureError, UnreachableTargetError
 from .tensor_models import ModelParams
 
 EXIT_OK = 0
@@ -51,6 +51,12 @@ def _load_config(path: str, section: str) -> dict:
 
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+def _require(values: list[float], ok, message: str) -> None:
+    for v in values:
+        if not ok(v):
+            raise ValidationFailure(message.format(f"{v:g}"))
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -109,11 +115,12 @@ def run_solve(cfg: dict, out_dir: Path, seed: int | None) -> int:
 
 def run_exponents(cfg: dict, out_dir: Path, seed: int) -> int:
     p_values = _floats(cfg.get("p_values", "2, 2.5, 3, 4"))
-    d_values = [int(v) for v in _floats(cfg.get("d_values", "2, 3"))]
+    d_values = _floats(cfg.get("d_values", "2, 3"))
     targets = _floats(cfg.get("targets", "0.4"))
-    for p in p_values:
-        if p < 2:
-            raise ValidationFailure(f"growth exponent {p} is below 2")
+    _require(p_values, lambda p: p >= 2, "growth exponent {} is below 2")
+    _require(d_values, lambda d: d >= 1 and d.is_integer(), "dimension {} is not an integer >= 1")
+    _require(targets, lambda t: t > 0, "target exponent {} is not positive")
+    d_values = [int(d) for d in d_values]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for p in p_values:
@@ -125,7 +132,7 @@ def run_exponents(cfg: dict, out_dir: Path, seed: int) -> int:
             for target in targets:
                 try:
                     cols.append(ee.iterate(p, d, 0.0, target).n_steps)
-                except Exception:
+                except UnreachableTargetError:
                     cols.append("unreachable")
             rows.append(cols)
     header = ["p", "d", "regime", "gamma0", "gamma1"] + [f"steps_to_{t:g}" for t in targets]
@@ -140,10 +147,10 @@ def run_verify(cfg: dict, out_dir: Path, seed: int | None) -> int:
     corrupt = cfg.get("corrupt_constants", "false").lower() in ("1", "true", "yes")
     if size < 0 or n_samples < 3:
         raise ValidationFailure("corpus_size must be >= 0 and samples >= 3")
-    out_dir.mkdir(parents=True, exist_ok=True)
     # the frozen calibration constants belong to the canonical corpus seed
     corpus = build_corpus(size, 1234 if seed is None else seed)
     result = vf.run_matrix(corpus, n_samples=n_samples, corrupt=corrupt)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [rep.csv_row(name) for name, rep in result.rows]
     for name, ineq_id, reason in result.skipped:
         rows.append([ineq_id, name, "", "", "", "", "skipped", reason])
@@ -159,11 +166,15 @@ def run_analyze(cfg: dict, out_dir: Path, seed: int) -> int:
     if not traj_path or not Path(traj_path).exists():
         raise ValidationFailure(f"trajectory file not found: {traj_path!r}")
     alphas = _floats(cfg.get("alphas", "0.25, 0.5, 0.75"))
+    if not alphas:
+        raise ValidationFailure("alphas lists no exponent")
     delta = float(cfg.get("delta", 0.1))
     r = float(cfg.get("r", 0.85))
     big_r = float(cfg.get("big_r", 1.7))
     traj = ps.load_trajectory(traj_path)
     center_frac = _floats(cfg.get("center", "0.5 0.5"))
+    if len(center_frac) != 2:
+        raise ValidationFailure(f"center needs two fractions, got {len(center_frac)}")
     t_center = float(cfg.get("t_center", traj.t_final / 2.0))
     center = (2 * math.pi * center_frac[0], 2 * math.pi * center_frac[1], t_center)
     cyl = ra.SubCylinder(center=center, r=r,

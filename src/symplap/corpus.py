@@ -132,8 +132,11 @@ def _spatial_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return v1, v2
 
 
-def lift_to_field(entry: CorpusFunction, n_samples: int, n_space: int = 8) -> TimeGridFunction:
-    """Spatial trajectory f(t) V1(x) + f(1-t) V2(x) on an n_space^2 torus grid.
+LIFT_GRID = 8  # points per axis of the torus grid the interpolation check runs on
+
+
+def lift_to_field(entry: CorpusFunction, n_samples: int) -> TimeGridFunction:
+    """Spatial trajectory f(t) V1(x) + f(1-t) V2(x) on a LIFT_GRID^2 torus grid.
 
     The time-reversed copy as second coefficient keeps the construction
     deterministic without extra corpus bookkeeping while making the three
@@ -142,7 +145,7 @@ def lift_to_field(entry: CorpusFunction, n_samples: int, n_space: int = 8) -> Ti
     t = np.linspace(0.0, 1.0, n_samples)
     c1 = entry.f(t)
     c2 = entry.f(1.0 - t)
-    v1, v2 = _spatial_modes(n_space)
+    v1, v2 = _spatial_modes(LIFT_GRID)
     values = c1[:, None, None, None] * v1[None] + c2[:, None, None, None] * v2[None]
-    geom = SpaceGeometry(h=2.0 * math.pi / n_space, ndim=2)
+    geom = SpaceGeometry(h=2.0 * math.pi / LIFT_GRID, ndim=2)
     return TimeGridFunction(values, t0=0.0, dt=t[1] - t[0], geometry=geom)

@@ -29,9 +29,11 @@ samples, applied once, then a per-sample reduction (l2, max-abs, or pointwise
 magnitude followed by masked l^q).  Time differences commute with the map, so
 every difference norm -- seminorms, the Hoelder sup, the Marchaud remainder,
 divided differences -- differences feature rows instead of recomputing
-gradients, FFTs or dictionary pairings per step.  Only
-``_NormContext.difference_sample_norms`` snaps per-sample values below the
-binomial-stencil rounding floor to zero; every other path reports raw values.
+gradients, FFTs or dictionary pairings per step.  Time norms have one
+evaluator, ``_NormContext``, built once per (function, X-norm) by every check.
+Its difference norms, W^{k,p} divided differences included, snap values below
+the binomial-stencil rounding floor to zero; the Hoelder sup and the Marchaud
+remainder report raw values.
 """
 
 from __future__ import annotations
@@ -223,12 +225,21 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     """
     rows, reduce = _feature_map(np.asarray(values, dtype=float), norm, geom)
     top = float(max(rows.view(float).max(), -rows.view(float).min())) if rows.size else 0.0
-    k = 800.0 / (norm.q if 2.0 < norm.q < math.inf else 2.0)
-    if 0.0 < top < math.inf and not 2.0**-k < top < 2.0**k:
-        exp = math.frexp(top)[1]
+    exp = _unit_exponent(top, norm.q)
+    if exp:
         rows = np.ldexp(rows.view(float), -exp).view(rows.dtype)
         return rows, lambda r: np.ldexp(reduce(r), exp)
     return rows, reduce
+
+
+def _unit_exponent(top: float, q: float) -> int:
+    """Power of two that brings ``top`` into [1/2, 1) when the q-th powers
+    (squares for q <= 2 or q = inf) of numbers of that size would leave the
+    normal float range; 0, i.e. no scaling, otherwise."""
+    k = 800.0 / (q if 2.0 < q < math.inf else 2.0)
+    if 0.0 < top < math.inf and not 2.0**-k < top < 2.0**k:
+        return math.frexp(top)[1]
+    return 0
 
 
 def _feature_map(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
@@ -363,11 +374,12 @@ def time_lp(sample_norms: np.ndarray, p: float, dt: float) -> float:
     if math.isinf(p):
         return float(np.max(g))
     w = (m - 1) / m * dt
-    return float((w * np.sum(g**p)) ** (1.0 / p))
+    exp = _unit_exponent(float(np.max(g)), p)  # p-th powers of tiny or huge norms
+    return float(np.ldexp((w * np.sum(np.ldexp(g, -exp) ** p)) ** (1.0 / p), exp))
 
 
 class _NormContext:
-    """Per-(function, X-norm) evaluation context reused across step sizes.
+    """The one evaluator of time norms, per (function, X-norm).
 
     Carries the feature rows of f with their reduction (see ``_features``)
     and the rounding floor scale: per-sample difference norms below
@@ -397,16 +409,41 @@ class _NormContext:
     def difference_norm(self, r: int, k: int, p: float) -> float:
         return time_lp(self.difference_sample_norms(r, k), p, self.f.dt)
 
+    def seminorm(self, alpha: float, r: int, delta: float, p: float) -> float:
+        """sup over admissible h <= delta of h**(-alpha) |D_h^r f|_{L^p(X)}."""
+        ks = admissible_steps(self.f, r, delta)
+        if not ks:
+            raise EmptyDomainError(
+                f"no admissible step h <= {delta} for order-{r} differences")
+        best = 0.0
+        for k in ks:
+            h = k * self.f.dt
+            best = max(best, h ** (-alpha) * self.difference_norm(r, k, p))
+        return float(best)
+
+    def nikolskii_norm(self, alpha: float, r: int, delta: float, p: float) -> float:
+        """Seminorm plus the low-order Bochner norm |f|_{L^p(I;X)}."""
+        return self.seminorm(alpha, r, delta, p) + self.lp_norm(p)
+
+    def sobolev_norm(self, order: int, p: float) -> float:
+        """Grid-native W^{k,p}(I;X) norm: L^p norms of divided differences up to k."""
+        total = self.lp_norm(p)
+        for j in range(1, order + 1):
+            total += self.difference_norm(j, 1, p) / self.f.dt**j
+        return total
+
+    def holder_seminorm(self, lam: float) -> float:
+        """sup_{s != t} |f(t) - f(s)|_X / |t - s|**lam over all sample pairs."""
+        best = 0.0
+        for k in range(1, self.f.n_samples):
+            diff = self.reduce(self.rows[k:] - self.rows[:-k])
+            best = max(best, np.max(diff) / (k * self.f.dt) ** lam)
+        return float(best)
+
 
 def lp_norm(f: TimeGridFunction, p: float, x_norm: XNorm = EUCLID) -> float:
     """Bochner norm |f|_{L^p(I;X)} on the full grid."""
     return _NormContext(f, x_norm).lp_norm(p)
-
-
-def difference_norm(f: TimeGridFunction, r: int, h: float, p: float,
-                    x_norm: XNorm = EUCLID) -> float:
-    """|D_h^r f|_{L^p(I_rh;X)} for a single step h."""
-    return _NormContext(f, x_norm).difference_norm(r, steps_of(f, h), p)
 
 
 def admissible_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
@@ -417,23 +454,14 @@ def admissible_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
 
 
 def raw_seminorm(f: TimeGridFunction, alpha: float, r: int, delta: float, p: float,
-                 x_norm: XNorm = EUCLID, _ctx: "_NormContext | None" = None) -> float:
+                 x_norm: XNorm = EUCLID) -> float:
     """sup over admissible h <= delta of h**(-alpha) |D_h^r f|_{L^p(X)}.
 
     No relation between r and alpha is enforced here; the public Nikolskii
     entry points add the natural-step validation, while the first-order
     Sobolev equivalence deliberately uses r = 1 with alpha = 1.
     """
-    ks = admissible_steps(f, r, delta)
-    if not ks:
-        raise EmptyDomainError(
-            f"no admissible step h <= {delta} for order-{r} differences")
-    ctx = _ctx if _ctx is not None else _NormContext(f, x_norm)
-    best = 0.0
-    for k in ks:
-        h = k * f.dt
-        best = max(best, h ** (-alpha) * ctx.difference_norm(r, k, p))
-    return best
+    return _NormContext(f, x_norm).seminorm(alpha, r, delta, p)
 
 
 @dataclass(frozen=True)
@@ -470,41 +498,18 @@ def nikolskii_seminorm(f: TimeGridFunction, spec: SeminormSpec) -> float:
 
 def nikolskii_norm(f: TimeGridFunction, spec: SeminormSpec) -> float:
     """Seminorm plus the low-order Bochner norm |f|_{L^p(I;X)}."""
-    return nikolskii_seminorm(f, spec) + lp_norm(f, spec.p, spec.x_norm)
+    return _NormContext(f, spec.x_norm).nikolskii_norm(spec.alpha, spec.order, spec.delta, spec.p)
 
 
 def modulus_of_continuity(f: TimeGridFunction, r: int, h: float, p: float = math.inf,
                           x_norm: XNorm = EUCLID) -> float:
     """max over grid steps t <= h of |D_t^r f|_{L^p(I_rt;X)}; non-decreasing in h."""
-    ks = admissible_steps(f, r, h)
-    if not ks:
-        raise EmptyDomainError(f"no admissible step t <= {h}")
-    return max(difference_norm(f, r, k * f.dt, p, x_norm) for k in ks)
-
-
-def sobolev_w1_norm(f: TimeGridFunction, delta: float, p: float,
-                    x_norm: XNorm = EUCLID) -> float:
-    """First-difference realization of the W^{1,p}(I;X) norm with step cap delta."""
-    return raw_seminorm(f, 1.0, 1, delta, p, x_norm) + lp_norm(f, p, x_norm)
-
-
-def divided_difference_w_norm(f: TimeGridFunction, order: int, p: float,
-                              x_norm: XNorm = EUCLID) -> float:
-    """Grid-native W^{k,p}(I;X) norm: L^p norms of divided differences up to k."""
-    ctx = _NormContext(f, x_norm)
-    total = ctx.lp_norm(p)
-    for j in range(1, order + 1):
-        total += time_lp(ctx.reduce(ctx.difference_rows(j, 1)), p, f.dt) / f.dt**j
-    return total
+    return _NormContext(f, x_norm).seminorm(0.0, r, h, p)
 
 
 def holder_seminorm(f: TimeGridFunction, lam: float, x_norm: XNorm = EUCLID) -> float:
     """Discrete Hoelder seminorm sup_{s != t} |f(t) - f(s)|_X / |t - s|**lam."""
-    rows, reduce = _features(f.values, x_norm, f.geometry)
-    best = 0.0
-    for k in range(1, f.n_samples):
-        best = max(best, np.max(reduce(rows[k:] - rows[:-k])) / (k * f.dt) ** lam)
-    return float(best)
+    return _NormContext(f, x_norm).holder_seminorm(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +546,11 @@ class InequalityReport:
     rhs: float
     constant_used: float
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # numpy scalars would print as np.float64(x) in csv_row
+        self.lhs, self.rhs = float(self.lhs), float(self.rhs)
+        self.constant_used = float(self.constant_used)
 
     @property
     def margin(self) -> float:
@@ -584,9 +594,8 @@ def check_delta_equivalence(f, *, r=1, alpha=0.5, delta1=0.125, delta2=0.25,
     if r < _natural_order(alpha):
         raise PreconditionError("difference order must exceed alpha")
     ctx = _NormContext(f, x_norm)
-    low = ctx.lp_norm(p)
-    n1 = raw_seminorm(f, alpha, r, delta1, p, x_norm, _ctx=ctx) + low
-    n2 = raw_seminorm(f, alpha, r, delta2, p, x_norm, _ctx=ctx) + low
+    n1 = ctx.nikolskii_norm(alpha, r, delta1, p)
+    n2 = ctx.nikolskii_norm(alpha, r, delta2, p)
     c = (3.0**r if constant_factor is None else constant_factor) / delta1**alpha
     params = {"r": r, "alpha": alpha, "delta1": delta1, "delta2": delta2, "p": p,
               "x": x_norm.label(),
@@ -615,9 +624,8 @@ def check_step_change(f, *, alpha=0.5, r=2, delta=None, p=math.inf, x_norm=EUCLI
         raise PreconditionError(
             f"step cap for difference-order change violated: delta = {delta} > {cap:.6g}")
     ctx = _NormContext(f, x_norm)
-    low = ctx.lp_norm(p)
-    n_r = raw_seminorm(f, alpha, r, delta, p, x_norm, _ctx=ctx) + low
-    n_r0 = raw_seminorm(f, alpha, r0, delta, p, x_norm, _ctx=ctx) + low
+    n_r = ctx.nikolskii_norm(alpha, r, delta, p)
+    n_r0 = ctx.nikolskii_norm(alpha, r0, delta, p)
     c_up = (4.0 * r**2 / ((r0 - alpha) * delta**alpha)) ** (r - r0)
     params = {"r": r, "r0": r0, "alpha": alpha, "delta": delta, "p": p, "x": x_norm.label()}
     return _worst_side(STEP_CHANGE,
@@ -625,25 +633,23 @@ def check_step_change(f, *, alpha=0.5, r=2, delta=None, p=math.inf, x_norm=EUCLI
                        c_up, params)
 
 
-def check_marchaud(f, *, r=2, p=math.inf, x_norm=EUCLID, h_values=None):
+def check_marchaud(f, *, r=2, p=math.inf, x_norm=EUCLID):
     """Order-raising remainder bound |D_h^r f - 2^-r D_2h^r f| <= (r/2) |D_h^{r+1} f|.
 
     The left side lives on the index set admitting steps of size 2rh, the
-    right on the one admitting (r+1)h; checked over dyadic h (worst margin
-    reported).
+    right on the one admitting (r+1)h; checked over every dyadic h = 2^j dt
+    that leaves room for the 2rh index set (worst margin reported).
     """
-    if h_values is None:
-        ks, k = [], 1
-        while f.n_samples - 2 * r * k >= 2:
-            ks.append(k)
-            k *= 2
-        h_values = [k * f.dt for k in ks]
-    if not h_values:
+    ks, k = [], 1
+    while f.n_samples - 2 * r * k >= 2:
+        ks.append(k)
+        k *= 2
+    if not ks:
         raise PreconditionError("no step h leaves room for the 2rh index set")
     ctx = _NormContext(f, x_norm)
     sides = []
-    for h in h_values:
-        k = steps_of(f, h)
+    for k in ks:
+        h = k * f.dt
         d_2h = ctx.difference_rows(r, 2 * k)
         d_h = ctx.difference_rows(r, k)[: len(d_2h)]
         lhs = time_lp(ctx.reduce(d_h - 2.0 ** (-r) * d_2h), p, f.dt)
@@ -652,77 +658,66 @@ def check_marchaud(f, *, r=2, p=math.inf, x_norm=EUCLID, h_values=None):
     return _worst_side(MARCHAUD, sides, r / 2.0, {"r": r, "p": p, "x": x_norm.label()})
 
 
-def check_reduction(f, fprime, *, beta=1, r=1, alpha=0.5, delta=0.25,
-                    p=math.inf, x_norm=EUCLID):
+def check_reduction(f, fprime, *, r=1, alpha=0.5, delta=0.25, p=math.inf, x_norm=EUCLID):
     """Derivatives control differences:
-    [f]_{r+beta, N^{beta+alpha}} <= [f^(beta)]_{r, N^alpha}, constant 1.
+    [f]_{r+1, N^{1+alpha}} <= [f']_{r, N^alpha}, constant 1.
 
-    Only beta = 1 is supported (higher derivatives of corpus functions are
-    not tabulated).
+    The derivative order beta is fixed at 1: higher derivatives of corpus
+    functions are not tabulated.
     """
-    if beta != 1:
-        raise PreconditionError("only first derivatives are supported")
     if fprime is None:
         raise PreconditionError("reduction needs the sampled derivative")
     if not r > alpha >= 0:
         raise PreconditionError("need r > alpha >= 0")
-    lhs = raw_seminorm(f, beta + alpha, r + beta, delta, p, x_norm)
-    rhs = raw_seminorm(fprime, alpha, r, delta, p, x_norm)
+    lhs = _NormContext(f, x_norm).seminorm(1 + alpha, r + 1, delta, p)
+    rhs = _NormContext(fprime, x_norm).seminorm(alpha, r, delta, p)
     return InequalityReport(REDUCTION, lhs, rhs, 1.0,
-                            {"beta": beta, "r": r, "alpha": alpha, "delta": delta,
+                            {"beta": 1, "r": r, "alpha": alpha, "delta": delta,
                              "p": p, "x": x_norm.label()})
 
 
-def check_accession(f, fprime, *, beta=1, alpha=1.5, r=2, delta=0.125,
+def check_accession(f, fprime, *, alpha=1.5, r=2, delta=0.125,
                     p=math.inf, x_norm=EUCLID, calibrated=1.0):
     """Differences control derivatives:
-    |f^(beta)|_{r-beta, N^{alpha-beta}} <= C * 6^r / delta^alpha * |f|_{r, N^alpha}.
+    |f'|_{r-1, N^{alpha-1}} <= C * 6^r / delta^alpha * |f|_{r, N^alpha}.
 
-    The structural factor 6^r/delta^alpha is explicit; C is existential and
+    The derivative order beta is fixed at 1, as in ``check_reduction``.  The
+    structural factor 6^r/delta^alpha is explicit; C is existential and
     supplied from the frozen calibration.
     """
-    if beta != 1:
-        raise PreconditionError("only first derivatives are supported")
     if fprime is None:
         raise PreconditionError("accession needs the sampled derivative")
-    if not r > alpha > beta >= 0:
-        raise PreconditionError("need r > alpha > beta >= 0")
-    lhs = (raw_seminorm(fprime, alpha - beta, r - beta, delta, p, x_norm)
-           + lp_norm(fprime, p, x_norm))
-    base = raw_seminorm(f, alpha, r, delta, p, x_norm) + lp_norm(f, p, x_norm)
+    if not r > alpha > 1:
+        raise PreconditionError("need r > alpha > 1")
+    lhs = _NormContext(fprime, x_norm).nikolskii_norm(alpha - 1, r - 1, delta, p)
+    base = _NormContext(f, x_norm).nikolskii_norm(alpha, r, delta, p)
     c = calibrated * 6.0**r / delta**alpha
     return InequalityReport(ACCESSION, lhs, c * base, c,
-                            {"beta": beta, "alpha": alpha, "r": r, "delta": delta,
+                            {"beta": 1, "alpha": alpha, "r": r, "delta": delta,
                              "p": p, "x": x_norm.label(), "calibrated": calibrated})
 
 
-_INTERP_TRIPLES = {("lp", "w1p", "wm1p")}
-
-
-def check_interpolation(f, *, b=0.5, alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0,
-                        r=2, delta=0.125, z_norm=L2, x_norm=W12, y_norm=WM12,
-                        calibrated=1.0):
-    """Seminorm interpolation through a multiplicative triple of space norms:
+def check_interpolation(f, *, alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0,
+                        r=2, delta=0.125, calibrated=1.0):
+    """Seminorm interpolation through the duality triple Z = L^2 between
+    X = W^{1,2} and Y = W^{-1,2}, at the midpoint b = 1/2:
 
     [f]_{N^{alpha_b, p_b}(Z)} <= C [f]_{N^{alpha1,p1}(X)}^(1-b) [f]_{N^{alpha2,p2}(Y)}^b,
     alpha_b = (1-b) alpha1 + b alpha2,  1/p_b = (1-b)/p1 + b/p2.
 
-    Only the duality triple (L^2 between W^{1,2} and W^{-1,2}) is admitted;
     C covers the multiplicative constant of that triple and comes from the
     frozen calibration.
     """
-    if (z_norm.kind, x_norm.kind, y_norm.kind) not in _INTERP_TRIPLES or z_norm.q != 2 \
-            or x_norm.q != 2 or y_norm.q != 2 or b != 0.5:
-        raise PreconditionError("only the L2 / W^{1,2} / W^{-1,2} duality triple is supported")
     if f.geometry is None:
         raise PreconditionError("interpolation needs spatial snapshots")
     if r <= max(alpha1, alpha2):
         raise PreconditionError("need r > max(alpha1, alpha2)")
+    b = 0.5
     alpha_b = (1 - b) * alpha1 + b * alpha2
     p_b = 1.0 / ((1 - b) / p1 + b / p2)
-    lhs = raw_seminorm(f, alpha_b, r, delta, p_b, z_norm)
-    leg_x = raw_seminorm(f, alpha1, r, delta, p1, x_norm)
-    leg_y = raw_seminorm(f, alpha2, r, delta, p2, y_norm)
+    lhs = _NormContext(f, L2).seminorm(alpha_b, r, delta, p_b)
+    leg_x = _NormContext(f, W12).seminorm(alpha1, r, delta, p1)
+    leg_y = _NormContext(f, WM12).seminorm(alpha2, r, delta, p2)
     rhs = calibrated * leg_x ** (1 - b) * leg_y**b
     return InequalityReport(INTERPOLATION, lhs, rhs, calibrated,
                             {"b": b, "alpha1": alpha1, "alpha2": alpha2, "p1": p1,
@@ -739,9 +734,10 @@ def check_embed_sobolev(f, *, gamma=0.4, k=1, p=math.inf, delta=0.125,
     """
     if not 0 < gamma < 1 or k < 1:
         raise PreconditionError("need k >= 1 and gamma in (0, 1)")
-    lhs = divided_difference_w_norm(f, k, p, x_norm)
+    ctx = _NormContext(f, x_norm)
+    lhs = ctx.sobolev_norm(k, p)
     alpha = k + gamma
-    base = raw_seminorm(f, alpha, k + 1, delta, p, x_norm) + lp_norm(f, p, x_norm)
+    base = ctx.nikolskii_norm(alpha, k + 1, delta, p)
     c = calibrated * k * 6.0**k / (gamma * delta**alpha)
     return InequalityReport(EMBED_SOBOLEV, lhs, c * base, c,
                             {"gamma": gamma, "k": k, "p": p, "delta": delta,
@@ -791,10 +787,9 @@ def check_embed_nikolskii(f, *, alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0,
         delta = cap
     if delta > cap * (1 + 1e-12):
         raise PreconditionError(f"step cap for the embedding violated: {delta} > {cap:.6g}")
-    lhs = (raw_seminorm(f, alpha_p, _natural_order(alpha_p), delta, q, x_norm)
-           + lp_norm(f, q, x_norm))
-    base = (raw_seminorm(f, alpha, _natural_order(alpha), delta, p, x_norm)
-            + lp_norm(f, p, x_norm))
+    ctx = _NormContext(f, x_norm)
+    lhs = ctx.nikolskii_norm(alpha_p, _natural_order(alpha_p), delta, q)
+    base = ctx.nikolskii_norm(alpha, _natural_order(alpha), delta, p)
     c = calibrated * _embed_structural_constant(alpha, alpha_p, beta, delta)
     return InequalityReport(EMBED_NIK, lhs, c * base, c,
                             {"alpha": alpha, "alpha_p": alpha_p, "p": p, "q": q,
@@ -807,8 +802,9 @@ def check_holder(f, *, alpha=0.75, p=4.0, delta=0.25, x_norm=EUCLID):
     lam = alpha - inv_p
     if not 0 < alpha < 1 or lam <= 0:
         raise PreconditionError("need alpha in (0,1) with alpha - 1/p > 0")
-    lhs = holder_seminorm(f, lam, x_norm)
-    base = raw_seminorm(f, alpha, 1, delta, p, x_norm) + lp_norm(f, p, x_norm)
+    ctx = _NormContext(f, x_norm)
+    lhs = ctx.holder_seminorm(lam)
+    base = ctx.nikolskii_norm(alpha, 1, delta, p)
     c = 3.0 / delta**alpha
     return InequalityReport(HOLDER, lhs, c * base, c,
                             {"alpha": alpha, "p": p, "delta": delta, "lam": lam,
@@ -820,8 +816,9 @@ def check_sobolev_equivalence(f, *, delta1=0.125, delta2=0.5, p=2.0, x_norm=EUCL
     |f|_{d1} <= |f|_{d2} <= (3/d1) |f|_{d1}."""
     if not 0 < delta1 <= delta2 <= 1:
         raise PreconditionError("need 0 < delta1 <= delta2 <= 1")
-    n1 = sobolev_w1_norm(f, delta1, p, x_norm)
-    n2 = sobolev_w1_norm(f, delta2, p, x_norm)
+    ctx = _NormContext(f, x_norm)
+    n1 = ctx.nikolskii_norm(1.0, 1, delta1, p)
+    n2 = ctx.nikolskii_norm(1.0, 1, delta2, p)
     c = 3.0 / delta1
     params = {"delta1": delta1, "delta2": delta2, "p": p, "x": x_norm.label()}
     return _worst_side(SOBOLEV_EQ, [("monotone", n1, n2), ("cap", n2, c * n1)], c, params)

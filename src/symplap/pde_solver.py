@@ -142,29 +142,32 @@ def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):
     return apply
 
 
+MAX_NEWTON = 50      # Newton iterations per step before SolverFailureError
+TOL_FACTOR = 1e-10   # residual tolerance relative to 1 + |u_prev|_inf
+
+
 @dataclass
 class StepDiagnostics:
     newton_iterations: int
     residual: float
 
 
-def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
-         max_newton: int = 50, tol_factor: float = 1e-10):
+def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
     """One backward-Euler step: solve (u - u_prev)/dt = div stress(Du).
 
     Newton iteration on the divided-difference residual with the exact energy
     Hessian; each linear system is solved by preconditioned CG.  Convergence
     requires both the sup and the L^2 norm of the residual below
-    ``tol_factor * (1 + |u_prev|_inf)``, so the forcing measured along a
+    ``TOL_FACTOR * (1 + |u_prev|_inf)``, so the forcing measured along a
     trajectory vanishes at solver precision in either norm.  Damps the update
     by halving while the residual fails to decrease; raises
     SolverFailureError (with the residual history attached) if the tolerance
-    is not met within ``max_newton`` iterations.  Returns
+    is not met within ``MAX_NEWTON`` iterations.  Returns
     (u_next, StepDiagnostics).
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
-    tol = tol_factor * (1.0 + float(np.max(np.abs(u_prev))))
+    tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(u_prev))))
     shape = u_prev.shape
     l2_weight = grid.h  # sqrt(h^2) per sample
 
@@ -177,7 +180,7 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     precond = None
     u = u_prev.copy()
     history = []
-    for it in range(max_newton):
+    for it in range(MAX_NEWTON):
         r = residual(u)
         rsup, rl2 = norms(r)
         history.append(rsup)
@@ -210,7 +213,7 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
             s *= 0.5
         u = u + s * delta
     raise SolverFailureError(
-        f"Newton iteration did not reach tolerance {tol:.3e} in {max_newton} steps",
+        f"Newton iteration did not reach tolerance {tol:.3e} in {MAX_NEWTON} steps",
         residual_history=history)
 
 

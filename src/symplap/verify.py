@@ -21,10 +21,10 @@ CANONICAL_PARAMS = {
     fs.DELTA_EQ: dict(r=1, alpha=0.5, delta1=1 / 8, delta2=1 / 4, p=math.inf),
     fs.STEP_CHANGE: dict(alpha=0.5, r=2, delta=1 / 16, p=math.inf),
     fs.MARCHAUD: dict(r=2, p=math.inf),
-    fs.REDUCTION: dict(beta=1, r=1, alpha=0.5, delta=1 / 4, p=math.inf),
-    fs.ACCESSION: dict(beta=1, alpha=1.5, r=2, delta=1 / 8, p=math.inf),
-    fs.INTERPOLATION: dict(b=0.5, alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0,
-                           r=2, delta=1 / 16),
+    fs.REDUCTION: dict(r=1, alpha=0.5, delta=1 / 4, p=math.inf),
+    fs.ACCESSION: dict(alpha=1.5, r=2, delta=1 / 8, p=math.inf),
+    fs.INTERPOLATION: dict(alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0, r=2,
+                           delta=1 / 16),
     fs.EMBED_SOBOLEV: dict(gamma=0.4, k=1, p=math.inf, delta=1 / 8),
     fs.EMBED_NIK: dict(alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0, delta=1 / 256),
     fs.HOLDER: dict(alpha=0.75, p=4.0, delta=1 / 4),

@@ -133,6 +133,13 @@ targets = 0.4
         cfg = write_config(tmp_path / "e.ini", "[exponents]\np_values = 1.0\n")
         assert run(["exponents", "--config", cfg, "--out", tmp_path / "o"]) == 1
 
+    @pytest.mark.parametrize("line", ["targets = -0.5, 0", "d_values = -4", "d_values = 2.5"])
+    def test_invalid_target_or_dimension_writes_nothing(self, tmp_path, line):
+        cfg = write_config(tmp_path / "e.ini", f"[exponents]\np_values = 3\n{line}\n")
+        out = tmp_path / "o"
+        assert run(["exponents", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+
 
 class TestVerify:
     def test_empty_corpus_empty_csv(self, tmp_path):
@@ -160,6 +167,24 @@ corrupt_constants = true
         assert run(["verify-inequalities", "--config", cfg, "--out", out]) == 3
         text = (out / "inequalities.csv").read_text()
         assert ",0," in text.replace(",0\n", ",0,")  # at least one failed row flagged
+
+    def test_number_cells_are_plain_floats(self, tmp_path):
+        import csv
+        cfg = write_config(tmp_path / "v.ini", "[verify]\ncorpus_size = 8\nsamples = 257\n")
+        out = tmp_path / "out"
+        assert run(["verify-inequalities", "--config", cfg, "--out", out]) == 0
+        with open(out / "inequalities.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["passed"] != "skipped"]
+        assert rows
+        for row in rows:
+            for col in ("lhs", "rhs", "constant_used", "margin"):
+                float(row[col])
+
+    def test_too_few_samples_writes_nothing(self, tmp_path):
+        cfg = write_config(tmp_path / "v.ini", "[verify]\ncorpus_size = 4\nsamples = 5\n")
+        out = tmp_path / "out"
+        assert run(["verify-inequalities", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -209,6 +234,15 @@ big_r = 3.1
         out = tmp_path / "an"
         assert run(["analyze", "--config", cfg, "--out", out]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [("center = 0.5", "center"),
+                                              ("alphas =", "alphas")])
+    def test_malformed_list_is_validation_error(self, tmp_path, solved, capsys, line, message):
+        cfg = write_config(tmp_path / "a.ini", f"[analyze]\ntrajectory = {solved}\n{line}\n")
+        out = tmp_path / "an"
+        assert run(["analyze", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path, solved):
         cfg = write_config(tmp_path / "a.ini", f"""

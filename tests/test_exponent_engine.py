@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symplap.exponent_engine as ee
 from symplap.errors import UnreachableTargetError, UnsupportedDimensionError
@@ -212,3 +214,22 @@ def test_exact_rational_iteration():
     # heat case in exact arithmetic hits 1 exactly and then crosses
     tr2 = ee.iterate(Fraction(2), 3, Fraction(0), Fraction(7, 5))
     assert tr2.alphas == [0.0, 0.5, 1.0] and tr2.n_steps == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.fractions(min_value=2, max_value=12, max_denominator=60).filter(lambda p: p > 2),
+       d=st.sampled_from([1, 2, 3, 4]),
+       alpha0=st.fractions(min_value=0, max_value=1, max_denominator=30),
+       n=st.integers(0, 12))
+def test_exact_rational_identities(p, d, alpha0, n):
+    a, b = ee.recurrence_coefficients(p, d)
+    assert a + b == ee.gamma1(p, d)
+    assert b / (1 - a) == ee.gamma0(p, d)
+    alpha = alpha0
+    for _ in range(n):
+        alpha = a * alpha + b
+    assert ee.closed_form_alpha(p, d, n, alpha0) == alpha
+    fractional = ee.gamma0(p, d) <= 1
+    assert (ee.classify(p, d) is ee.Regime.FRACTIONAL) == fractional
+    # gamma0 <= 1 is the rational form of p >= 2 + 2/sqrt(d+1)
+    assert fractional == ((d + 1) * (p - 2) ** 2 >= 4)

@@ -257,7 +257,7 @@ class TestInequalities:
     def test_reduction_cubic_closed_form(self):
         # lhs = sup 6 sqrt(h) (1-h) = 2.25 at h = 1/4; rhs = sup sqrt(h)(6-3h)
         rep = fs.check_inequality(fs.REDUCTION, self.cubic, self.cubic_prime,
-                                  beta=1, r=1, alpha=0.5, delta=0.25, p=INF)
+                                  r=1, alpha=0.5, delta=0.25, p=INF)
         assert rep.passed
         assert rep.lhs == pytest.approx(2.25, rel=1e-9)
         assert rep.rhs == pytest.approx(2.625, rel=1e-9)
@@ -284,9 +284,9 @@ class TestInequalities:
         with pytest.raises(PreconditionError):
             fs.check_inequality(fs.HOLDER, self.sin4, alpha=0.2, p=4.0)
 
-    def test_interpolation_triple_whitelist(self):
+    def test_interpolation_needs_spatial_snapshots(self):
         with pytest.raises(PreconditionError):
-            fs.check_inequality(fs.INTERPOLATION, self.sin4, z_norm=fs.lp(3.0))
+            fs.check_inequality(fs.INTERPOLATION, self.sin4)
 
     def test_report_slack_semantics(self):
         rep = fs.InequalityReport("DELTA_EQ", lhs=1.0 + 5e-13, rhs=1.0, constant_used=1.0)
