@@ -168,9 +168,12 @@ def run_analyze(cfg: dict, out_dir: Path, seed: int) -> int:
     alphas = _floats(cfg.get("alphas", "0.25, 0.5, 0.75"))
     if not alphas:
         raise ValidationFailure("alphas lists no exponent")
+    _require(alphas, lambda a: a >= 0, "smoothness exponent {} in alphas is negative")
     delta = float(cfg.get("delta", 0.1))
     r = float(cfg.get("r", 0.85))
     big_r = float(cfg.get("big_r", 1.7))
+    if not big_r > r:
+        raise ValidationFailure(f"big_r = {big_r:g} must exceed the ball radius r = {r:g}")
     traj = ps.load_trajectory(traj_path)
     center_frac = _floats(cfg.get("center", "0.5 0.5"))
     if len(center_frac) != 2:

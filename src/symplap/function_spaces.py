@@ -34,6 +34,14 @@ evaluator, ``_NormContext``, built once per (function, X-norm) by every check.
 Its difference norms, W^{k,p} divided differences included, snap values below
 the binomial-stencil rounding floor to zero; the Hoelder sup and the Marchaud
 remainder report raw values.
+
+For an l2 reduction whose feature rows are numerically of low rank, the
+context differences the rows' coordinates in an orthonormal basis Q of their
+row space, found by a fixed-seed sketch, instead of the rows themselves; it
+does so only when the explicit residual |rows - rows Q Q^T|_F is at most
+1e-14 |rows|_F (``_row_space_coordinates``).  Differences and the l2 norm
+inside the row space commute with the projection, so results move only at
+rounding level.
 """
 
 from __future__ import annotations
@@ -176,6 +184,8 @@ def _spectral_rows(values: np.ndarray, geom: SpaceGeometry) -> np.ndarray:
 
 
 def _l2(rows: np.ndarray) -> np.ndarray:
+    if rows.shape[1] == 1:
+        return np.abs(rows[:, 0])  # sqrt(x*x) == |x| unless x*x underflows
     return np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
 
 
@@ -222,14 +232,16 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     Rows whose squares or q-th powers would leave the normal range are brought
     to unit size by an exact power of two (complex rows through their real
     view), which ``reduce`` undoes; all other rows are returned as mapped.
+    The third value tells whether the reduction is the l2 norm of each row.
     """
     rows, reduce = _feature_map(np.asarray(values, dtype=float), norm, geom)
+    l2 = reduce is _l2
     top = float(max(rows.view(float).max(), -rows.view(float).min())) if rows.size else 0.0
     exp = _unit_exponent(top, norm.q)
     if exp:
         rows = np.ldexp(rows.view(float), -exp).view(rows.dtype)
-        return rows, lambda r: np.ldexp(reduce(r), exp)
-    return rows, reduce
+        return rows, lambda r: np.ldexp(reduce(r), exp), l2
+    return rows, reduce, l2
 
 
 def _unit_exponent(top: float, q: float) -> int:
@@ -272,8 +284,52 @@ def spatial_norm(snapshot: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) 
 
 def xnorms_over_time(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) -> np.ndarray:
     """Vector of state-space norms, one per time sample (axis 0)."""
-    rows, reduce = _features(values, norm, geom)
+    rows, reduce, _ = _features(values, norm, geom)
     return reduce(rows)
+
+
+_SKETCH_COLUMNS = 8
+_SKETCH_SEED = 53
+_ROW_SPACE_TOL = 1e-14
+_RESIDUAL_CHUNK = 64  # rows per slice of the residual test
+
+
+def _row_space_coordinates(rows: np.ndarray) -> np.ndarray | None:
+    """Coordinates ``rows @ Q`` of l2 feature rows in an orthonormal basis Q of
+    their numerical row space, or None when the rows are not of low rank.
+
+    A randomized range finder (Halko, Martinsson and Tropp, SIAM Review 53,
+    2011) applied on the right: a thin QR of ``rows.T @ Omega``, Omega a
+    fixed-seed Gaussian block of ``_SKETCH_COLUMNS`` columns, spans the
+    candidate space; the singular vectors of the rows inside it, truncated at
+    ``_ROW_SPACE_TOL`` of the largest singular value, give Q.  The projection
+    is kept only when the explicit residual |rows - rows Q Q^T|_F, summed over
+    row slices, is at most ``_ROW_SPACE_TOL * |rows|_F``.  Complex rows go
+    through their real view.
+
+    Right multiplication by Q commutes with time differences and keeps the l2
+    norm of every vector in the row space, so difference norms move only at
+    rounding level; each row is multiplied on its own, so identical rows get
+    identical coordinates and their differences stay exactly zero.
+    """
+    real = rows.view(float)
+    m, n = real.shape
+    if n <= _SKETCH_COLUMNS:
+        return None
+    total = float(np.linalg.norm(real))
+    if not math.isfinite(total):
+        return None
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((m, _SKETCH_COLUMNS))
+    q = np.linalg.qr(real.T @ omega)[0]
+    _, sing, vt = np.linalg.svd(real @ q, full_matrices=False)
+    q = q @ vt[sing > _ROW_SPACE_TOL * sing[0]].T
+    # row by row: one blocked product may round identical rows differently
+    coords = np.matmul(real[:, None, :], q)[:, 0]
+    resid = 0.0
+    for i in range(0, m, _RESIDUAL_CHUNK):
+        block = real[i : i + _RESIDUAL_CHUNK] - coords[i : i + _RESIDUAL_CHUNK] @ q.T
+        resid += float(np.sum(block**2))
+    return coords if math.sqrt(resid) <= _ROW_SPACE_TOL * total else None
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +442,20 @@ class _NormContext:
     ``32 * 2**r * eps * max_t |f(t)|_X`` are pure binomial-stencil roundoff
     and are snapped to exact zero, so that analytically vanishing differences
     (affine data under second differences, constants) measure as zero.
+
+    The sample norms, and with them ``lp_norm`` and the floor scale, come
+    from the exact rows.  For an l2 reduction, ``rows`` then holds the rows'
+    coordinates in their row space when they are numerically of low rank
+    (see ``_row_space_coordinates``), and every difference norm works on those.
     """
 
     def __init__(self, f: TimeGridFunction, x_norm: XNorm):
         self.f = f
-        self.rows, self.reduce = _features(f.values, x_norm, f.geometry)
-        self.sample_norms = self.reduce(self.rows)
+        rows, self.reduce, l2 = _features(f.values, x_norm, f.geometry)
+        self.sample_norms = self.reduce(rows)
         self.scale = float(np.max(self.sample_norms)) if len(self.sample_norms) else 0.0
+        coords = _row_space_coordinates(rows) if l2 else None
+        self.rows = rows if coords is None else coords
 
     def lp_norm(self, p: float) -> float:
         return time_lp(self.sample_norms, p, self.f.dt)

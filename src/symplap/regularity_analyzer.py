@@ -54,6 +54,13 @@ class SubCylinder:
     r: float
     time_halfwidth: float | None = None
 
+    def __post_init__(self):
+        # the ball mask and the default halfwidth see only r**2
+        if not self.r > 0:
+            raise GeometryError(f"ball radius r = {self.r} is not positive")
+        if self.time_halfwidth is not None and not self.time_halfwidth > 0:
+            raise GeometryError(f"time_halfwidth = {self.time_halfwidth} is not positive")
+
     @property
     def halfwidth(self) -> float:
         return self.r**2 if self.time_halfwidth is None else self.time_halfwidth

@@ -244,6 +244,22 @@ big_r = 3.1
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [("r", "-0.5", "radius"),
+                                                   ("time_halfwidth", "0", "time_halfwidth"),
+                                                   ("big_r", "0.5", "big_r"),
+                                                   ("alphas", "-1, 0.5", "alphas")])
+    def test_out_of_range_value_is_validation_error(self, tmp_path, solved, capsys, key, value,
+                                                    message):
+        settings = dict(trajectory=solved, alphas="0.5", delta="0.15", r="0.85", big_r="1.7",
+                        t_center="0.5", time_halfwidth="0.35")
+        settings[key] = value
+        body = "".join(f"{k} = {v}\n" for k, v in settings.items())
+        cfg = write_config(tmp_path / "a.ini", "[analyze]\n" + body)
+        out = tmp_path / "an"
+        assert run(["analyze", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path, solved):
         cfg = write_config(tmp_path / "a.ini", f"""
 [analyze]
