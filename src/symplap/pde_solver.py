@@ -33,7 +33,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from . import stencil
 from .errors import SolverFailureError, TrajectoryFormatError
 from .function_spaces import SpaceGeometry
-from .tensor_models import (ModelParams, _phi_d_over_t, frob, phi, stress,
+from .tensor_models import (ModelParams, frob, hessian_coefficients, phi, stress,
                             stress_derivative_apply, sym)
 
 __all__ = [
@@ -164,6 +164,12 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
     SolverFailureError (with the residual history attached) if the tolerance
     is not met within ``MAX_NEWTON`` iterations.  Returns
     (u_next, StepDiagnostics).
+
+    The residual and symmetric gradient of the accepted line-search trial are
+    carried into the next Newton iteration rather than evaluated again, and
+    the Hessian coefficients are evaluated once per Newton iteration, so a
+    Hessian action costs one gradient, one pointwise product and one
+    divergence.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
@@ -172,33 +178,33 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
     l2_weight = grid.h  # sqrt(h^2) per sample
 
     def residual(u):
-        return (u - u_prev) / dt - divergence(stress(sym_gradient(u, grid), model), grid)
+        du = sym_gradient(u, grid)
+        return du, (u - u_prev) / dt - divergence(stress(du, model), grid)
 
     def norms(r):
         return float(np.max(np.abs(r))), l2_weight * float(np.sqrt(np.sum(r**2)))
 
     precond = None
     u = u_prev.copy()
+    du, r = residual(u)
     history = []
     for it in range(MAX_NEWTON):
-        r = residual(u)
         rsup, rl2 = norms(r)
         history.append(rsup)
         if max(rsup, rl2) < tol:
             return u, StepDiagnostics(newton_iterations=it, residual=max(rsup, rl2))
-        du = sym_gradient(u, grid)
+        coefficients = hessian_coefficients(du, model)
         if precond is None:
-            gbar = float(np.mean(_phi_d_over_t(frob(du), model)))
-            apply_m = _spectral_preconditioner(grid, dt, gbar)
-            precond = LinearOperator((u.size, u.size),
+            apply_m = _spectral_preconditioner(grid, dt, float(np.mean(coefficients[0])))
+            precond = LinearOperator((u.size, u.size), dtype=float,
                                      matvec=lambda v: dt * apply_m(v.reshape(shape)).ravel())
 
         def matvec(v):
             vf = v.reshape(shape)
-            jac = stress_derivative_apply(du, sym_gradient(vf, grid), model)
+            jac = stress_derivative_apply(du, sym_gradient(vf, grid), coefficients)
             return (vf / dt - divergence(jac, grid)).ravel()
 
-        op = LinearOperator((u.size, u.size), matvec=matvec)
+        op = LinearOperator((u.size, u.size), dtype=float, matvec=matvec)
         delta, info = cg(op, -r.ravel(), rtol=1e-12, atol=1e-14 * (1.0 + rsup),
                          maxiter=600, M=precond)
         if info != 0:
@@ -208,10 +214,14 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
         s = 1.0
         for _ in range(12):
             trial = u + s * delta
-            if float(np.max(np.abs(residual(trial)))) < rsup:
+            trial_du, trial_r = residual(trial)
+            if float(np.max(np.abs(trial_r))) < rsup:
+                u, du, r = trial, trial_du, trial_r
                 break
             s *= 0.5
-        u = u + s * delta
+        else:  # no halving decreased the residual: take the smallest, not yet evaluated
+            u = u + s * delta
+            du, r = residual(u)
     raise SolverFailureError(
         f"Newton iteration did not reach tolerance {tol:.3e} in {MAX_NEWTON} steps",
         residual_history=history)

@@ -122,8 +122,19 @@ def _phi_d_over_t(t, params: ModelParams):
 
 
 def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetric part over the last two axes."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    """Symmetric part over the last two axes.
+
+    The diagonal is copied and each off-diagonal pair averaged once, with no
+    transposed temporary; ``0.5 * (a + a) == a`` for finite ``a`` below
+    2**1023, so this equals ``0.5 * (m + m^T)`` bit for bit.
+    """
+    out = np.array(m, dtype=float)
+    d = out.shape[-1]
+    for i in range(d):
+        for j in range(i + 1, d):
+            out[..., i, j] = 0.5 * (out[..., i, j] + out[..., j, i])
+            out[..., j, i] = out[..., i, j]
+    return out
 
 
 def frob(q: np.ndarray) -> np.ndarray:
@@ -147,30 +158,41 @@ def v_map(q: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.sqrt(_phi_d_over_t(frob(q), params))[..., None, None] * q
 
 
-def stress_derivative_apply(q: np.ndarray, h: np.ndarray, params: ModelParams) -> np.ndarray:
+def hessian_coefficients(q: np.ndarray, params: ModelParams):
+    """Pointwise coefficients ``(g(|Q|), g'(|Q|)/|Q|)`` of the stress derivative at Q.
+
+    With g(t) = phi'(t)/t the rank-one coefficient g'(t)/t is
+    ``(p-2) t**(p-4)`` for A1 and ``(p-2)(mu+t**2)**((p-4)/2)`` for A2; its
+    contribution vanishes with |Q| -> 0 for p > 2 and is identically zero for
+    p = 2, so it is set to 0 at the |Q| = 0 points, which leaves the exact
+    limit g(0) H there.  Depends on Q alone: the solver evaluates it once per
+    Newton iteration and reuses it in every Hessian action of the linear solve.
+    """
+    q = np.asarray(q, dtype=float)
+    p, mu = params.p, params.mu
+    t = frob(q)
+    g = _phi_d_over_t(t, params)
+    if params.model == "A1":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c2 = np.where(t > 0.0, (p - 2.0) * t ** (p - 4.0), 0.0)
+    else:
+        c2 = (p - 2.0) * (mu + t**2) ** ((p - 4.0) / 2.0)
+    return g, np.where(t > 0.0, c2, 0.0)
+
+
+def stress_derivative_apply(q: np.ndarray, h: np.ndarray, coefficients) -> np.ndarray:
     """Directional derivative of ``stress`` at Q applied to H.
 
-    With g(t) = phi'(t)/t the derivative is ``g(|Q|) H + (g'(|Q|)/|Q|) (Q:H) Q``.
-    The rank-one coefficient g'(t)/t is ``(p-2) t**(p-4)`` for A1 and
-    ``(p-2)(mu+t**2)**((p-4)/2)`` for A2; its contribution vanishes with
-    |Q| -> 0 for p > 2 and is identically zero for p = 2, so the |Q| = 0 points
-    are assigned the exact limit g(0) H.
+    The derivative is ``g(|Q|) H + (g'(|Q|)/|Q|) (Q:H) Q``, with the pointwise
+    coefficients ``coefficients = hessian_coefficients(Q, params)``.
 
     This is the Hessian of the convex map Q -> phi(|Q|): symmetric and positive
     semidefinite, which is what makes the Newton systems CG-solvable.
     """
     q = np.asarray(q, dtype=float)
     h = np.asarray(h, dtype=float)
-    p, mu = params.p, params.mu
-    t = frob(q)
-    g = _phi_d_over_t(t, params)
-    qh = np.sum(q * h, axis=(-2, -1))
-    if params.model == "A1":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c2 = np.where(t > 0.0, (p - 2.0) * t ** (p - 4.0), 0.0)
-    else:
-        c2 = (p - 2.0) * (mu + t**2) ** ((p - 4.0) / 2.0)
-    coeff = np.where(t > 0.0, c2, 0.0) * qh
+    g, c2 = coefficients
+    coeff = c2 * np.sum(q * h, axis=(-2, -1))
     return g[..., None, None] * h + coeff[..., None, None] * q
 
 
