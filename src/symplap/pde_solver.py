@@ -14,7 +14,7 @@ scheme inherits the weak-form structure: the implicit step solves
 ``u - u_prev - dt * div stress(Du) = 0`` by Newton iteration with the exact
 Hessian of the energy, and the linearized systems are symmetric positive
 definite (solved by conjugate gradients with a constant-coefficient spectral
-preconditioner).
+preconditioner, inverted mode by mode on the half spectrum of ``rfft2``).
 
 Field layout: vector fields are arrays of shape (n, n, 2) -- spatial axes
 first, component last -- and tensor fields (n, n, 2, 2), so the pointwise

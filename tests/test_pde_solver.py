@@ -140,6 +140,46 @@ class TestStep:
             denom = np.max(np.abs(an))
             assert np.max(np.abs(fd - an)) <= 1e-5 * denom
 
+    @staticmethod
+    def fresh_residual(u, u_prev, dt, model, grid):
+        return (u - u_prev) / dt - ps.divergence(tm.stress(ps.sym_gradient(u, grid), model), grid)
+
+    @pytest.mark.parametrize("model, ic, dt", [(P3, "random_smooth", 1e-2),
+                                               (tm.ModelParams(p=2.5, mu=0.5, model="A1"), "kink", 5e-3)])
+    def test_reported_residual_is_that_of_the_returned_state(self, grid32, model, ic, dt):
+        # the residual carried over from the line search is the one a fresh
+        # evaluation at the returned state gives, bit for bit
+        u = ps.initial_condition(ic, grid32, seed=5).data
+        for _ in range(3):
+            u_prev = u
+            u, diag = ps.step(u_prev, dt, model, grid32)
+            assert diag.newton_iterations >= 1
+            r = self.fresh_residual(u, u_prev, dt, model, grid32)
+            sup, l2 = float(np.max(np.abs(r))), grid32.h * float(np.sqrt(np.sum(r**2)))
+            assert diag.residual == max(sup, l2)
+
+    def test_failure_history_is_that_of_the_iterates(self, monkeypatch):
+        # an ascent direction makes every halving fail, so each Newton update
+        # takes the smallest, never evaluated step 2**-12
+        grid = ps.TorusGrid(16)
+        u_prev = ps.initial_condition("random_smooth", grid, seed=6).data
+        dt = 1e-3
+        directions = []
+
+        def ascent(op, b, **kwargs):
+            directions.append(-b.reshape(u_prev.shape))
+            return -b, 0
+
+        monkeypatch.setattr(ps, "cg", ascent)
+        with pytest.raises(SolverFailureError) as failure:
+            ps.step(u_prev, dt, P3, grid)
+        history = failure.value.residual_history
+        assert len(history) == len(directions) == ps.MAX_NEWTON
+        u = u_prev.copy()
+        for rsup, delta in zip(history, directions):
+            assert rsup == float(np.max(np.abs(self.fresh_residual(u, u_prev, dt, P3, grid))))
+            u = u + 0.5**12 * delta
+
     def test_invalid_dt_rejected(self, grid32):
         with pytest.raises(ValueError):
             ps.step(np.zeros((32, 32, 2)), -0.1, P3, grid32)

@@ -20,6 +20,7 @@ GEOM = fs.SpaceGeometry(h=2 * math.pi / N, ndim=2)
 FIELD_NORMS = [fs.L2, fs.W12, fs.WM12, fs.lp(3.0), fs.w1p(1.5), fs.wm1p(1.5)]
 TIME_PS = [1.0, 2.0, 3.0, math.inf]
 EPS = np.finfo(float).eps
+SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 @st.composite
@@ -57,6 +58,8 @@ def test_seminorm_never_decreases_as_delta_grows(case, lo, hi, alpha, r, p):
        delta=st.floats(0.0, 1.0), **seminorm_params)
 @example(case=(fs.TimeGridFunction(np.array([6.4e-162, 0.0, 0.0, 0.0, 0.0]), 0.0, 0.25), fs.EUCLID),
          c=0.5, delta=0.0, alpha=0.0, r=1, p=2.0)  # squares of the sample norms underflow
+@example(case=(fs.TimeGridFunction(2.2e-311 * np.arange(1.0, 6.0), 0.0, 0.25), fs.EUCLID),
+         c=0.001, delta=0.0, alpha=0.5, r=1, p=3.0)  # subnormal samples
 def test_seminorm_is_absolutely_homogeneous(case, c, delta, alpha, r, p):
     f, x_norm = case
     delta = f.dt + delta * (1 - f.dt)
@@ -68,6 +71,10 @@ def test_seminorm_is_absolutely_homogeneous(case, c, delta, alpha, r, p):
     # size, and a value within rounding of the snapping floor may land on
     # either side of it: both stay below the floor, weighted by dt**(-alpha)
     floor = abs(c) * 32.0 * 2.0**r * EPS * base.scale * f.dt ** (-alpha)
+    # subnormal samples, and a subnormal base seminorm scaled by |c|, are
+    # rounded to multiples of 5e-324, which the relative floor underflows
+    # below: keep 16 such steps per sample of an r-th difference
+    floor = max(floor, 16.0 * (1.0 + abs(c)) * 2.0**r * SUBNORMAL * f.dt ** (-alpha))
     assert abs(got - want) <= 1e-12 * want + floor
 
 
