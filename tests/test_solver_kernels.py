@@ -23,10 +23,10 @@ GBARS = st.floats(0.5, 20.0)
 def fields(grid, seed):
     """A random vector field plus checkerboards on the Nyquist row, column and corner."""
     rng = np.random.default_rng(seed)
-    i = np.arange(grid.n)
-    sign = (-1.0) ** i
+    sign = (-1.0) ** np.arange(grid.n)
+    rows, cols = np.meshgrid(sign, sign, indexing="ij")
     v = rng.normal(size=(grid.n, grid.n, 2))
-    for pattern in (sign[:, None] + 0 * i, 0 * i[:, None] + sign, sign[:, None] * sign):
+    for pattern in (rows, cols, rows * cols):
         v += rng.normal(size=2) * pattern[..., None]
     return v
 
