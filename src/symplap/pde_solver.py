@@ -13,8 +13,11 @@ periodic differences of :mod:`symplap.stencil`; they satisfy the exact duality
 scheme inherits the weak-form structure: the implicit step solves
 ``u - u_prev - dt * div stress(Du) = 0`` by Newton iteration with the exact
 Hessian of the energy, and the linearized systems are symmetric positive
-definite (solved by conjugate gradients with a constant-coefficient spectral
-preconditioner, inverted mode by mode on the half spectrum of ``rfft2``).
+definite.  They are solved by the module's own preconditioned conjugate
+gradients (:func:`cg`; Saad, *Iterative Methods for Sparse Linear Systems*,
+2nd ed., Alg. 9.1) from x0 = 0, stopping once ``|r| < max(rtol |b|, atol)``,
+with a constant-coefficient spectral preconditioner inverted mode by mode on
+the half spectrum of ``rfft2``.
 
 Field layout: vector fields are arrays of shape (n, n, 2) -- spatial axes
 first, component last -- and tensor fields (n, n, 2, 2), so the pointwise
@@ -28,13 +31,12 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import stencil
 from .errors import SolverFailureError, TrajectoryFormatError
 from .function_spaces import SpaceGeometry
-from .tensor_models import (ModelParams, frob, hessian_coefficients, phi, stress,
-                            stress_derivative_apply, sym)
+from .tensor_models import (ModelParams, _symmetrize, frob, hessian_coefficients, phi,
+                            stress, stress_derivative_apply)
 
 __all__ = [
     "TorusGrid", "SpatialField", "Trajectory", "StepDiagnostics",
@@ -91,7 +93,7 @@ class SpatialField:
 
 def sym_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Symmetrized gradient (d_j u_i + d_i u_j)/2: (..., n, n, 2) -> (..., n, n, 2, 2)."""
-    return sym(stencil.gradient(u, grid.h, (-3, -2)))
+    return _symmetrize(stencil.gradient(u, grid.h, (-3, -2)))
 
 
 def divergence(t_field: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -149,6 +151,46 @@ def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):
 
 MAX_NEWTON = 50      # Newton iterations per step before SolverFailureError
 TOL_FACTOR = 1e-10   # residual tolerance relative to 1 + |u_prev|_inf
+CG_RTOL = 1e-12      # CG stops once |r| < max(CG_RTOL |b|, atol)
+CG_MAXITER = 600     # CG iterations per linear solve before SolverFailureError
+
+
+def cg(matvec, b: np.ndarray, *, precond, atol: float, callback=None):
+    """Preconditioned conjugate gradients for ``matvec(x) = b`` from x0 = 0.
+
+    Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., Alg. 9.1:
+    ``matvec`` must be symmetric positive definite and ``precond`` an SPD
+    approximation of its inverse.  Arrays may have any shape; inner products
+    and norms run over all entries.  The iteration stops when
+    ``|r| < max(CG_RTOL |b|, atol)``, tested before each iteration, and
+    ``callback(x)`` is called after each one.  The operations and their order
+    are those of the library PCG that the tests take as reference, so the
+    iterates equal its iterates bit for bit.  Returns ``(x, 0)`` on
+    convergence and ``(x, CG_MAXITER)`` when the iteration budget runs out.
+    """
+    bnorm = np.linalg.norm(b)
+    atol = max(float(atol), CG_RTOL * float(bnorm))
+    if bnorm == 0:
+        return b.copy(), 0
+    x, r = np.zeros_like(b), b.copy()
+    for it in range(CG_MAXITER):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = precond(r)
+        rho = np.vdot(r, z)
+        if it == 0:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matvec(p)
+        alpha = rho / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, CG_MAXITER
 
 
 @dataclass
@@ -179,7 +221,6 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
     if dt <= 0:
         raise ValueError("time step must be positive")
     tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(u_prev))))
-    shape = u_prev.shape
     l2_weight = grid.h  # sqrt(h^2) per sample
 
     def residual(u):
@@ -201,21 +242,18 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
         coefficients = hessian_coefficients(du, model)
         if precond is None:
             apply_m = _spectral_preconditioner(grid, dt, float(np.mean(coefficients[0])))
-            precond = LinearOperator((u.size, u.size), dtype=float,
-                                     matvec=lambda v: dt * apply_m(v.reshape(shape)).ravel())
+
+            def precond(v):
+                return dt * apply_m(v)
 
         def matvec(v):
-            vf = v.reshape(shape)
-            jac = stress_derivative_apply(du, sym_gradient(vf, grid), coefficients)
-            return (vf / dt - divergence(jac, grid)).ravel()
+            jac = stress_derivative_apply(du, sym_gradient(v, grid), coefficients)
+            return v / dt - divergence(jac, grid)
 
-        op = LinearOperator((u.size, u.size), dtype=float, matvec=matvec)
-        delta, info = cg(op, -r.ravel(), rtol=1e-12, atol=1e-14 * (1.0 + rsup),
-                         maxiter=600, M=precond)
+        delta, info = cg(matvec, -r, precond=precond, atol=1e-14 * (1.0 + rsup))
         if info != 0:
             raise SolverFailureError("linear solver stalled inside Newton iteration",
                                      residual_history=history)
-        delta = delta.reshape(shape)
         s = 1.0
         for _ in range(12):
             trial = u + s * delta

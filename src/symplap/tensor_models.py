@@ -122,13 +122,17 @@ def _phi_d_over_t(t, params: ModelParams):
 
 
 def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetric part over the last two axes.
+    """Symmetric part over the last two axes, as a new float array."""
+    return _symmetrize(np.array(m, dtype=float))
 
-    The diagonal is copied and each off-diagonal pair averaged once, with no
+
+def _symmetrize(out: np.ndarray) -> np.ndarray:
+    """Replace the float array ``out`` by its symmetric part in place; returns it.
+
+    The diagonal is kept and each off-diagonal pair averaged once, with no
     transposed temporary; ``0.5 * (a + a) == a`` for finite ``a`` below
     2**1023, so this equals ``0.5 * (m + m^T)`` bit for bit.
     """
-    out = np.array(m, dtype=float)
     d = out.shape[-1]
     for i in range(d):
         for j in range(i + 1, d):

@@ -1,6 +1,9 @@
 """Implicit solver: discrete calculus, Newton convergence, dissipation, persistence."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -180,9 +183,47 @@ class TestStep:
             assert rsup == float(np.max(np.abs(self.fresh_residual(u, u_prev, dt, P3, grid))))
             u = u + 0.5**12 * delta
 
+    def test_stalled_linear_solve_keeps_the_residual_history(self, monkeypatch):
+        # the second linear solve reports an exhausted budget: the step fails
+        # with the sup residuals of the two Newton iterates reached so far
+        grid = ps.TorusGrid(16)
+        u_prev = ps.initial_condition("random_smooth", grid, seed=6).data
+        solve, rhs = ps.cg, []
+
+        def stalls_second(matvec, b, **kwargs):
+            rhs.append(b)
+            x, info = solve(matvec, b, **kwargs)
+            return x, info if len(rhs) == 1 else ps.CG_MAXITER
+
+        monkeypatch.setattr(ps, "cg", stalls_second)
+        with pytest.raises(SolverFailureError, match="linear solver stalled") as failure:
+            ps.step(u_prev, 1e-2, P3, grid)
+        assert failure.value.residual_history == [float(np.max(np.abs(b))) for b in rhs]
+        assert len(rhs) == 2
+
     def test_invalid_dt_rejected(self, grid32):
         with pytest.raises(ValueError):
             ps.step(np.zeros((32, 32, 2)), -0.1, P3, grid32)
+
+
+class TestConjugateGradients:
+    def test_budget_runs_out(self):
+        # unpreconditioned CG on 1000 eigenvalues spread over six decades
+        # needs more iterations than the budget allows
+        lam = np.logspace(0.0, 6.0, 1000)
+        b = np.ones(lam.size)
+        iterates = []
+        x, info = ps.cg(lambda v: lam * v, b, precond=np.copy, atol=0.0, callback=iterates.append)
+        assert info == len(iterates) == ps.CG_MAXITER
+        assert np.linalg.norm(lam * x - b) >= ps.CG_RTOL * np.linalg.norm(b)
+
+    def test_importing_the_package_loads_no_scipy(self):
+        src = str(Path(ps.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import symplap, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSolve:

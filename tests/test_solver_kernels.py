@@ -3,13 +3,16 @@
 The spectral preconditioner on ``rfft2`` is the exact inverse of the p = 2
 Newton operator and agrees with the full-spectrum ``fft2`` form it replaced;
 ``sym`` and the Hessian action with hoisted coefficients reproduce their
-direct formulas bit for bit.
+direct formulas bit for bit, and the solver's own preconditioned CG returns
+what ``scipy.sparse.linalg.cg`` returns, bit for bit.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import cg as reference_cg
 
 import symplap.pde_solver as ps
 import symplap.tensor_models as tm
@@ -115,3 +118,32 @@ def test_hoisted_hessian_action_matches_the_per_action_formula(model, p, mu, see
     got = tm.stress_derivative_apply(q, h, tm.hessian_coefficients(q, params))
     want = per_action_stress_derivative(q, h, params)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 64), decades=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1),
+       zero_rhs=st.booleans(), atol=st.sampled_from([0.0, 1e-14, 1e-6]), column=st.booleans())
+def test_cg_equals_the_reference_cg_bit_for_bit(n, decades, seed, zero_rhs, atol, column):
+    # a random SPD matrix with eigenvalues over up to six decades and a random
+    # SPD diagonal preconditioner; ``column`` poses the system on (n, 1)
+    # arrays, as the solver poses it on (n, n, 2) fields
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * np.logspace(0.0, decades, n)) @ q.T
+    a = 0.5 * (a + a.T)
+    d = rng.uniform(0.1, 10.0, size=n)
+    b = np.zeros(n) if zero_rhs else rng.normal(size=n)
+    shape = (n, 1) if column else (n,)
+    ours, theirs = [], []
+    x, info = ps.cg(lambda v: (a @ v.ravel()).reshape(shape), b.reshape(shape),
+                    precond=lambda v: (d * v.ravel()).reshape(shape), atol=atol,
+                    callback=lambda xk: ours.append(xk.copy()))
+    want, want_info = reference_cg(
+        LinearOperator((n, n), matvec=lambda v: a @ v, dtype=float), b, rtol=ps.CG_RTOL,
+        atol=atol, maxiter=ps.CG_MAXITER, M=LinearOperator((n, n), matvec=lambda v: d * v, dtype=float),
+        callback=lambda xk: theirs.append(xk.copy()))
+    assert info == want_info
+    assert len(ours) == len(theirs)
+    assert x.shape == shape
+    for got, ref in zip(ours + [x], theirs + [want]):
+        assert np.array_equal(got.ravel().view(np.uint64), ref.view(np.uint64))
