@@ -151,6 +151,9 @@ def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):
 
 MAX_NEWTON = 50      # Newton iterations per step before SolverFailureError
 TOL_FACTOR = 1e-10   # residual tolerance relative to 1 + |u_prev|_inf
+ETA_MAX = 0.1        # Eisenstat-Walker choice 2: eta_0 and the ceiling of eta_k
+ETA_GAMMA = 0.9      # eta_k = min(ETA_MAX, ETA_GAMMA (|r_k| / |r_{k-1}|)^ETA_ALPHA)
+ETA_ALPHA = 2.0
 CG_RTOL = 1e-12      # CG stops once |r| < max(CG_RTOL |b|, atol)
 CG_MAXITER = 600     # CG iterations per linear solve before SolverFailureError
 
@@ -193,24 +196,48 @@ def cg(matvec, b: np.ndarray, *, precond, atol: float, callback=None):
     return x, CG_MAXITER
 
 
+def _forcing_term(eta_prev: float, ratio: float) -> float:
+    """Eisenstat-Walker forcing term, choice 2, for a residual-norm ratio |r_k| / |r_{k-1}|.
+
+    ``eta_k = min(ETA_MAX, ETA_GAMMA ratio^ETA_ALPHA)``, raised to
+    ``ETA_GAMMA eta_{k-1}^ETA_ALPHA`` when that exceeds 0.1 -- the safeguard
+    against a forcing term that falls faster than the residual (Eisenstat and
+    Walker, SIAM J. Sci. Comput. 17, 1996, Sec. 2).  With ``ETA_MAX = 0.1``
+    every eta_{k-1} the solver produces keeps the safeguard at 0.009 or less,
+    so it acts only on a larger ``eta_prev``.
+    """
+    eta = min(ETA_MAX, ETA_GAMMA * ratio**ETA_ALPHA)
+    safeguard = ETA_GAMMA * eta_prev**ETA_ALPHA
+    return max(eta, safeguard) if safeguard > 0.1 else eta
+
+
 @dataclass
 class StepDiagnostics:
     newton_iterations: int
     residual: float
+    cg_iterations: int
 
 
-def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
+def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
+         guess: np.ndarray | None = None):
     """One backward-Euler step: solve (u - u_prev)/dt = div stress(Du).
 
-    Newton iteration on the divided-difference residual with the exact energy
-    Hessian; each linear system is solved by preconditioned CG.  Convergence
-    requires both the sup and the L^2 norm of the residual below
-    ``TOL_FACTOR * (1 + |u_prev|_inf)``, so the forcing measured along a
-    trajectory vanishes at solver precision in either norm.  Damps the update
-    by halving while the residual fails to decrease; raises
+    Inexact Newton iteration on the divided-difference residual with the
+    exact energy Hessian, started from ``guess`` (``u_prev`` when None).  The
+    k-th linear system is solved by preconditioned CG only until its residual
+    is below ``eta_k |r_k|`` (Euclidean norms of the residual arrays, and never
+    below ``1e-14 (1 + |r_k|_inf)``), with the Eisenstat-Walker forcing term,
+    choice 2: ``eta_0 = ETA_MAX`` and ``eta_k`` from :func:`_forcing_term`
+    (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996; Knoll and Keyes,
+    J. Comput. Phys. 193, 2004).  Convergence requires both the sup and the
+    L^2 norm of the residual below ``TOL_FACTOR * (1 + |u_prev|_inf)``, so the
+    forcing measured along a trajectory vanishes at solver precision in
+    either norm however loosely the linear systems were solved.  Damps the
+    update by halving while the residual fails to decrease; raises
     SolverFailureError (with the residual history attached) if the tolerance
     is not met within ``MAX_NEWTON`` iterations.  Returns
-    (u_next, StepDiagnostics).
+    (u_next, StepDiagnostics); its ``cg_iterations`` counts Hessian actions,
+    one per CG iteration.
 
     The residual and symmetric gradient of the accepted line-search trial are
     carried into the next Newton iteration rather than evaluated again, and
@@ -227,18 +254,19 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
         du = sym_gradient(u, grid)
         return du, (u - u_prev) / dt - divergence(stress(du, model), grid)
 
-    def norms(r):
-        return float(np.max(np.abs(r))), l2_weight * float(np.sqrt(np.sum(r**2)))
-
-    precond = None
-    u = u_prev.copy()
+    precond, actions = None, 0
+    u = np.array(u_prev if guess is None else guess, dtype=float)
     du, r = residual(u)
-    history = []
+    history, eta, rnorm_prev = [], ETA_MAX, None
     for it in range(MAX_NEWTON):
-        rsup, rl2 = norms(r)
+        rsup, rnorm = float(np.max(np.abs(r))), float(np.sqrt(np.sum(r**2)))
         history.append(rsup)
-        if max(rsup, rl2) < tol:
-            return u, StepDiagnostics(newton_iterations=it, residual=max(rsup, rl2))
+        worst = max(rsup, l2_weight * rnorm)
+        if worst < tol:
+            return u, StepDiagnostics(newton_iterations=it, residual=worst, cg_iterations=actions)
+        if rnorm_prev is not None:
+            eta = _forcing_term(eta, rnorm / rnorm_prev)
+        rnorm_prev = rnorm
         coefficients = hessian_coefficients(du, model)
         if precond is None:
             apply_m = _spectral_preconditioner(grid, dt, float(np.mean(coefficients[0])))
@@ -247,10 +275,13 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
                 return dt * apply_m(v)
 
         def matvec(v):
+            nonlocal actions
+            actions += 1
             jac = stress_derivative_apply(du, sym_gradient(v, grid), coefficients)
             return v / dt - divergence(jac, grid)
 
-        delta, info = cg(matvec, -r, precond=precond, atol=1e-14 * (1.0 + rsup))
+        delta, info = cg(matvec, -r, precond=precond,
+                         atol=max(1e-14 * (1.0 + rsup), eta * rnorm))
         if info != 0:
             raise SolverFailureError("linear solver stalled inside Newton iteration",
                                      residual_history=history)
@@ -313,8 +344,9 @@ def solve(u0: SpatialField, t_final: float, dt: float, model: ModelParams,
     snapshots[0] = u0.data
     diagnostics = []
     for k in range(n_steps):
+        guess = 2.0 * snapshots[k] - snapshots[k - 1] if k else None
         try:
-            snapshots[k + 1], diag = step(snapshots[k], dt, model, grid)
+            snapshots[k + 1], diag = step(snapshots[k], dt, model, grid, guess)
         except SolverFailureError as exc:
             exc.step_index = k
             exc.partial = Trajectory(snapshots[: k + 1].copy(), dt, model, grid,

@@ -12,11 +12,17 @@ import numpy as np
 
 
 def difference(a: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
-    """Centred periodic difference of ``a`` along ``axis`` (of any length), written into ``out``."""
-    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(src[2:], src[:-2], out=dst[1:-1])
-    np.subtract(src[1 % len(src)], src[-1], out=dst[0])
-    np.subtract(src[0], src[-2 % len(src)], out=dst[-1])
+    """Centred periodic difference of ``a`` along ``axis`` (of any length), written into ``out``.
+
+    Both arrays are indexed with slice tuples along ``axis``; the two
+    wrap-around rows are length-1 slices, so 1-D arrays work as well.
+    """
+    n, lead = a.shape[axis], (slice(None),) * (axis % a.ndim)
+    first, last = lead + (slice(0, 1),), lead + (slice(-1, None),)
+    np.subtract(a[lead + (slice(2, None),)], a[lead + (slice(None, -2),)],
+                out=out[lead + (slice(1, -1),)])
+    np.subtract(a[lead + (slice(1 % n, 1 % n + 1),)], a[last], out=out[first])
+    np.subtract(a[first], a[lead + (slice(-2 % n, -2 % n + 1),)], out=out[last])
     out /= 2.0 * h
     return out
 

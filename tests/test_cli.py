@@ -35,9 +35,9 @@ class TestSolve:
         assert (out / "trajectory.bin").exists()
         assert (out / "trajectory.bin.meta").exists()
         lines = (out / "diagnostics.csv").read_text().strip().splitlines()
-        assert lines[0] == "step,newton_iterations,residual,energy"
+        assert lines[0] == "step,newton_iterations,cg_iterations,residual,energy"
         assert len(lines) == 11
-        energies = [float(line.split(",")[3]) for line in lines[1:]]
+        energies = [float(line.split(",")[4]) for line in lines[1:]]
         assert all(a >= b for a, b in zip(energies, energies[1:]))
 
     def test_solve_outputs_deterministic(self, tmp_path):
@@ -54,14 +54,14 @@ class TestSolve:
         out = tmp_path / "out"
         assert run(["solve", "--config", cfg, "--out", out]) == 0
         lines = (out / "diagnostics.csv").read_text().strip().splitlines()[1:]
-        assert all(float(line.split(",")[3]) == 0.0 for line in lines)
+        assert all(float(line.split(",")[4]) == 0.0 for line in lines)
 
     def test_eigenfield_energy_strictly_decreasing(self, tmp_path):
         cfg = write_config(tmp_path / "e.ini", SOLVE_BODY.format(p=2, t_final=0.02, ic="eigenfield"))
         out = tmp_path / "out"
         assert run(["solve", "--config", cfg, "--out", out]) == 0
         lines = (out / "diagnostics.csv").read_text().strip().splitlines()[1:]
-        energies = [float(line.split(",")[3]) for line in lines]
+        energies = [float(line.split(",")[4]) for line in lines]
         assert all(a > b for a, b in zip(energies, energies[1:]))
 
     def test_invalid_growth_exponent_writes_nothing(self, tmp_path):

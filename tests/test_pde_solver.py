@@ -205,6 +205,31 @@ class TestStep:
         with pytest.raises(ValueError):
             ps.step(np.zeros((32, 32, 2)), -0.1, P3, grid32)
 
+    def test_predictor_and_previous_state_reach_the_same_step(self, grid32):
+        # both starts meet the Newton tolerance, so their states agree within
+        # dt times it in grid L^2
+        dt = 5e-3
+        traj = ps.solve(ps.initial_condition("random_smooth", grid32, seed=13), 2 * dt, dt, P3)
+        older, u_prev = traj.snapshots[1], traj.snapshots[2]
+        from_prev, _ = ps.step(u_prev, dt, P3, grid32)
+        from_guess, diag = ps.step(u_prev, dt, P3, grid32, guess=2.0 * u_prev - older)
+        assert diag.newton_iterations >= 1
+        bound = dt * ps.TOL_FACTOR * (1.0 + float(np.max(np.abs(u_prev))))
+        assert grid32.h * float(np.sqrt(np.sum((from_guess - from_prev) ** 2))) <= bound
+
+
+class TestForcingTerm:
+    def test_choice_two(self):
+        assert ps._forcing_term(ps.ETA_MAX, 0.3) == 0.9 * 0.3**2
+        assert ps._forcing_term(ps.ETA_MAX, 0.01) == 0.9 * 0.01**2
+        assert ps._forcing_term(ps.ETA_MAX, 1.0) == ps.ETA_MAX
+
+    def test_safeguard_keeps_a_large_previous_term(self):
+        # 0.9 * 0.5^2 = 0.225 exceeds 0.1 and the fast residual drop
+        assert ps._forcing_term(0.5, 0.01) == 0.9 * 0.5**2
+        # at the solver's largest term, 0.1, the safeguard (0.009) stays off
+        assert ps._forcing_term(ps.ETA_MAX, 0.01) < 0.9 * ps.ETA_MAX**2
+
 
 class TestConjugateGradients:
     def test_budget_runs_out(self):
@@ -270,6 +295,32 @@ class TestSolve:
             forcing = (u_next - u_prev) / traj.dt - ps.divergence(
                 tm.stress(ps.sym_gradient(u_next, grid32), P3), grid32)
             assert float(np.sqrt(grid32.h**2 * np.sum(forcing**2))) < tol
+
+    def test_inexact_newton_meets_the_tolerance_with_fewer_cg_iterations(self, grid32, monkeypatch):
+        # every step meets TOL_FACTOR in sup and L^2; the exact Newton solve
+        # (linear systems to 1e-14, each step started from u_prev) took 443
+        # CG iterations here
+        solve, counted = ps.cg, []
+
+        def counting(matvec, b, *, callback=None, **kwargs):
+            return solve(matvec, b, callback=lambda x: counted.append(1), **kwargs)
+
+        monkeypatch.setattr(ps, "cg", counting)
+        dt = 5e-3
+        traj = ps.solve(ps.initial_condition("random_smooth", grid32, seed=13), 20 * dt, dt, P3)
+        for k, diag in enumerate(traj.diagnostics):
+            u_prev, u = traj.snapshots[k], traj.snapshots[k + 1]
+            r = TestStep.fresh_residual(u, u_prev, dt, P3, grid32)
+            tol = ps.TOL_FACTOR * (1.0 + float(np.max(np.abs(u_prev))))
+            assert float(np.max(np.abs(r))) < tol
+            assert grid32.h * float(np.sqrt(np.sum(r**2))) < tol
+            assert diag.newton_iterations <= NEWTON_ITER_BASELINE
+        assert sum(d.cg_iterations for d in traj.diagnostics) == len(counted) < 300
+
+    def test_linear_steps_take_one_newton_and_one_cg_iteration(self, grid32):
+        # the preconditioner is exact for p = 2, from the predictor as from u_prev
+        traj = ps.solve(ps.initial_condition("random_smooth", grid32, seed=4), 0.05, 5e-3, LINEAR)
+        assert [(d.newton_iterations, d.cg_iterations) for d in traj.diagnostics] == [(1, 1)] * 10
 
     def test_kink_run_reports_rather_than_asserts(self, grid32):
         # rough data probe: either the solver converges or the failure carries

@@ -44,6 +44,13 @@ def test_gradient_equals_roll_reference(case, negative):
     assert _bitwise_equal(got, _roll_gradient(values, grid.h, axes))
 
 
+def test_difference_of_a_one_dimensional_array():
+    for n in (1, 2, 3, 9):
+        a, h = np.arange(float(n)) ** 2, 2.0 * math.pi / n
+        got = stencil.difference(a, 0, h, np.empty(n))
+        assert _bitwise_equal(got, (np.roll(a, -1) - np.roll(a, 1)) / (2.0 * h))
+
+
 @settings(max_examples=50, deadline=None)
 @given(case=stacks((2,)))
 def test_sym_gradient_acts_slice_by_slice(case):
