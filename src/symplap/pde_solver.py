@@ -19,6 +19,15 @@ gradients (:func:`cg`; Saad, *Iterative Methods for Sparse Linear Systems*,
 with a constant-coefficient spectral preconditioner inverted mode by mode on
 the half spectrum of ``rfft2``.
 
+Inexact Newton.  The Newton systems are solved only as far as the nonlinear
+iteration needs: the k-th to ``eta_k |r_k|``, with the Eisenstat-Walker
+forcing term, choice 2 -- ``eta_0 = 0.1``, ``eta_k = min(0.1, 0.9
+(|r_k| / |r_{k-1}|)^2)`` and the standard safeguard (Eisenstat and Walker,
+SIAM J. Sci. Comput. 17, 1996; Knoll and Keyes, J. Comput. Phys. 193,
+2004).  :func:`solve` starts every step after the first from the linear
+predictor ``2 u_k - u_{k-1}``.  Neither changes what a step returns beyond
+the Newton tolerance: the sup + L^2 stopping rule is the same.
+
 Field layout: vector fields are arrays of shape (n, n, 2) -- spatial axes
 first, component last -- and tensor fields (n, n, 2, 2), so the pointwise
 tensor algebra applies along trailing axes without reshuffling.
@@ -255,16 +264,16 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
         return du, (u - u_prev) / dt - divergence(stress(du, model), grid)
 
     precond, actions = None, 0
-    u = np.array(u_prev if guess is None else guess, dtype=float)
+    u = u_prev.copy() if guess is None else guess  # never written in place
     du, r = residual(u)
-    history, eta, rnorm_prev = [], ETA_MAX, None
+    history, eta = [], ETA_MAX
     for it in range(MAX_NEWTON):
         rsup, rnorm = float(np.max(np.abs(r))), float(np.sqrt(np.sum(r**2)))
         history.append(rsup)
         worst = max(rsup, l2_weight * rnorm)
         if worst < tol:
             return u, StepDiagnostics(newton_iterations=it, residual=worst, cg_iterations=actions)
-        if rnorm_prev is not None:
+        if it:
             eta = _forcing_term(eta, rnorm / rnorm_prev)
         rnorm_prev = rnorm
         coefficients = hessian_coefficients(du, model)
@@ -344,7 +353,10 @@ def solve(u0: SpatialField, t_final: float, dt: float, model: ModelParams,
     snapshots[0] = u0.data
     diagnostics = []
     for k in range(n_steps):
-        guess = 2.0 * snapshots[k] - snapshots[k - 1] if k else None
+        guess = None
+        if k:  # the predictor 2 u_k - u_{k-1}, built in the slot of u_{k+1}: no fresh array
+            guess = np.multiply(snapshots[k], 2.0, out=snapshots[k + 1])
+            guess -= snapshots[k - 1]
         try:
             snapshots[k + 1], diag = step(snapshots[k], dt, model, grid, guess)
         except SolverFailureError as exc:
