@@ -76,10 +76,7 @@ def _solve_settings(cfg: dict, seed: int):
         raise ValidationFailure(str(exc))
     dt = float(cfg.get("dt", 1e-3))
     t_final = float(cfg.get("t_final", 0.1))
-    if dt <= 0 or t_final <= 0:
-        raise ValidationFailure("dt and t_final must be positive")
-    if abs(t_final / dt - round(t_final / dt)) > 1e-9:
-        raise ValidationFailure("t_final must be an integer multiple of dt")
+    ps.step_count(t_final, dt)  # raises TimeStepError, a ValueError, naming a bad dt or t_final
     ic = cfg.get("ic", "eigenfield")
     if ic not in ("eigenfield", "random_smooth", "kink"):
         raise ValidationFailure(f"unknown initial-condition tag {ic!r}")

@@ -37,6 +37,11 @@ class TrajectoryFormatError(ValueError):
     does not match its header."""
 
 
+class TimeStepError(ValueError):
+    """A time step or final time that is not a finite positive number, or a final
+    time that is not a whole number of time steps."""
+
+
 class UnsupportedDimensionError(ValueError):
     """Requested spatial dimension is outside the supported set."""
 

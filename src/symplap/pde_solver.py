@@ -28,9 +28,16 @@ SIAM J. Sci. Comput. 17, 1996; Knoll and Keyes, J. Comput. Phys. 193,
 predictor ``2 u_k - u_{k-1}``.  Neither changes what a step returns beyond
 the Newton tolerance: the sup + L^2 stopping rule is the same.
 
-Field layout: vector fields are arrays of shape (n, n, 2) -- spatial axes
-first, component last -- and tensor fields (n, n, 2, 2), so the pointwise
-tensor algebra applies along trailing axes without reshuffling.
+Field layout: vector fields -- states, snapshots, residuals and the CG
+vectors -- are arrays of shape (n, n, 2), spatial axes first, component last.
+The public tensor fields of :func:`sym_gradient` and :func:`divergence` are
+(n, n, 2, 2), so the pointwise tensor algebra of ``tensor_models`` applies
+along trailing axes.  Inside :func:`step` a symmetric tensor field is three
+contiguous planes (e11, e12, e22) of shape (3, n, n): the differences then
+run on unit-stride planes, and ``|Q|^2`` and ``Q:H`` are sums of three
+products rather than reductions over two length-2 axes.  Every plane kernel
+does the arithmetic of its (2, 2) form in the same order, so the step's
+results are the same bits either way.
 """
 
 from __future__ import annotations
@@ -42,14 +49,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stencil
-from .errors import SolverFailureError, TrajectoryFormatError
+from .errors import SolverFailureError, TimeStepError, TrajectoryFormatError
 from .function_spaces import SpaceGeometry
-from .tensor_models import (ModelParams, _symmetrize, frob, hessian_coefficients, phi,
-                            stress, stress_derivative_apply)
+from .tensor_models import ModelParams, _phi_d_over_t, _rank_one_coefficient, phi
+# The step calls neither of these (..., 2, 2) maps; they stay attributes of this
+# module because the benchmark's tracer (bench/tracing.py) wraps them here.
+from .tensor_models import stress, stress_derivative_apply  # noqa: F401
 
 __all__ = [
     "TorusGrid", "SpatialField", "Trajectory", "StepDiagnostics",
-    "sym_gradient", "divergence", "energy", "step", "solve",
+    "sym_gradient", "divergence", "energy", "step", "step_count", "solve",
     "initial_condition", "save_trajectory", "load_trajectory",
 ]
 
@@ -100,9 +109,70 @@ class SpatialField:
         return cls(np.zeros((grid.n, grid.n, grid.d)), grid)
 
 
+def _sym_gradient_planes(u: np.ndarray, h: float, e11, e12, e22, work) -> None:
+    """The three distinct entries of the symmetrized gradient of ``u``, written in place.
+
+    ``u`` has shape (..., n, n, 2); ``e11 = d_1 u_1``, ``e22 = d_2 u_2`` and
+    ``e12 = (d_2 u_1 + d_1 u_2)/2`` are differences along the last two axes
+    of the component views, with ``work`` as scratch of their shape.  This is
+    the arithmetic of ``_symmetrize`` on the full gradient, so the entries
+    are those of :func:`sym_gradient` bit for bit.
+    """
+    u1, u2 = u[..., 0], u[..., 1]
+    stencil.difference(u1, -2, h, e11)
+    stencil.difference(u2, -1, h, e22)
+    stencil.difference(u1, -1, h, e12)
+    e12 += stencil.difference(u2, -2, h, work)
+    e12 *= 0.5
+
+
+def _divergence_row(t1: np.ndarray, t2: np.ndarray, h: float, out, work1, work2) -> None:
+    """``out = d_1 t1 + d_2 t2`` along the last two axes: one row of a divergence.
+
+    Summed as ``(0 + d_1 t1) + d_2 t2``, the order of a sum started from zero,
+    as the (2, 2) divergence always summed: the ``+ 0`` changes only the sign
+    of a zero, and keeps those bits.
+    """
+    stencil.difference(t1, -2, h, work1)
+    work1 += 0.0
+    np.add(work1, stencil.difference(t2, -1, h, work2), out=out)
+
+
+def _plane_norm(e: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Frobenius norm of the symmetric field with planes ``e = (e11, e12, e22)``.
+
+    ``e11^2 + e12^2 + e12^2 + e22^2`` in this order is the order in which
+    ``frob`` reduces a (2, 2) matrix, so the norm is bit for bit ``frob``'s.
+    """
+    t = e[0] * e[0]
+    np.multiply(e[1], e[1], out=work)
+    t += work
+    t += work
+    np.multiply(e[2], e[2], out=work)
+    t += work
+    return np.sqrt(t, out=t)
+
+
+def _plane_contraction(e: np.ndarray, f: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """``out = Q:H`` for the planes ``e`` of Q and ``f`` of H, in the order of
+    a (2, 2) reduction started from zero, so bit for bit ``np.sum(Q * H, axis=(-2, -1))``."""
+    np.multiply(e[0], f[0], out=out)
+    out += 0.0
+    np.multiply(e[1], f[1], out=work)
+    out += work
+    out += work
+    np.multiply(e[2], f[2], out=work)
+    out += work
+
+
 def sym_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Symmetrized gradient (d_j u_i + d_i u_j)/2: (..., n, n, 2) -> (..., n, n, 2, 2)."""
-    return _symmetrize(stencil.gradient(u, grid.h, (-3, -2)))
+    out = np.empty(u.shape + (2,))
+    e12, work = np.empty((2,) + u.shape[:-1])  # e12 built unit-stride, then copied twice
+    _sym_gradient_planes(u, grid.h, out[..., 0, 0], e12, out[..., 1, 1], work)
+    out[..., 0, 1] = e12
+    out[..., 1, 0] = e12
+    return out
 
 
 def divergence(t_field: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -111,9 +181,10 @@ def divergence(t_field: np.ndarray, grid: TorusGrid) -> np.ndarray:
     Accepts leading axes, (..., n, n, 2, 2) -> (..., n, n, 2); exactly minus
     the adjoint of ``sym_gradient`` (periodic centered differences telescope).
     """
-    out, term = np.zeros(t_field.shape[:-1]), np.empty(t_field.shape[:-1])
-    out += stencil.difference(t_field[..., 0], -3, grid.h, term)
-    out += stencil.difference(t_field[..., 1], -2, grid.h, term)
+    out = np.empty(t_field.shape[:-1])
+    work1, work2 = np.empty(t_field.shape[:-2]), np.empty(t_field.shape[:-2])
+    for i in range(2):
+        _divergence_row(t_field[..., i, 0], t_field[..., i, 1], grid.h, out[..., i], work1, work2)
     return out
 
 
@@ -124,7 +195,9 @@ def inner(u: np.ndarray, v: np.ndarray, grid: TorusGrid) -> float:
 
 def energy(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> float:
     """Discrete dissipated energy h^2 * sum phi(|Du|)."""
-    return float(grid.h**2 * np.sum(phi(frob(sym_gradient(u, grid)), model)))
+    e = np.empty((3,) + u.shape[:-1])
+    _sym_gradient_planes(u, grid.h, *e, np.empty(u.shape[:-1]))
+    return float(grid.h**2 * np.sum(phi(_plane_norm(e, np.empty(u.shape[:-1])), model)))
 
 
 def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):
@@ -149,11 +222,14 @@ def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):
     m11, m12, m22 = 1.0 / a - w * s1**2, -w * s1 * s2, 1.0 / a - w * s2**2
 
     def apply(v: np.ndarray) -> np.ndarray:
-        vhat = np.fft.rfft2(v, axes=(0, 1))
-        out = np.empty_like(vhat)
-        out[..., 0] = m11 * vhat[..., 0] + m12 * vhat[..., 1]
-        out[..., 1] = m12 * vhat[..., 0] + m22 * vhat[..., 1]
-        return np.fft.irfft2(out, s=(n, n), axes=(0, 1))
+        # one transform per contiguous component plane: the same 1-D
+        # transforms as ``axes=(0, 1)`` on the (n, n, 2) field, without strides
+        v1 = np.fft.rfft2(np.ascontiguousarray(v[..., 0]))
+        v2 = np.fft.rfft2(np.ascontiguousarray(v[..., 1]))
+        out = np.empty_like(v)
+        out[..., 0] = np.fft.irfft2(m11 * v1 + m12 * v2, s=(n, n))
+        out[..., 1] = np.fft.irfft2(m12 * v1 + m22 * v2, s=(n, n))
+        return out
 
     return apply
 
@@ -220,11 +296,86 @@ def _forcing_term(eta_prev: float, ratio: float) -> float:
     return max(eta, safeguard) if safeguard > 0.1 else eta
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise TimeStepError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def step_count(t_final: float, dt: float) -> int:
+    """Number of steps of size ``dt`` to ``t_final``.
+
+    Raises ``TimeStepError`` (a ``ValueError``) naming the argument when
+    ``dt`` or ``t_final`` is not a finite positive number, or when
+    ``t_final`` is not an integer multiple of ``dt`` to within 1e-9 steps.
+    """
+    _require_finite_positive("dt", dt)
+    _require_finite_positive("t_final", t_final)
+    n_steps = t_final / dt
+    if abs(n_steps - round(n_steps)) > 1e-9:
+        raise TimeStepError(f"t_final = {t_final!r} is not an integer multiple of dt = {dt!r}")
+    return round(n_steps)
+
+
 @dataclass
 class StepDiagnostics:
     newton_iterations: int
     residual: float
     cg_iterations: int
+
+
+class _StepKernels:
+    """The residual and the Hessian action of one backward-Euler step.
+
+    Symmetric tensor fields are held as three contiguous planes
+    (e11, e12, e22) of shape (3, n, n); vector fields keep the (n, n, 2)
+    layout.  The scratch planes and the Hessian action's result are allocated
+    once, here.  The arithmetic and its order are those of the (2, 2) forms,
+    so both maps are bit for bit the compositions of :func:`sym_gradient`,
+    ``tensor_models.stress`` / ``stress_derivative_apply`` and
+    :func:`divergence` that they replace.
+    """
+
+    def __init__(self, u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
+        n = grid.n
+        self.u_prev, self.dt, self.model, self.h = u_prev, dt, model, grid.h
+        self.f = np.empty((3, n, n))  # planes of the stress, or of H and then g H + c2 (Q:H) Q
+        self.work1, self.work2, self.qh = np.empty((3, n, n))
+        self.div, self.action = np.empty_like(u_prev), np.empty_like(u_prev)
+        self.actions = 0  # Hessian actions so far
+
+    def _divergence_of_f(self) -> np.ndarray:
+        f, div = self.f, self.div
+        _divergence_row(f[0], f[1], self.h, div[..., 0], self.work1, self.work2)
+        _divergence_row(f[1], f[2], self.h, div[..., 1], self.work1, self.work2)
+        return div
+
+    def residual(self, u: np.ndarray):
+        """``(e, t, g, r)`` at ``u``: the planes of Du, |Du|, g = phi'(|Du|)/|Du| and
+        the residual ``(u - u_prev)/dt - div(g Du)``, all fresh arrays."""
+        e = np.empty_like(self.f)
+        _sym_gradient_planes(u, self.h, *e, self.work1)
+        t = _plane_norm(e, self.work1)
+        g = _phi_d_over_t(t, self.model)
+        np.multiply(e, g, out=self.f)
+        r = u - self.u_prev
+        r /= self.dt
+        r -= self._divergence_of_f()
+        return e, t, g, r
+
+    def hessian_action(self, v: np.ndarray, e: np.ndarray, g: np.ndarray, c2: np.ndarray):
+        """``v/dt - div(g H + c2 (Q:H) Q)`` with H = Dv, Q the planes ``e`` and ``c2``
+        the rank-one coefficient at Q, written into (and returning) one buffer."""
+        self.actions += 1
+        f, work = self.f, self.work1
+        _sym_gradient_planes(v, self.h, *f, work)
+        _plane_contraction(e, f, self.qh, work)
+        self.qh *= c2
+        f *= g
+        for k in range(3):
+            f[k] += np.multiply(self.qh, e[k], out=work)
+        np.divide(v, self.dt, out=self.action)
+        self.action -= self._divergence_of_f()
+        return self.action
 
 
 def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
@@ -248,46 +399,43 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     (u_next, StepDiagnostics); its ``cg_iterations`` counts Hessian actions,
     one per CG iteration.
 
-    The residual and symmetric gradient of the accepted line-search trial are
-    carried into the next Newton iteration rather than evaluated again, and
-    the Hessian coefficients are evaluated once per Newton iteration, so a
-    Hessian action costs one gradient, one pointwise product and one
-    divergence.
+    The residual, the symmetric gradient, its norm and ``g = phi'(|Du|)/|Du|``
+    of the accepted line-search trial are carried into the next Newton
+    iteration rather than evaluated again, and the rank-one Hessian
+    coefficient is evaluated once per Newton iteration, so a Hessian action
+    costs one gradient, one pointwise product and one divergence.  Both maps
+    run on plane-stored symmetric fields (:class:`_StepKernels`), bit for bit
+    their (2, 2) forms.
     """
-    if dt <= 0:
-        raise ValueError("time step must be positive")
+    _require_finite_positive("dt", dt)
     tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(u_prev))))
     l2_weight = grid.h  # sqrt(h^2) per sample
-
-    def residual(u):
-        du = sym_gradient(u, grid)
-        return du, (u - u_prev) / dt - divergence(stress(du, model), grid)
-
-    precond, actions = None, 0
+    kernels = _StepKernels(u_prev, dt, model, grid)
+    precond = None
     u = u_prev.copy() if guess is None else guess  # never written in place
-    du, r = residual(u)
+    e, t, g, r = kernels.residual(u)
     history, eta = [], ETA_MAX
     for it in range(MAX_NEWTON):
         rsup, rnorm = float(np.max(np.abs(r))), float(np.sqrt(np.sum(r**2)))
         history.append(rsup)
         worst = max(rsup, l2_weight * rnorm)
         if worst < tol:
-            return u, StepDiagnostics(newton_iterations=it, residual=worst, cg_iterations=actions)
+            return u, StepDiagnostics(newton_iterations=it, residual=worst,
+                                      cg_iterations=kernels.actions)
         if it:
             eta = _forcing_term(eta, rnorm / rnorm_prev)
         rnorm_prev = rnorm
-        coefficients = hessian_coefficients(du, model)
+        c2 = _rank_one_coefficient(t, model)
         if precond is None:
-            apply_m = _spectral_preconditioner(grid, dt, float(np.mean(coefficients[0])))
+            apply_m = _spectral_preconditioner(grid, dt, float(np.mean(g)))
 
             def precond(v):
-                return dt * apply_m(v)
+                z = apply_m(v)
+                z *= dt
+                return z
 
         def matvec(v):
-            nonlocal actions
-            actions += 1
-            jac = stress_derivative_apply(du, sym_gradient(v, grid), coefficients)
-            return v / dt - divergence(jac, grid)
+            return kernels.hessian_action(v, e, g, c2)
 
         delta, info = cg(matvec, -r, precond=precond,
                          atol=max(1e-14 * (1.0 + rsup), eta * rnorm))
@@ -297,14 +445,14 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
         s = 1.0
         for _ in range(12):
             trial = u + s * delta
-            trial_du, trial_r = residual(trial)
-            if float(np.max(np.abs(trial_r))) < rsup:
-                u, du, r = trial, trial_du, trial_r
+            trial_state = kernels.residual(trial)
+            if float(np.max(np.abs(trial_state[3]))) < rsup:
+                u, (e, t, g, r) = trial, trial_state
                 break
             s *= 0.5
         else:  # no halving decreased the residual: take the smallest, not yet evaluated
             u = u + s * delta
-            du, r = residual(u)
+            e, t, g, r = kernels.residual(u)
     raise SolverFailureError(
         f"Newton iteration did not reach tolerance {tol:.3e} in {MAX_NEWTON} steps",
         residual_history=history)
@@ -341,13 +489,12 @@ def solve(u0: SpatialField, t_final: float, dt: float, model: ModelParams,
           meta: dict | None = None) -> Trajectory:
     """March the implicit scheme from u0 to t_final (must be a multiple of dt).
 
-    On a step failure the partially computed trajectory is attached to the
-    raised SolverFailureError as ``partial`` together with the failing index.
+    ``dt`` and ``t_final`` are checked by :func:`step_count` before anything
+    is allocated.  On a step failure the partially computed trajectory is
+    attached to the raised SolverFailureError as ``partial`` together with the
+    failing index.
     """
-    n_steps = t_final / dt
-    if abs(n_steps - round(n_steps)) > 1e-9:
-        raise ValueError("t_final must be an integer multiple of dt")
-    n_steps = round(n_steps)
+    n_steps = step_count(t_final, dt)
     grid = u0.grid
     snapshots = np.empty((n_steps + 1,) + u0.data.shape)
     snapshots[0] = u0.data

@@ -21,8 +21,11 @@ everything below uses that closed form, so the degenerate point ``Q = 0`` is
 exact rather than epsilon-guarded.
 
 All maps act pointwise on arrays of symmetric matrices: input of shape
-``(..., d, d)`` is processed along the last two axes, which lets the solver
-apply them to whole tensor fields in one call.
+``(..., d, d)`` is processed along the last two axes, so they apply to whole
+tensor fields in one call.  The coefficients of the stress and of its
+derivative are also given as functions of ``t = |Q|`` alone
+(:func:`_phi_d_over_t`, :func:`_rank_one_coefficient`), which the solver
+calls on its own plane-stored fields.
 """
 
 from __future__ import annotations
@@ -162,26 +165,34 @@ def v_map(q: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.sqrt(_phi_d_over_t(frob(q), params))[..., None, None] * q
 
 
-def hessian_coefficients(q: np.ndarray, params: ModelParams):
-    """Pointwise coefficients ``(g(|Q|), g'(|Q|)/|Q|)`` of the stress derivative at Q.
+def _rank_one_coefficient(t, params: ModelParams):
+    """g'(t)/t for g(t) = phi'(t)/t, set to 0 where t = 0.
 
-    With g(t) = phi'(t)/t the rank-one coefficient g'(t)/t is
-    ``(p-2) t**(p-4)`` for A1 and ``(p-2)(mu+t**2)**((p-4)/2)`` for A2; its
-    contribution vanishes with |Q| -> 0 for p > 2 and is identically zero for
-    p = 2, so it is set to 0 at the |Q| = 0 points, which leaves the exact
-    limit g(0) H there.  Depends on Q alone: the solver evaluates it once per
-    Newton iteration and reuses it in every Hessian action of the linear solve.
+    Closed forms: ``(p-2) t**(p-4)`` for A1 and ``(p-2)(mu+t**2)**((p-4)/2)``
+    for A2.  The rank-one term it weights vanishes with |Q| -> 0 for p > 2 and
+    is identically zero for p = 2, so the value 0 at t = 0 leaves the exact
+    limit g(0) H of the stress derivative there.
     """
-    q = np.asarray(q, dtype=float)
+    t = np.asarray(t, dtype=float)
     p, mu = params.p, params.mu
-    t = frob(q)
-    g = _phi_d_over_t(t, params)
     if params.model == "A1":
         with np.errstate(divide="ignore", invalid="ignore"):
             c2 = np.where(t > 0.0, (p - 2.0) * t ** (p - 4.0), 0.0)
     else:
         c2 = (p - 2.0) * (mu + t**2) ** ((p - 4.0) / 2.0)
-    return g, np.where(t > 0.0, c2, 0.0)
+    return np.where(t > 0.0, c2, 0.0)
+
+
+def hessian_coefficients(q: np.ndarray, params: ModelParams):
+    """Pointwise coefficients ``(g(|Q|), g'(|Q|)/|Q|)`` of the stress derivative at Q.
+
+    ``g(t) = phi'(t)/t`` is :func:`_phi_d_over_t` and the rank-one
+    coefficient is :func:`_rank_one_coefficient`, both functions of t = |Q|
+    alone.  Depends on Q alone: the solver evaluates them once per Newton
+    iteration and reuses them in every Hessian action of the linear solve.
+    """
+    t = frob(q)
+    return _phi_d_over_t(t, params), _rank_one_coefficient(t, params)
 
 
 def stress_derivative_apply(q: np.ndarray, h: np.ndarray, coefficients) -> np.ndarray:

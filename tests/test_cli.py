@@ -1,5 +1,7 @@
 """End-to-end CLI: config handling, artifacts, determinism, exit codes."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,11 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def energy_column(out):
+    with open(out / "diagnostics.csv", newline="") as fh:
+        return [float(row["energy"]) for row in csv.DictReader(fh)]
+
+
 class TestSolve:
     def test_solve_writes_trajectory_and_diagnostics(self, tmp_path):
         cfg = write_config(tmp_path / "a.ini", SOLVE_BODY.format(p=3, t_final=0.02, ic="random_smooth"))
@@ -37,7 +44,7 @@ class TestSolve:
         lines = (out / "diagnostics.csv").read_text().strip().splitlines()
         assert lines[0] == "step,newton_iterations,cg_iterations,residual,energy"
         assert len(lines) == 11
-        energies = [float(line.split(",")[4]) for line in lines[1:]]
+        energies = energy_column(out)
         assert all(a >= b for a, b in zip(energies, energies[1:]))
 
     def test_solve_outputs_deterministic(self, tmp_path):
@@ -53,15 +60,13 @@ class TestSolve:
         cfg = write_config(tmp_path / "z.ini", body)
         out = tmp_path / "out"
         assert run(["solve", "--config", cfg, "--out", out]) == 0
-        lines = (out / "diagnostics.csv").read_text().strip().splitlines()[1:]
-        assert all(float(line.split(",")[4]) == 0.0 for line in lines)
+        assert all(energy == 0.0 for energy in energy_column(out))
 
     def test_eigenfield_energy_strictly_decreasing(self, tmp_path):
         cfg = write_config(tmp_path / "e.ini", SOLVE_BODY.format(p=2, t_final=0.02, ic="eigenfield"))
         out = tmp_path / "out"
         assert run(["solve", "--config", cfg, "--out", out]) == 0
-        lines = (out / "diagnostics.csv").read_text().strip().splitlines()[1:]
-        energies = [float(line.split(",")[4]) for line in lines]
+        energies = energy_column(out)
         assert all(a > b for a, b in zip(energies, energies[1:]))
 
     def test_invalid_growth_exponent_writes_nothing(self, tmp_path):
@@ -69,6 +74,17 @@ class TestSolve:
         out = tmp_path / "out_bad"
         assert run(["solve", "--config", cfg, "--out", out]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("dt, t_final, name", [
+        ("0.002", "inf", "t_final"), ("inf", "0.02", "dt"), ("nan", "0.02", "dt"),
+        ("0", "0.02", "dt"), ("-0.002", "0.02", "dt"), ("0.002", "-0.02", "t_final")])
+    def test_non_finite_or_non_positive_time_writes_nothing(self, tmp_path, capsys, dt, t_final, name):
+        body = SOLVE_BODY.format(p=2, t_final=t_final, ic="eigenfield").replace("dt = 0.002", f"dt = {dt}")
+        cfg = write_config(tmp_path / "t.ini", body)
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert f"validation error: {name} must be a finite positive number" in capsys.readouterr().err
 
     def test_misaligned_t_final_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "bad2.ini", SOLVE_BODY.format(p=2, t_final=0.0213, ic="eigenfield"))

@@ -12,7 +12,7 @@ import pytest
 import symplap.pde_solver as ps
 import symplap.tensor_models as tm
 from symplap.baselines import NEWTON_ITER_BASELINE
-from symplap.errors import SolverFailureError, TrajectoryFormatError
+from symplap.errors import SolverFailureError, TimeStepError, TrajectoryFormatError
 
 LINEAR = tm.ModelParams(p=2, mu=1.0, model="A2")
 P3 = tm.ModelParams(p=3, mu=1.0, model="A2")
@@ -205,6 +205,11 @@ class TestStep:
         with pytest.raises(ValueError):
             ps.step(np.zeros((32, 32, 2)), -0.1, P3, grid32)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_non_finite_dt_rejected(self, grid32, dt):
+        with pytest.raises(TimeStepError, match="^dt must be a finite positive number"):
+            ps.step(np.zeros((32, 32, 2)), dt, P3, grid32)
+
     def test_predictor_and_previous_state_reach_the_same_step(self, grid32):
         # both starts meet the Newton tolerance, so their states agree within
         # dt times it in grid L^2
@@ -258,6 +263,13 @@ class TestSolve:
     def test_t_final_must_be_multiple_of_dt(self, grid32):
         with pytest.raises(ValueError):
             ps.solve(ps.SpatialField.zero(grid32), 0.053, 0.01, P3)
+
+    @pytest.mark.parametrize("t_final, dt, name", [
+        (math.inf, 0.01, "t_final"), (math.nan, 0.01, "t_final"), (-0.05, 0.01, "t_final"),
+        (0.05, math.inf, "dt"), (0.05, math.nan, "dt"), (1.0, 0.0, "dt"), (0.05, -0.01, "dt")])
+    def test_non_finite_or_non_positive_time_rejected(self, grid32, t_final, dt, name):
+        with pytest.raises(TimeStepError, match=f"^{name} must be a finite positive number"):
+            ps.solve(ps.SpatialField.zero(grid32), t_final, dt, P3)
 
     def test_linear_decay_against_exact_solution(self):
         grid = ps.TorusGrid(16)

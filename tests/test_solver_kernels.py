@@ -4,7 +4,10 @@ The spectral preconditioner on ``rfft2`` is the exact inverse of the p = 2
 Newton operator and agrees with the full-spectrum ``fft2`` form it replaced;
 ``sym`` and the Hessian action with hoisted coefficients reproduce their
 direct formulas bit for bit, and the solver's own preconditioned CG returns
-what ``scipy.sparse.linalg.cg`` returns, bit for bit.
+what ``scipy.sparse.linalg.cg`` returns, bit for bit.  The solver step's
+kernels on plane-stored symmetric fields -- gradient, norm, contraction,
+divergence, residual, Hessian action, energy and the per-plane
+preconditioner -- give the bits of the (2, 2) forms they replaced.
 """
 
 import numpy as np
@@ -147,3 +150,138 @@ def test_cg_equals_the_reference_cg_bit_for_bit(n, decades, seed, zero_rhs, atol
     assert x.shape == shape
     for got, ref in zip(ours + [x], theirs + [want]):
         assert np.array_equal(got.ravel().view(np.uint64), ref.view(np.uint64))
+
+
+# The step holds symmetric fields as three planes (e11, e12, e22); every
+# kernel must give the bits of the (2, 2) composition it replaced.
+
+MODELS = st.sampled_from(tm.MODELS)
+EXPONENTS = st.sampled_from([2.0, 2.5, 3.0, 4.0])
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def flat_fields(grid, seed, flat):
+    """``fields`` with a square patch set to a constant (|Du| = 0 inside it)
+    and, when ``flat``, a pure checkerboard, which the difference cannot see."""
+    rng = np.random.default_rng(seed)
+    if flat:
+        sign = (-1.0) ** np.arange(grid.n)
+        return rng.normal(size=2) * (sign[:, None] * sign[None, :])[..., None] + rng.normal(size=2)
+    u = fields(grid, seed)
+    i, j = rng.integers(0, grid.n, size=2)
+    u[i:i + grid.n // 2, j:j + grid.n // 2] = rng.normal(size=2)
+    return u
+
+
+def full_sym_gradient(u, grid):
+    """The symmetrized gradient formed on the full (2, 2) gradient."""
+    return tm._symmetrize(stencil.gradient(u, grid.h, (-3, -2)))
+
+
+def zero_start_divergence(t_field, grid):
+    """Row-wise divergence as a sum started from zero, on the (2, 2) layout."""
+    out, term = np.zeros(t_field.shape[:-1]), np.empty(t_field.shape[:-1])
+    out += stencil.difference(t_field[..., 0], -3, grid.h, term)
+    out += stencil.difference(t_field[..., 1], -2, grid.h, term)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=GRIDS, lead=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_sym_gradient_and_divergence_on_stacks_match_the_full_tensor_forms(grid, lead, seed):
+    rng = np.random.default_rng(seed)
+    u = np.stack([fields(grid, s) for s in rng.integers(0, 2**32, size=lead)])
+    assert np.array_equal(bits(ps.sym_gradient(u, grid)), bits(full_sym_gradient(u, grid)))
+    # signed zeros too: a sum of two -0.0 differences is +0.0 from a zero start
+    t_field = rng.normal(size=u.shape + (2,))
+    t_field[rng.random(t_field.shape) < 0.3] = -0.0
+    t_field[rng.random(t_field.shape) < 0.2] = 0.0
+    want = zero_start_divergence(t_field, grid)
+    assert np.array_equal(bits(ps.divergence(t_field, grid)), bits(want))
+
+
+def planes(m):
+    return np.stack([m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.9))
+def test_plane_norm_and_contraction_match_the_full_tensor_reductions(seed, zeros):
+    # entries of either sign, and signed zeros: a sum of -0.0 products is
+    # +0.0 when the reduction starts from zero
+    rng = np.random.default_rng(seed)
+    q, h = rng.normal(size=(2, 6, 6, 2, 2))
+    for m in (q, h):
+        m[rng.random(m.shape) < zeros] = -0.0
+        m[rng.random(m.shape) < zeros / 2] = 0.0
+        m[..., 1, 0] = m[..., 0, 1]
+    work, out = np.empty((2, 6, 6))
+    assert np.array_equal(bits(ps._plane_norm(planes(q), work)), bits(tm.frob(q)))
+    ps._plane_contraction(planes(q), planes(h), out, work)
+    assert np.array_equal(bits(out), bits(np.sum(q * h, axis=(-2, -1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=GRIDS, model=MODELS, p=EXPONENTS, seed=st.integers(0, 2**32 - 1), flat=st.booleans())
+def test_energy_matches_the_full_tensor_form(grid, model, p, seed, flat):
+    params = tm.ModelParams(p=p, mu=0.5, model=model)
+    u = flat_fields(grid, seed, flat)
+    want = float(grid.h**2 * np.sum(tm.phi(tm.frob(full_sym_gradient(u, grid)), params)))
+    assert np.array_equal(bits(ps.energy(u, params, grid)), bits(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=GRIDS, model=MODELS, p=EXPONENTS, mu=st.floats(0.1, 2.0), dt=DTS,
+       seed=st.integers(0, 2**32 - 1), flat=st.booleans())
+def test_plane_residual_and_hessian_action_match_the_full_tensor_forms(
+        grid, model, p, mu, dt, seed, flat):
+    params = tm.ModelParams(p=p, mu=mu, model=model)
+    rng = np.random.default_rng(seed)
+    u, u_prev = flat_fields(grid, seed, flat), fields(grid, seed + 1)
+    v = rng.normal(size=u.shape)
+    kernels = ps._StepKernels(u_prev, dt, params, grid)
+    e, t, g, r = kernels.residual(u)
+    du = full_sym_gradient(u, grid)
+    want = (u - u_prev) / dt - zero_start_divergence(tm.stress(du, params), grid)
+    assert np.array_equal(bits(r), bits(want))
+    assert np.array_equal(bits(e), bits(planes(du)))
+    want_g, want_c2 = tm.hessian_coefficients(du, params)
+    assert np.array_equal(bits(t), bits(tm.frob(du)))
+    assert np.array_equal(bits(g), bits(want_g))
+    action = kernels.hessian_action(v, e, g, tm._rank_one_coefficient(t, params))
+    want = v / dt - zero_start_divergence(
+        tm.stress_derivative_apply(du, full_sym_gradient(v, grid), (want_g, want_c2)), grid)
+    assert np.array_equal(bits(action), bits(want))
+    assert kernels.actions == 1
+
+
+def axes_preconditioner(grid, dt, gbar):
+    """The preconditioner transforming the (n, n, 2) field with ``axes=(0, 1)``."""
+    s = stencil.symbol(grid.n, grid.h)
+    s1, s2 = s[:, None], s[None, : grid.n // 2 + 1]
+    c = 0.5 * dt * gbar
+    ssq = s1**2 + s2**2
+    a = 1.0 + c * ssq
+    w = c / (a * (a + c * ssq))
+    m11, m12, m22 = 1.0 / a - w * s1**2, -w * s1 * s2, 1.0 / a - w * s2**2
+
+    def apply(v):
+        vhat = np.fft.rfft2(v, axes=(0, 1))
+        out = np.empty_like(vhat)
+        out[..., 0] = m11 * vhat[..., 0] + m12 * vhat[..., 1]
+        out[..., 1] = m12 * vhat[..., 0] + m22 * vhat[..., 1]
+        return np.fft.irfft2(out, s=(grid.n, grid.n), axes=(0, 1))
+
+    return apply
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from([8, 16, 32, 64]).map(ps.TorusGrid), dt=DTS, gbar=GBARS,
+       seed=st.integers(0, 2**32 - 1))
+def test_plane_preconditioner_matches_the_axes_form(grid, dt, gbar, seed):
+    v = fields(grid, seed)
+    new = ps._spectral_preconditioner(grid, dt, gbar)(v)
+    assert np.array_equal(bits(new), bits(axes_preconditioner(grid, dt, gbar)(v)))
