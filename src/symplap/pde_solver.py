@@ -168,8 +168,10 @@ def _plane_contraction(e: np.ndarray, f: np.ndarray, out: np.ndarray, work: np.n
 def sym_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Symmetrized gradient (d_j u_i + d_i u_j)/2: (..., n, n, 2) -> (..., n, n, 2, 2)."""
     out = np.empty(u.shape + (2,))
-    e12, work = np.empty((2,) + u.shape[:-1])  # e12 built unit-stride, then copied twice
-    _sym_gradient_planes(u, grid.h, out[..., 0, 0], e12, out[..., 1, 1], work)
+    # e12 is built unit-stride and then copied twice; the entry (2, 1) is the
+    # scratch, so the stack needs one plane beyond its result, as before
+    e12 = np.empty(u.shape[:-1])
+    _sym_gradient_planes(u, grid.h, out[..., 0, 0], e12, out[..., 1, 1], out[..., 1, 0])
     out[..., 0, 1] = e12
     out[..., 1, 0] = e12
     return out
@@ -195,9 +197,9 @@ def inner(u: np.ndarray, v: np.ndarray, grid: TorusGrid) -> float:
 
 def energy(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> float:
     """Discrete dissipated energy h^2 * sum phi(|Du|)."""
-    e = np.empty((3,) + u.shape[:-1])
-    _sym_gradient_planes(u, grid.h, *e, np.empty(u.shape[:-1]))
-    return float(grid.h**2 * np.sum(phi(_plane_norm(e, np.empty(u.shape[:-1])), model)))
+    e, work = np.empty((3,) + u.shape[:-1]), np.empty(u.shape[:-1])
+    _sym_gradient_planes(u, grid.h, *e, work)
+    return float(grid.h**2 * np.sum(phi(_plane_norm(e, work), model)))
 
 
 def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):

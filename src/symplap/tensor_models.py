@@ -188,8 +188,8 @@ def hessian_coefficients(q: np.ndarray, params: ModelParams):
 
     ``g(t) = phi'(t)/t`` is :func:`_phi_d_over_t` and the rank-one
     coefficient is :func:`_rank_one_coefficient`, both functions of t = |Q|
-    alone.  Depends on Q alone: the solver evaluates them once per Newton
-    iteration and reuses them in every Hessian action of the linear solve.
+    alone, so the solver evaluates them once per Newton iteration and reuses
+    them in every Hessian action of the linear solve.
     """
     t = frob(q)
     return _phi_d_over_t(t, params), _rank_one_coefficient(t, params)
