@@ -168,8 +168,8 @@ def _plane_contraction(e: np.ndarray, f: np.ndarray, out: np.ndarray, work: np.n
 def sym_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Symmetrized gradient (d_j u_i + d_i u_j)/2: (..., n, n, 2) -> (..., n, n, 2, 2)."""
     out = np.empty(u.shape + (2,))
-    # e12 is built unit-stride and then copied twice; the entry (2, 1) is the
-    # scratch, so the stack needs one plane beyond its result, as before
+    # e12 is built unit-stride and then copied twice; the (2, 1) entry serves
+    # as scratch, so a stack needs only one plane beyond its result
     e12 = np.empty(u.shape[:-1])
     _sym_gradient_planes(u, grid.h, out[..., 0, 0], e12, out[..., 1, 1], out[..., 1, 0])
     out[..., 0, 1] = e12
@@ -334,7 +334,7 @@ class _StepKernels:
     once, here.  The arithmetic and its order are those of the (2, 2) forms,
     so both maps are bit for bit the compositions of :func:`sym_gradient`,
     ``tensor_models.stress`` / ``stress_derivative_apply`` and
-    :func:`divergence` that they replace.
+    :func:`divergence` on (n, n, 2, 2) fields.
     """
 
     def __init__(self, u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
