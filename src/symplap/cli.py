@@ -78,8 +78,6 @@ def _solve_settings(cfg: dict, seed: int):
     t_final = float(cfg.get("t_final", 0.1))
     ps.step_count(t_final, dt)  # raises TimeStepError, a ValueError, naming a bad dt or t_final
     ic = cfg.get("ic", "eigenfield")
-    if ic not in ("eigenfield", "random_smooth", "kink"):
-        raise ValidationFailure(f"unknown initial-condition tag {ic!r}")
     cutoff = int(cfg.get("cutoff", 3))
     amplitude = float(cfg.get("amplitude", 1.0))
     u0 = ps.initial_condition(ic, grid, seed=seed, cutoff=cutoff, amplitude=amplitude)
@@ -171,6 +169,8 @@ def run_analyze(cfg: dict, out_dir: Path, seed: int) -> int:
     big_r = float(cfg.get("big_r", 1.7))
     if not big_r > r:
         raise ValidationFailure(f"big_r = {big_r:g} must exceed the ball radius r = {r:g}")
+    for radius in (r, big_r):
+        ra._check_radius(radius)  # the margin rule of the sweep and the ball estimate
     traj = ps.load_trajectory(traj_path)
     center_frac = _floats(cfg.get("center", "0.5 0.5"))
     if len(center_frac) != 2:

@@ -133,7 +133,7 @@ _DICTIONARY_SEED = 71991
 _dictionary_cache: dict = {}
 
 
-def _test_dictionary(shape, ncomp: int, geom: SpaceGeometry) -> np.ndarray:
+def _test_dictionary(shape, ncomp: int) -> np.ndarray:
     """Fixed dictionary of smooth low-frequency fields used for dual lower bounds."""
     key = (shape, ncomp)
     if key not in _dictionary_cache:
@@ -157,7 +157,7 @@ def _test_dictionary(shape, ncomp: int, geom: SpaceGeometry) -> np.ndarray:
 
 def _dictionary_functionals(geom: SpaceGeometry, shape, ncomp: int, q: float) -> np.ndarray:
     """Matrix of the dual lower-bound functionals u -> <u, v>/|v|_{W^{1,q*}} (q* dual to q)."""
-    dictionary = _test_dictionary(shape, ncomp, geom)
+    dictionary = _test_dictionary(shape, ncomp)
     q_dual = math.inf if q == 1.0 else 1.0 if math.isinf(q) else q / (q - 1.0)
     vnorms = xnorms_over_time(dictionary, w1p(q_dual), geom)
     keep = vnorms > 0
@@ -291,7 +291,7 @@ def xnorms_over_time(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None
 _SKETCH_COLUMNS = 8
 _SKETCH_SEED = 53
 _ROW_SPACE_TOL = 1e-14
-_RESIDUAL_CHUNK = 64  # rows per slice of the residual test
+_RESIDUAL_CHUNK = 64  # rows per residual slice; one m x M temporary is 3.1 MB on lifted fields
 
 
 def _row_space_coordinates(rows: np.ndarray) -> np.ndarray | None:
@@ -303,9 +303,8 @@ def _row_space_coordinates(rows: np.ndarray) -> np.ndarray | None:
     fixed-seed Gaussian block of ``_SKETCH_COLUMNS`` columns, spans the
     candidate space; the singular vectors of the rows inside it, truncated at
     ``_ROW_SPACE_TOL`` of the largest singular value, give Q.  The projection
-    is kept only when the explicit residual |rows - rows Q Q^T|_F, summed over
-    row slices, is at most ``_ROW_SPACE_TOL * |rows|_F``.  Complex rows go
-    through their real view.
+    is kept only when the explicit residual |rows - rows Q Q^T|_F is at most
+    ``_ROW_SPACE_TOL * |rows|_F``.  Complex rows go through their real view.
 
     Right multiplication by Q commutes with time differences and keeps the l2
     norm of every vector in the row space, so difference norms move only at
@@ -363,9 +362,6 @@ class TimeGridFunction:
     @property
     def interval_len(self) -> float:
         return (self.n_samples - 1) * self.dt
-
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_samples)
 
 
 def steps_of(f: TimeGridFunction, h: float) -> int:
@@ -434,6 +430,9 @@ def time_lp(sample_norms: np.ndarray, p: float, dt: float) -> float:
     return float(np.ldexp((w * np.sum(np.ldexp(g, -exp) ** p)) ** (1.0 / p), exp))
 
 
+_EPS = np.finfo(float).eps
+
+
 class _NormContext:
     """The one evaluator of time norms, per (function, X-norm).
 
@@ -466,7 +465,7 @@ class _NormContext:
 
     def difference_sample_norms(self, r: int, k: int) -> np.ndarray:
         vals = self.reduce(self.difference_rows(r, k))
-        floor = 32.0 * 2.0**r * np.finfo(float).eps * self.scale
+        floor = 32.0 * 2.0**r * _EPS * self.scale
         return np.where(vals <= floor, 0.0, vals)
 
     def difference_norm(self, r: int, k: int, p: float) -> float:
@@ -840,9 +839,7 @@ def check_embed_nikolskii(f, *, alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0,
     The structural constant is the displayed piecewise formula (its interior
     numerical constant set to one); C multiplies it from the calibration.
     """
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    beta = alpha - inv_p - (alpha_p - inv_q)
+    beta = alpha - 1.0 / p - (alpha_p - 1.0 / q)
     if beta <= 0 or alpha < alpha_p:
         raise PreconditionError("embedding needs alpha >= alpha' and beta > 0")
     cap = _embed_delta_cap(f, alpha, alpha_p, beta)
@@ -861,8 +858,7 @@ def check_embed_nikolskii(f, *, alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0,
 
 def check_holder(f, *, alpha=0.75, p=4.0, delta=0.25, x_norm=EUCLID):
     """Hoelder seminorm bound |f|_{C^{0,alpha-1/p}} <= 3/delta^alpha |f|_{N^{alpha,p}}."""
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    lam = alpha - inv_p
+    lam = alpha - 1.0 / p
     if not 0 < alpha < 1 or lam <= 0:
         raise PreconditionError("need alpha in (0,1) with alpha - 1/p > 0")
     ctx = _NormContext(f, x_norm)

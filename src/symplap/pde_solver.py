@@ -21,12 +21,12 @@ the half spectrum of ``rfft2``.
 
 Inexact Newton.  The Newton systems are solved only as far as the nonlinear
 iteration needs: the k-th to ``eta_k |r_k|``, with the Eisenstat-Walker
-forcing term, choice 2 -- ``eta_0 = 0.1``, ``eta_k = min(0.1, 0.9
-(|r_k| / |r_{k-1}|)^2)`` and the standard safeguard (Eisenstat and Walker,
-SIAM J. Sci. Comput. 17, 1996; Knoll and Keyes, J. Comput. Phys. 193,
-2004).  :func:`solve` starts every step after the first from the linear
-predictor ``2 u_k - u_{k-1}``.  Neither changes what a step returns beyond
-the Newton tolerance: the sup + L^2 stopping rule is the same.
+forcing term, choice 2 -- ``eta_0 = 0.1`` and ``eta_k = min(0.1, 0.9
+(|r_k| / |r_{k-1}|)^2)`` (Eisenstat and Walker, SIAM J. Sci. Comput. 17,
+1996; Knoll and Keyes, J. Comput. Phys. 193, 2004).  :func:`solve` starts
+every step after the first from the linear predictor ``2 u_k - u_{k-1}``.
+Neither changes what a step returns beyond the Newton tolerance: the sup +
+L^2 stopping rule is the same.
 
 Field layout: vector fields -- states, snapshots, residuals and the CG
 vectors -- are arrays of shape (n, n, 2), spatial axes first, component last.
@@ -238,8 +238,8 @@ def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):
 
 MAX_NEWTON = 50      # Newton iterations per step before SolverFailureError
 TOL_FACTOR = 1e-10   # residual tolerance relative to 1 + |u_prev|_inf
-ETA_MAX = 0.1        # Eisenstat-Walker choice 2: eta_0 and the ceiling of eta_k
-ETA_GAMMA = 0.9      # eta_k = min(ETA_MAX, ETA_GAMMA (|r_k| / |r_{k-1}|)^ETA_ALPHA)
+ETA_MAX = 0.1        # forcing term (module docstring): eta_0 and the ceiling of eta_k
+ETA_GAMMA = 0.9      # forcing term: factor and power of the residual-norm ratio
 ETA_ALPHA = 2.0
 CG_RTOL = 1e-12      # CG stops once |r| < max(CG_RTOL |b|, atol)
 CG_MAXITER = 600     # CG iterations per linear solve before SolverFailureError
@@ -283,19 +283,12 @@ def cg(matvec, b: np.ndarray, *, precond, atol: float, callback=None):
     return x, CG_MAXITER
 
 
-def _forcing_term(eta_prev: float, ratio: float) -> float:
-    """Eisenstat-Walker forcing term, choice 2, for a residual-norm ratio |r_k| / |r_{k-1}|.
-
-    ``eta_k = min(ETA_MAX, ETA_GAMMA ratio^ETA_ALPHA)``, raised to
-    ``ETA_GAMMA eta_{k-1}^ETA_ALPHA`` when that exceeds 0.1 -- the safeguard
-    against a forcing term that falls faster than the residual (Eisenstat and
-    Walker, SIAM J. Sci. Comput. 17, 1996, Sec. 2).  With ``ETA_MAX = 0.1``
-    every eta_{k-1} the solver produces keeps the safeguard at 0.009 or less,
-    so it acts only on a larger ``eta_prev``.
-    """
-    eta = min(ETA_MAX, ETA_GAMMA * ratio**ETA_ALPHA)
-    safeguard = ETA_GAMMA * eta_prev**ETA_ALPHA
-    return max(eta, safeguard) if safeguard > 0.1 else eta
+def _forcing_term(ratio: float) -> float:
+    """The forcing term eta_k of the module docstring for the ratio |r_k| / |r_{k-1}|."""
+    # No safeguard (Eisenstat and Walker, 1996, Sec. 2): it raises eta_k to
+    # ETA_GAMMA eta_{k-1}^ETA_ALPHA only when that exceeds 0.1, and with every
+    # eta_{k-1} <= ETA_MAX = 0.1 it is at most 0.009, so it could never bind.
+    return min(ETA_MAX, ETA_GAMMA * ratio**ETA_ALPHA)
 
 
 def _require_finite_positive(name: str, value: float) -> None:
@@ -388,11 +381,9 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     exact energy Hessian, started from ``guess`` (``u_prev`` when None).  The
     k-th linear system is solved by preconditioned CG only until its residual
     is below ``eta_k |r_k|`` (Euclidean norms of the residual arrays, and never
-    below ``1e-14 (1 + |r_k|_inf)``), with the Eisenstat-Walker forcing term,
-    choice 2: ``eta_0 = ETA_MAX`` and ``eta_k`` from :func:`_forcing_term`
-    (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996; Knoll and Keyes,
-    J. Comput. Phys. 193, 2004).  Convergence requires both the sup and the
-    L^2 norm of the residual below ``TOL_FACTOR * (1 + |u_prev|_inf)``, so the
+    below ``1e-14 (1 + |r_k|_inf)``), with the forcing term eta_k of the
+    module docstring.  Convergence requires both the sup and the L^2 norm
+    of the residual below ``TOL_FACTOR * (1 + |u_prev|_inf)``, so the
     forcing measured along a trajectory vanishes at solver precision in
     either norm however loosely the linear systems were solved.  Damps the
     update by halving while the residual fails to decrease; raises
@@ -425,7 +416,7 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
             return u, StepDiagnostics(newton_iterations=it, residual=worst,
                                       cg_iterations=kernels.actions)
         if it:
-            eta = _forcing_term(eta, rnorm / rnorm_prev)
+            eta = _forcing_term(rnorm / rnorm_prev)
         rnorm_prev = rnorm
         c2 = _rank_one_coefficient(t, model)
         if precond is None:
@@ -482,9 +473,6 @@ class Trajectory:
     def energies(self) -> np.ndarray:
         """Discrete energy of every snapshot, n_steps + 1 values; loaded trajectories too."""
         return np.array([energy(u, self.model, self.grid) for u in self.snapshots])
-
-    def component_means(self) -> np.ndarray:
-        return np.mean(self.snapshots, axis=(1, 2))
 
 
 def solve(u0: SpatialField, t_final: float, dt: float, model: ModelParams,
@@ -566,7 +554,7 @@ def save_trajectory(traj: Trajectory, path) -> None:
     header = np.array([n, traj.grid.d, traj.dt, traj.n_steps], dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(traj.snapshots, dtype="<f8").tobytes())
+        np.ascontiguousarray(traj.snapshots, dtype="<f8").tofile(fh)
     lines = {
         "model": traj.model.model,
         "p": repr(traj.model.p),
@@ -602,7 +590,7 @@ def load_trajectory(path) -> Trajectory:
             raise TrajectoryFormatError(
                 f"{path}: {size} bytes, but its header (n = {n}, d = {d}, steps = {steps}) "
                 f"needs {expected}")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(steps + 1, n, n, d).copy()
+        data = np.fromfile(fh, dtype="<f8").reshape(steps + 1, n, n, d)
     meta = {}
     try:
         with open(f"{path}.meta") as fh:

@@ -265,7 +265,7 @@ def sample_symmetric_pairs(rng: np.random.Generator, count: int, d: int = 2, rad
         m = sym(m)
         norms = frob(m)
         norms = np.where(norms == 0.0, 1.0, norms)
-        target = rng.uniform(0.0, radius, size=count) ** 1.0
+        target = rng.uniform(0.0, radius, size=count)
         return m / norms[:, None, None] * target[:, None, None]
 
     p_mat, q_mat = draw(), draw()

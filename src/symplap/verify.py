@@ -31,8 +31,7 @@ CANONICAL_PARAMS = {
     fs.SOBOLEV_EQ: dict(delta1=1 / 8, delta2=1 / 2, p=2.0),
 }
 
-_CALIBRATED = {fs.ACCESSION: "ACCESSION", fs.INTERPOLATION: "INTERPOLATION",
-               fs.EMBED_SOBOLEV: "EMBED_SOBOLEV", fs.EMBED_NIK: "EMBED_NIK"}
+_CALIBRATED = (fs.ACCESSION, fs.INTERPOLATION, fs.EMBED_SOBOLEV, fs.EMBED_NIK)
 
 
 @dataclass
@@ -48,7 +47,7 @@ class MatrixResult:
 def _params_for(ineq_id: str, corrupt: bool) -> dict:
     params = dict(CANONICAL_PARAMS[ineq_id])
     if ineq_id in _CALIBRATED:
-        params["calibrated"] = baselines.INEQUALITY_CONSTANTS[_CALIBRATED[ineq_id]]
+        params["calibrated"] = baselines.INEQUALITY_CONSTANTS[ineq_id]
     if corrupt and ineq_id == fs.DELTA_EQ:
         # Harness self-test: weaken the step-cap constant 3^r -> 2^r * 0.5 and
         # drop the alpha weighting so any strict seminorm gain gets flagged.
@@ -98,4 +97,4 @@ def calibrate_constants(size: int = 100, seed: int = 1234, n_samples: int = 1025
                                            lambda i: dict(CANONICAL_PARAMS[i], calibrated=1.0)):
             if rep is not None and rep.rhs > 0:
                 worst[ineq_id] = max(worst[ineq_id], rep.lhs / rep.rhs)
-    return {_CALIBRATED[i]: val * headroom for i, val in worst.items()}
+    return {i: val * headroom for i, val in worst.items()}

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import symplap.regularity_analyzer as ra
 from symplap.cli import main
 
 
@@ -240,7 +241,7 @@ time_halfwidth = 0.35
         assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
 
     def test_validation_error_writes_nothing(self, tmp_path, solved):
-        # a ball radius without interior margin fails in the sweep, before any output
+        # a ball radius without interior margin fails before the sweep and any output
         cfg = write_config(tmp_path / "a.ini", f"""
 [analyze]
 trajectory = {solved}
@@ -250,6 +251,19 @@ big_r = 3.1
         out = tmp_path / "an"
         assert run(["analyze", "--config", cfg, "--out", out]) == 1
         assert not out.exists()
+
+    def test_outer_radius_without_margin_fails_before_the_sweep(self, tmp_path, solved,
+                                                                monkeypatch, capsys):
+        def sweep(*args, **kwargs):
+            raise AssertionError("seminorm_sweep ran")
+
+        monkeypatch.setattr(ra, "seminorm_sweep", sweep)
+        cfg = write_config(tmp_path / "a.ini", f"[analyze]\ntrajectory = {solved}\n"
+                                               "r = 0.85\nbig_r = 3.0\n")
+        out = tmp_path / "an"
+        assert run(["analyze", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert "ball radius 3.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,message", [("center = 0.5", "center"),
                                               ("alphas =", "alphas")])

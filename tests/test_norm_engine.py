@@ -56,7 +56,7 @@ def _negative(a, q, geom):
     q_dual = math.inf if q == 1.0 else 1.0 if math.isinf(q) else q / (q - 1.0)
     full = np.ones((N, N), dtype=bool) if geom.mask is None else geom.mask
     best = np.zeros(len(a))
-    for v in fs._test_dictionary((N, N), flat.shape[-1], geom):
+    for v in fs._test_dictionary((N, N), flat.shape[-1]):
         vnorm = _w1q(v[None], q_dual, geom)[0]
         if vnorm > 0:
             pairing = geom.cell_measure() * np.sum((flat * v)[:, full], axis=(1, 2))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import symplap.pde_solver as ps
 import symplap.tensor_models as tm
@@ -225,13 +226,18 @@ class TestStep:
 
 class TestForcingTerm:
     def test_choice_two(self):
-        assert ps._forcing_term(ps.ETA_MAX, 0.3) == 0.9 * 0.3**2
-        assert ps._forcing_term(ps.ETA_MAX, 0.01) == 0.9 * 0.01**2
-        assert ps._forcing_term(ps.ETA_MAX, 1.0) == ps.ETA_MAX
+        assert ps._forcing_term(0.3) == 0.9 * 0.3**2
+        assert ps._forcing_term(0.01) == 0.9 * 0.01**2
+        assert ps._forcing_term(1.0) == ps.ETA_MAX
 
-    def test_safeguard_keeps_a_large_previous_term(self):
-        # 0.9 * 0.5^2 = 0.225 > 0.1, so it bounds the new term from below
-        assert ps._forcing_term(0.5, 0.01) == 0.9 * 0.5**2
+    @given(st.floats(min_value=0.0, max_value=1e6))
+    def test_forcing_term_stays_in_its_range(self, ratio):
+        assert 0.0 <= ps._forcing_term(ratio) <= ps.ETA_MAX
+
+    def test_safeguard_could_never_bind(self):
+        # the Eisenstat-Walker safeguard ETA_GAMMA eta_{k-1}^ETA_ALPHA acts only
+        # above 0.1, and eta_{k-1} <= ETA_MAX keeps it at or below this bound
+        assert ps.ETA_GAMMA * ps.ETA_MAX**ps.ETA_ALPHA <= 0.1
 
 
 class TestConjugateGradients:
@@ -290,7 +296,7 @@ class TestSolve:
     def test_mean_preservation(self, grid32):
         u0_data = ps.initial_condition("random_smooth", grid32, seed=2).data + 0.35
         traj = ps.solve(ps.SpatialField(u0_data, grid32), 0.05, 5e-3, P3)
-        means = traj.component_means()
+        means = np.mean(traj.snapshots, axis=(1, 2))
         scale = 1.0 + np.max(np.abs(u0_data))
         assert np.max(np.abs(means - means[0])) < 1e-10 * scale
 
@@ -381,6 +387,16 @@ class TestPersistence:
         saved.write_bytes(saved.read_bytes()[:-8])
         with pytest.raises(TrajectoryFormatError, match="header"):
             ps.load_trajectory(saved)
+
+    def test_file_is_header_then_snapshot_bytes(self, tmp_path, grid32):
+        traj = ps.solve(ps.initial_condition("random_smooth", grid32, seed=5), 0.01, 5e-3, P3)
+        path = tmp_path / "t.bin"
+        ps.save_trajectory(traj, path)
+        header = np.array([32, 2, 5e-3, 2], dtype="<f8").tobytes()
+        assert path.read_bytes() == header + traj.snapshots.astype("<f8").tobytes()
+        data = ps.load_trajectory(path).snapshots
+        assert data.flags.writeable and data.flags.c_contiguous
+        assert np.array_equal(data.view(np.uint64), traj.snapshots.view(np.uint64))
 
     def test_header_is_little_endian_float64(self, tmp_path, grid32):
         traj = ps.solve(ps.SpatialField.zero(grid32), 0.01, 5e-3, P3)
