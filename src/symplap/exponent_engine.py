@@ -87,6 +87,12 @@ def classify(p, d) -> Regime:
     return Regime.FRACTIONAL if gamma0(p, d) <= 1 else Regime.FULL_DERIVATIVE
 
 
+def ceiling(p, d):
+    """Regime ceiling of the iteration: gamma0 in the Fractional regime, gamma1
+    otherwise.  Exponents at or above it are out of reach of the recurrence."""
+    return gamma0(p, d) if classify(p, d) is Regime.FRACTIONAL else gamma1(p, d)
+
+
 @dataclass
 class IterationTrace:
     """Record of one run of the exponent iteration.
@@ -94,7 +100,7 @@ class IterationTrace:
     ``alphas`` holds the formal sequence up to the last value <= 1 that was
     produced; once the formal step would exceed one, the achievable exponents
     form an open interval whose endpoint is never claimed (``cap``).
-    ``limit`` is the fixed point B/(1-A) of the recurrence (inf at p = 2).
+    ``limit`` is gamma0, the fixed point B/(1-A) of the recurrence (inf at p = 2).
     """
 
     alphas: list
@@ -139,27 +145,20 @@ def iterate(p, d, alpha0=0.0, target=None) -> IterationTrace:
     """Run the exponent recurrence from ``alpha0`` until ``target`` is certified.
 
     Preconditions: ``0 <= alpha0 < target`` and the target must lie strictly
-    below the regime ceiling (gamma0 in the Fractional regime, gamma1
-    otherwise); beyond it the recurrence cannot reach and an
+    below :func:`ceiling`; beyond it the recurrence cannot reach and an
     UnreachableTargetError is raised.
     """
     if target is None:
         raise ValueError("iterate requires an explicit target exponent")
     if not 0 <= alpha0 < target:
         raise ValueError("need 0 <= alpha0 < target")
+    top = ceiling(p, d)
+    if target >= top:
+        raise UnreachableTargetError(f"target {target} is at/above the regime ceiling {top}")
     regime = classify(p, d)
     A, B = recurrence_coefficients(p, d)
     g1 = gamma1(p, d)
-    if regime is Regime.FRACTIONAL:
-        limit = B / (1 - A)
-        if target >= limit:
-            raise UnreachableTargetError(
-                f"target {target} is at/above the fractional ceiling {limit}")
-    else:
-        limit = math.inf if p == 2 else B / (1 - A)
-        if target >= g1:
-            raise UnreachableTargetError(
-                f"target {target} is at/above the crossing ceiling {g1}")
+    limit = math.inf if p == 2 else gamma0(p, d)
     alphas, n_steps, crossed, cap = _run_iteration(A, B, alpha0, target, g1)
     return IterationTrace(alphas=[float(a) for a in alphas], A=float(A), B=float(B),
                           limit=float(limit), target=float(target), n_steps=n_steps,
@@ -238,11 +237,9 @@ def holder_range(d: int):
     d = 2 gives [2, 4); d = 3 gives [2, (9 + sqrt(33))/4).  Other dimensions
     are unsupported.
     """
-    if d == 2:
-        return 2.0, 4.0
-    if d == 3:
-        return 2.0, (9.0 + math.sqrt(33.0)) / 4.0
-    raise UnsupportedDimensionError("Hoelder range is tabulated for d in {2, 3} only")
+    if d not in (2, 3):
+        raise UnsupportedDimensionError("Hoelder range is tabulated for d in {2, 3} only")
+    return 2.0, holder_upper_formula(d)
 
 
 def holder_upper_formula(d: int) -> float:

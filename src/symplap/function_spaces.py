@@ -526,6 +526,11 @@ def raw_seminorm(f: TimeGridFunction, alpha: float, r: int, delta: float, p: flo
     return _NormContext(f, x_norm).seminorm(alpha, r, delta, p)
 
 
+def natural_order(alpha: float) -> int:
+    """The natural difference order floor(alpha) + 1, the least r with r > alpha."""
+    return math.floor(alpha) + 1
+
+
 @dataclass(frozen=True)
 class SeminormSpec:
     """Parameter bundle (alpha, p, r, delta, spatial tag) selecting a seminorm.
@@ -545,12 +550,12 @@ class SeminormSpec:
             raise ValueError("alpha must be nonnegative")
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
-        if self.r is not None and self.r < math.floor(self.alpha) + 1:
+        if self.r is not None and self.r < natural_order(self.alpha):
             raise ValueError("difference order r must exceed alpha (r >= floor(alpha)+1)")
 
     @property
     def order(self) -> int:
-        return self.r if self.r is not None else math.floor(self.alpha) + 1
+        return self.r if self.r is not None else natural_order(self.alpha)
 
 
 def nikolskii_seminorm(f: TimeGridFunction, spec: SeminormSpec) -> float:
@@ -640,10 +645,6 @@ def _worst_side(ineq_id, sides, constant, params) -> InequalityReport:
     return InequalityReport(ineq_id, lhs, rhs, constant, params)
 
 
-def _natural_order(alpha: float) -> int:
-    return math.floor(alpha) + 1
-
-
 def check_delta_equivalence(f, *, r=1, alpha=0.5, delta1=0.125, delta2=0.25,
                             p=math.inf, x_norm=EUCLID, constant_factor=None):
     """Step-cap equivalence: |f|_{r,d1} <= |f|_{r,d2} <= (3^r/d1^alpha) |f|_{r,d1}.
@@ -653,7 +654,7 @@ def check_delta_equivalence(f, *, r=1, alpha=0.5, delta1=0.125, delta2=0.25,
     """
     if not 0 < delta1 <= delta2 <= 1:
         raise PreconditionError("need 0 < delta1 <= delta2 <= 1")
-    if r < _natural_order(alpha):
+    if r < natural_order(alpha):
         raise PreconditionError("difference order must exceed alpha")
     ctx = _NormContext(f, x_norm)
     n1 = ctx.nikolskii_norm(alpha, r, delta1, p)
@@ -676,7 +677,7 @@ def check_step_change(f, *, alpha=0.5, r=2, delta=None, p=math.inf, x_norm=EUCLI
     (4 r^2 / ((r0 - alpha) delta^alpha))^(r - r0) and requires delta below
     interval_len / (r * 2^(floor(1/(2(r0-alpha))) + 2)).
     """
-    r0 = _natural_order(alpha)
+    r0 = natural_order(alpha)
     if r < r0:
         raise PreconditionError("r must be at least the natural order")
     cap = _step_change_cap(f, r, r0, alpha)
@@ -811,7 +812,7 @@ def _embed_structural_constant(alpha, alpha_p, beta, delta):
     gap = alpha - alpha_p
     if gap == 0:
         return 1.0
-    frac_ap = math.floor(alpha_p) + 1 - alpha_p
+    frac_ap = natural_order(alpha_p) - alpha_p
     if alpha == math.floor(alpha):
         lead = (gap + 2) ** 2 / frac_ap**3
     else:
@@ -824,7 +825,7 @@ def _embed_structural_constant(alpha, alpha_p, beta, delta):
 
 def _embed_delta_cap(f, alpha, alpha_p, beta):
     gap = alpha - alpha_p
-    frac_ap = math.floor(alpha_p) + 1 - alpha_p
+    frac_ap = natural_order(alpha_p) - alpha_p
     if alpha == math.floor(alpha):
         c_tilde = (gap + 2) / frac_ap
     else:
@@ -848,8 +849,8 @@ def check_embed_nikolskii(f, *, alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0,
     if delta > cap * (1 + 1e-12):
         raise PreconditionError(f"step cap for the embedding violated: {delta} > {cap:.6g}")
     ctx = _NormContext(f, x_norm)
-    lhs = ctx.nikolskii_norm(alpha_p, _natural_order(alpha_p), delta, q)
-    base = ctx.nikolskii_norm(alpha, _natural_order(alpha), delta, p)
+    lhs = ctx.nikolskii_norm(alpha_p, natural_order(alpha_p), delta, q)
+    base = ctx.nikolskii_norm(alpha, natural_order(alpha), delta, p)
     c = calibrated * _embed_structural_constant(alpha, alpha_p, beta, delta)
     return InequalityReport(EMBED_NIK, lhs, c * base, c,
                             {"alpha": alpha, "alpha_p": alpha_p, "p": p, "q": q,

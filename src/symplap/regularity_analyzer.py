@@ -35,7 +35,7 @@ from . import exponent_engine as ee
 from .errors import GeometryError, InsufficientResolutionError, PreconditionError
 from . import stencil
 from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, higher_difference,
-                              lp, lp_norm, w1p, wm1p)
+                              lp, lp_norm, natural_order, w1p, wm1p)
 from .function_spaces import raw_seminorm  # noqa: F401  uncalled; the benchmark tracer wraps it
 from .pde_solver import Trajectory, sym_gradient
 from .tensor_models import frob, phi, sym, v_map
@@ -229,7 +229,7 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
     rows = []
     for target, x_norm, time_p, alpha_pred in table:
         f = restrict(traj, cyl, target=target)
-        r = math.floor(alpha_pred + 1e-12) + 1  # difference order strictly above the prediction
+        r = natural_order(alpha_pred + 1e-12)  # difference order strictly above the prediction
         ks = dyadic_steps(f, r, delta)
         if len(ks) < 4:
             raise InsufficientResolutionError(
@@ -281,8 +281,7 @@ def _interior_norms(traj: Trajectory, cyl: SubCylinder, alpha: float, delta: flo
             # full-derivative row: divided differences up to the predicted order
             out[label] = ctx.sobolev_norm(int(alpha_pred), time_p)
         else:
-            r = math.floor(alpha_pred) + 1
-            out[label] = ctx.nikolskii_norm(alpha_pred, r, delta, time_p)
+            out[label] = ctx.nikolskii_norm(alpha_pred, natural_order(alpha_pred), delta, time_p)
     return out
 
 
@@ -298,8 +297,7 @@ def check_seminorm_bounds(traj: Trajectory, inner: SubCylinder, outer: SubCylind
     dt-halved trajectory is given, the per-norm refinement growth factor.
     """
     p = traj.model.p
-    regime = ee.classify(p, 2)
-    ceiling = ee.gamma0(p, 2) if regime is ee.Regime.FRACTIONAL else ee.gamma1(p, 2)
+    ceiling = ee.ceiling(p, 2)
     if alpha >= ceiling:
         raise PreconditionError(f"alpha = {alpha} is not below the predicted ceiling {ceiling}")
     if outer.r <= inner.r:
@@ -317,7 +315,7 @@ def check_seminorm_bounds(traj: Trajectory, inner: SubCylinder, outer: SubCylind
     kappa_hat = math.log(total) / math.log(bundle) \
         if total > 0 and abs(math.log(bundle)) > 1e-9 else math.nan
 
-    report = InteriorEstimateReport(case=regime.value, alpha=alpha, norms=norms,
+    report = InteriorEstimateReport(case=ee.classify(p, 2).value, alpha=alpha, norms=norms,
                                     bundle=bundle, kappa_hat=kappa_hat)
     if traj_fine is not None:
         fine = _interior_norms(traj_fine, cyl=inner, alpha=alpha, delta=delta)

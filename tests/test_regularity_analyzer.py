@@ -1,16 +1,20 @@
 """Trajectory restriction, slope estimation, and the two interior checks."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import symplap.exponent_engine as ee
 import symplap.function_spaces as fs
 import symplap.pde_solver as ps
 import symplap.regularity_analyzer as ra
 import symplap.tensor_models as tm
 from symplap.errors import (GeometryError, InsufficientResolutionError,
-                            PreconditionError)
+                            PreconditionError, UnreachableTargetError)
 
 LINEAR = tm.ModelParams(p=2, mu=1.0, model="A2")
 P3 = tm.ModelParams(p=3, mu=1.0, model="A2")
@@ -250,3 +254,68 @@ class TestInteriorEstimate:
         assert rep.case == "fractional"
         with pytest.raises(PreconditionError):
             ra.check_seminorm_bounds(traj, CYL, outer, alpha=0.55, delta=0.16)
+
+
+# p = 3.159424712356178, d = 2: the closed form gamma0 = 0.994836458341545 and
+# the recurrence's B/(1-A) = 0.9948364583415449 differ in the last bit
+FOUND_P = 3.159424712356178
+FOUND_ALPHA = 0.9948364583415449
+
+
+def _iterate_accepts(p, d, target) -> bool:
+    # the recurrence is stubbed: targets within ulps of the ceiling may run
+    # into its 100,000-step guard, and only the admission decision is tested
+    with mock.patch.object(ee, "_run_iteration", return_value=([0.0], 0, False, None)):
+        try:
+            ee.iterate(p, d, 0.0, target)
+        except UnreachableTargetError:
+            return False
+    return True
+
+
+def _bounds_accept(p, alpha) -> bool:
+    # a tiny trajectory whose inner time window breaks the interior margin:
+    # an admitted alpha gets as far as the margin check
+    grid = ps.TorusGrid(8)
+    traj = ps.Trajectory(np.zeros((3, 8, 8, 2)), 0.1, tm.ModelParams(p=p), grid)
+    inner = ra.SubCylinder(center=(math.pi, math.pi, 0.1), r=0.5)
+    outer = ra.SubCylinder(center=(math.pi, math.pi, 0.1), r=1.0)
+    try:
+        ra.check_seminorm_bounds(traj, inner, outer, alpha)
+    except PreconditionError:
+        return False
+    except GeometryError:
+        return True
+    raise AssertionError("the margin-violating cylinder was accepted")
+
+
+def _candidates(top):
+    return [top, np.nextafter(top, 0.0), np.nextafter(top, math.inf), FOUND_ALPHA]
+
+
+def _assert_one_ceiling(p, d):
+    top = ee.ceiling(p, d)
+    for a in _candidates(top):
+        assert _iterate_accepts(p, d, a) == (a < top), (p, d, a)
+    top2 = ee.ceiling(p, 2)
+    for a in _candidates(top2):
+        assert _bounds_accept(p, a) == (a < top2), (p, a)
+
+
+class TestOneCeiling:
+    def test_found_point_gets_one_decision(self):
+        top = ee.ceiling(FOUND_P, 2)
+        assert top == ee.gamma0(FOUND_P, 2)
+        assert FOUND_ALPHA < top
+        assert _iterate_accepts(FOUND_P, 2, FOUND_ALPHA)
+        assert _bounds_accept(FOUND_P, FOUND_ALPHA)
+        _assert_one_ceiling(FOUND_P, 2)
+
+    def test_limit_is_gamma0(self):
+        assert ee.iterate(FOUND_P, 2, 0.0, 0.5).limit == ee.gamma0(FOUND_P, 2)
+        assert ee.iterate(2, 2, 0.0, 1.2).limit == math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(min_value=2.0, max_value=12.0), d=st.sampled_from([2, 3]))
+    def test_iterate_and_bounds_share_the_ceiling(self, p, d):
+        _assert_one_ceiling(p, d)
