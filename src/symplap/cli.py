@@ -26,7 +26,7 @@ from . import pde_solver as ps
 from . import regularity_analyzer as ra
 from . import verify as vf
 from .corpus import build_corpus
-from .errors import SolverFailureError, UnreachableTargetError
+from .errors import SolverFailureError, UnreachableTargetError, require_finite
 from .tensor_models import ModelParams
 
 EXIT_OK = 0
@@ -112,7 +112,8 @@ def run_exponents(cfg: dict, out_dir: Path, seed: int) -> int:
     p_values = _floats(cfg.get("p_values", "2, 2.5, 3, 4"))
     d_values = _floats(cfg.get("d_values", "2, 3"))
     targets = _floats(cfg.get("targets", "0.4"))
-    _require(p_values, lambda p: p >= 2, "growth exponent {} is below 2")
+    for p in p_values:
+        require_finite("growth exponent p", p, at_least=2)
     _require(d_values, lambda d: d >= 1 and d.is_integer(), "dimension {} is not an integer >= 1")
     _require(targets, lambda t: t > 0, "target exponent {} is not positive")
     d_values = [int(d) for d in d_values]
@@ -163,7 +164,8 @@ def run_analyze(cfg: dict, out_dir: Path, seed: int) -> int:
     alphas = _floats(cfg.get("alphas", "0.25, 0.5, 0.75"))
     if not alphas:
         raise ValidationFailure("alphas lists no exponent")
-    _require(alphas, lambda a: a >= 0, "smoothness exponent {} in alphas is negative")
+    for a in alphas:
+        require_finite("smoothness exponent in alphas", a, at_least=0)
     delta = float(cfg.get("delta", 0.1))
     r = float(cfg.get("r", 0.85))
     big_r = float(cfg.get("big_r", 1.7))
@@ -235,9 +237,6 @@ def main(argv=None) -> int:
         # configuration problems: nothing has been written yet
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SolverFailureError as exc:
-        print(f"computation failure: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
 
 
 if __name__ == "__main__":

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for numeric parameters."""
+
+import math
+
+
+def require_finite(name: str, value, at_least=None, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a finite positive number,
+    or a finite number >= ``at_least`` when that is given.  NaN and infinities fail."""
+    if at_least is None:
+        ok, what = value > 0, "a finite positive number"
+    else:
+        ok, what = value >= at_least, f"a finite number >= {at_least:g}"
+    if not (math.isfinite(value) and ok):
+        raise error(f"{name} must be {what}, got {value!r}")
 
 
 class GridMismatchError(ValueError):

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stencil
-from .errors import (EmptyDomainError, GridMismatchError, PreconditionError)
+from .errors import EmptyDomainError, GridMismatchError, PreconditionError, require_finite
 
 # ---------------------------------------------------------------------------
 # spatial geometry and state-space norms
@@ -73,8 +73,7 @@ class SpaceGeometry:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("grid spacing must be positive")
+        require_finite("grid spacing h", self.h)
 
     def cell_measure(self) -> float:
         return self.h ** self.ndim
@@ -350,8 +349,7 @@ class TimeGridFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.dt <= 0:
-            raise ValueError("time step must be positive")
+        require_finite("time step dt", self.dt)
         if self.n_samples < 2:
             raise EmptyDomainError("a time-grid function needs at least two samples")
 
@@ -546,8 +544,7 @@ class SeminormSpec:
     x_norm: XNorm = EUCLID
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        require_finite("smoothness exponent alpha", self.alpha, at_least=0)
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
         if self.r is not None and self.r < natural_order(self.alpha):

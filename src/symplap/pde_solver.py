@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stencil
-from .errors import SolverFailureError, TimeStepError, TrajectoryFormatError
+from .errors import SolverFailureError, TimeStepError, TrajectoryFormatError, require_finite
 from .function_spaces import SpaceGeometry
 from .tensor_models import ModelParams, _phi_d_over_t, _rank_one_coefficient, phi
 # The step calls neither of these (..., 2, 2) maps; they stay attributes of this
@@ -291,11 +291,6 @@ def _forcing_term(ratio: float) -> float:
     return min(ETA_MAX, ETA_GAMMA * ratio**ETA_ALPHA)
 
 
-def _require_finite_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise TimeStepError(f"{name} must be a finite positive number, got {value!r}")
-
-
 def step_count(t_final: float, dt: float) -> int:
     """Number of steps of size ``dt`` to ``t_final``.
 
@@ -303,8 +298,8 @@ def step_count(t_final: float, dt: float) -> int:
     ``dt`` or ``t_final`` is not a finite positive number, or when
     ``t_final`` is not an integer multiple of ``dt`` to within 1e-9 steps.
     """
-    _require_finite_positive("dt", dt)
-    _require_finite_positive("t_final", t_final)
+    require_finite("dt", dt, error=TimeStepError)
+    require_finite("t_final", t_final, error=TimeStepError)
     n_steps = t_final / dt
     if abs(n_steps - round(n_steps)) > 1e-9:
         raise TimeStepError(f"t_final = {t_final!r} is not an integer multiple of dt = {dt!r}")
@@ -400,7 +395,7 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     run on plane-stored symmetric fields (:class:`_StepKernels`), bit for bit
     their (2, 2) forms.
     """
-    _require_finite_positive("dt", dt)
+    require_finite("dt", dt, error=TimeStepError)
     tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(u_prev))))
     l2_weight = grid.h  # sqrt(h^2) per sample
     kernels = _StepKernels(u_prev, dt, model, grid)

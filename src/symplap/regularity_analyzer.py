@@ -349,8 +349,8 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
     Rough initial data (the ``kink`` tag) voids the bounded-time-derivative
     hypothesis; such runs are flagged, not failed.
     """
-    if big_r <= r:
-        raise GeometryError("need r < R")
+    if not 0 < r < big_r:  # the ball masks see only r**2 and R**2
+        raise GeometryError(f"need 0 < r < R, got r = {r}, R = {big_r}")
     _check_radius(big_r)
     grid = traj.grid
     mask_r = _ball_mask(grid, center_xy, r)

@@ -34,33 +34,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePairError
+from .errors import DegeneratePairError, require_finite
 
 MODELS = ("A1", "A2")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Growth exponent, safety parameter and model selector.
-
-    ``d`` is the spatial dimension carried along for dimension-dependent
-    consumers (the solver fixes d = 2, the exponent engine accepts 2 or 3).
-    """
+    """Growth exponent, safety parameter and model selector."""
 
     p: float
     mu: float = 1.0
     model: str = "A2"
-    d: int = 2
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"growth exponent p must be >= 2, got {self.p}")
-        if self.mu <= 0:
-            raise ValueError(f"safety parameter mu must be positive, got {self.mu}")
+        require_finite("growth exponent p", self.p, at_least=2)
+        require_finite("safety parameter mu", self.mu)
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.d not in (2, 3):
-            raise ValueError(f"spatial dimension must be 2 or 3, got {self.d}")
 
     @property
     def phi_dd0(self) -> float:
@@ -284,7 +275,7 @@ def measure_assumption_bands(params: ModelParams, n_pairs: int = 10_000, seed: i
     the test suite can freeze it as a regression baseline.
     """
     rng = np.random.default_rng(seed)
-    p_mat, q_mat = sample_symmetric_pairs(rng, n_pairs, d=params.d, radius=radius)
+    p_mat, q_mat = sample_symmetric_pairs(rng, n_pairs, radius=radius)
     r1, r2 = equivalence_ratios(p_mat, q_mat, params)
     lip = lipschitz_ratio(p_mat, q_mat, params)
     return {

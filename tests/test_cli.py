@@ -1,6 +1,10 @@
 """End-to-end CLI: config handling, artifacts, determinism, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +80,17 @@ class TestSolve:
         assert run(["solve", "--config", cfg, "--out", out]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("p, mu, name", [("nan", "1.0", "growth exponent p"),
+                                             ("inf", "1.0", "growth exponent p"),
+                                             ("3", "nan", "safety parameter mu")])
+    def test_non_finite_model_parameter_writes_nothing(self, tmp_path, capsys, p, mu, name):
+        body = SOLVE_BODY.format(p=p, t_final=0.02, ic="eigenfield").replace("mu = 1.0", f"mu = {mu}")
+        cfg = write_config(tmp_path / "m.ini", body)
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert f"validation error: {name} must be a finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dt, t_final, name", [
         ("0.002", "inf", "t_final"), ("inf", "0.02", "dt"), ("nan", "0.02", "dt"),
         ("0", "0.02", "dt"), ("-0.002", "0.02", "dt"), ("0.002", "-0.02", "t_final")])
@@ -150,12 +165,33 @@ targets = 0.4
         cfg = write_config(tmp_path / "e.ini", "[exponents]\np_values = 1.0\n")
         assert run(["exponents", "--config", cfg, "--out", tmp_path / "o"]) == 1
 
+    def test_non_finite_p_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "e.ini", "[exponents]\np_values = 3, inf\n")
+        out = tmp_path / "o"
+        assert run(["exponents", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert "growth exponent p must be a finite number >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["targets = -0.5, 0", "d_values = -4", "d_values = 2.5"])
     def test_invalid_target_or_dimension_writes_nothing(self, tmp_path, line):
         cfg = write_config(tmp_path / "e.ini", f"[exponents]\np_values = 3\n{line}\n")
         out = tmp_path / "o"
         assert run(["exponents", "--config", cfg, "--out", out]) == 1
         assert not out.exists()
+
+    def test_module_entry_point_matches_main(self, tmp_path):
+        cfg = write_config(tmp_path / "e.ini", "[exponents]\np_values = 2, 3, 4\ntargets = 0.4, 1.03\n")
+        src = str(Path(ra.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "symplap", "exponents", "--config", cfg,
+                               "--out", str(tmp_path / "module")],
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert run(["exponents", "--config", cfg, "--out", tmp_path / "main"]) == 0
+        module_csv = (tmp_path / "module" / "exponents.csv").read_bytes()
+        assert module_csv == (tmp_path / "main" / "exponents.csv").read_bytes()
+        assert len(module_csv.splitlines()) == 7
 
 
 class TestVerify:
@@ -277,7 +313,8 @@ big_r = 3.1
     @pytest.mark.parametrize("key,value,message", [("r", "-0.5", "radius"),
                                                    ("time_halfwidth", "0", "time_halfwidth"),
                                                    ("big_r", "0.5", "big_r"),
-                                                   ("alphas", "-1, 0.5", "alphas")])
+                                                   ("alphas", "-1, 0.5", "alphas"),
+                                                   ("alphas", "0.5, inf", "alphas")])
     def test_out_of_range_value_is_validation_error(self, tmp_path, solved, capsys, key, value,
                                                     message):
         settings = dict(trajectory=solved, alphas="0.5", delta="0.15", r="0.85", big_r="1.7",

@@ -110,6 +110,16 @@ def test_unreachable_targets():
         ee.iterate(3, 3, 0.5, 0.25)     # alpha0 >= target
 
 
+def test_second_launch_reaches_the_crossing_ceiling():
+    # p = 3, d = 2: the first crossing step's open cap misses 1.03, so one more
+    # launch from bases approaching 1 is counted and the cap rises to gamma1
+    tr = ee.iterate(3, 2, 0.0, 1.03)
+    assert tr.n_steps == 9
+    assert tr.crossed_one
+    assert tr.cap == ee.gamma1(3, 2)
+    assert len(tr.alphas) == 8
+
+
 def test_steps_to_matches_constructor():
     tr = ee.iterate(3, 3, 0.0, 0.9)
     assert tr.steps_to(0.9) == tr.n_steps

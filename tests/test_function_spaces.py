@@ -68,6 +68,21 @@ class TestHigherDifference:
             fs.higher_difference(f, 2, 200 * f.dt)
 
 
+class TestNonFiniteParameters:
+    def test_time_step(self):
+        with pytest.raises(ValueError, match="^time step dt must be a finite positive number"):
+            fs.TimeGridFunction(np.zeros(4), 0.0, math.nan)
+
+    def test_grid_spacing(self):
+        with pytest.raises(ValueError, match="^grid spacing h must be a finite positive number"):
+            fs.SpaceGeometry(h=math.nan)
+
+    @pytest.mark.parametrize("alpha, r", [(math.nan, None), (math.inf, 3)])
+    def test_smoothness_exponent(self, alpha, r):
+        with pytest.raises(ValueError, match="^smoothness exponent alpha must be a finite number >= 0"):
+            fs.SeminormSpec(alpha=alpha, p=2.0, r=r)
+
+
 class TestSeminorm:
     def test_constant_seminorm_zero(self):
         f = grid_fn(lambda t: np.full_like(t, 4.0))

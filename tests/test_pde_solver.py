@@ -277,6 +277,28 @@ class TestSolve:
         with pytest.raises(TimeStepError, match=f"^{name} must be a finite positive number"):
             ps.solve(ps.SpatialField.zero(grid32), t_final, dt, P3)
 
+    def test_failed_step_keeps_the_solved_snapshots(self, monkeypatch):
+        grid = ps.TorusGrid(16)
+        u0 = ps.initial_condition("random_smooth", grid, seed=3)
+        solved = ps.solve(u0, 0.05, 0.01, P3)
+        real_step, calls = ps.step, []
+
+        def fails_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise SolverFailureError("forced failure")
+            return real_step(*args)
+
+        monkeypatch.setattr(ps, "step", fails_third)
+        with pytest.raises(SolverFailureError) as failure:
+            ps.solve(u0, 0.05, 0.01, P3, meta={"ic": "random_smooth"})
+        assert failure.value.step_index == 2
+        partial = failure.value.partial
+        assert partial.snapshots.shape == (3, 16, 16, 2)
+        assert np.array_equal(partial.snapshots.view(np.uint64), solved.snapshots[:3].view(np.uint64))
+        assert partial.meta == {"ic": "random_smooth", "failed_at_step": 2}
+        assert len(partial.diagnostics) == 2
+
     def test_linear_decay_against_exact_solution(self):
         grid = ps.TorusGrid(16)
         u0 = ps.initial_condition("eigenfield", grid)

@@ -190,6 +190,12 @@ class TestBallEstimate:
         with pytest.raises(GeometryError):
             ra.check_caccioppoli(p2_traj, (math.pi, math.pi), 1.7, 0.85)
 
+    @pytest.mark.parametrize("r", [-0.85, 0.0, math.nan])
+    def test_non_positive_inner_radius_rejected(self, p2_traj, r):
+        # the ball mask reads only r**2, so r = -0.85 would pass for 0.85
+        with pytest.raises(GeometryError, match="need 0 < r < R"):
+            ra.check_caccioppoli(p2_traj, (math.pi, math.pi), r, 1.7)
+
 
 class TestInteriorEstimate:
     def test_alpha_above_ceiling_rejected(self, p2_traj):

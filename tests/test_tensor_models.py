@@ -180,6 +180,18 @@ class TestStressAndVMap:
             assert np.all(np.isfinite(out))
 
 
+class TestModelParams:
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_growth_exponent_rejected(self, p):
+        with pytest.raises(ValueError, match="^growth exponent p must be a finite number >= 2"):
+            tm.ModelParams(p=p)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_safety_parameter_rejected(self, mu):
+        with pytest.raises(ValueError, match="^safety parameter mu must be a finite positive number"):
+            tm.ModelParams(p=3.0, mu=mu)
+
+
 class TestEquivalence:
     def test_linear_case_ratios_are_one(self):
         # at p = 2, mu = 1 (A2) all three quadratic forms coincide
