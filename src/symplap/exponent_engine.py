@@ -30,7 +30,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import UnreachableTargetError, UnsupportedDimensionError
+from .errors import UnreachableTargetError, UnsupportedDimensionError, require_finite
 
 
 class Regime(enum.Enum):
@@ -53,8 +53,7 @@ def gamma0(p, d):
 
 def gamma1(p, d):
     """Crossing ceiling 2/p + p/(d(p-2)+2p); defined for all p >= 2."""
-    if p < 2:
-        raise ValueError("gamma1 requires p >= 2")
+    require_finite("growth exponent p", p, at_least=2)
     return 2 / p + p / (d * (p - 2) + 2 * p)
 
 
@@ -65,8 +64,7 @@ def recurrence_coefficients(p, d):
     p > 2 we have A in (0,1) and B > 0, so the sequence contracts onto
     B/(1-A) = gamma0.  In every case A + B = gamma1.
     """
-    if p < 2:
-        raise ValueError("recurrence requires p >= 2")
+    require_finite("growth exponent p", p, at_least=2)
     if p == 2:
         return p - 1, (p - 1) / 2  # (1, 1/2) in the caller's own arithmetic
     denom = d * (p - 2) + 2 * p
@@ -80,8 +78,7 @@ def classify(p, d) -> Regime:
     ``p >= 2 + 2/sqrt(d+1)`` but rational in (p, d), hence exact for exact
     inputs.  The boundary itself belongs to the Fractional regime.
     """
-    if p < 2:
-        raise ValueError("classification requires p >= 2")
+    require_finite("growth exponent p", p, at_least=2)
     if p == 2:
         return Regime.HEAT
     return Regime.FRACTIONAL if gamma0(p, d) <= 1 else Regime.FULL_DERIVATIVE
@@ -213,8 +210,7 @@ def interp_params(theta, p, d) -> InterpParams:
     """
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
-    if p < 2:
-        raise ValueError("interpolation requires p >= 2")
+    require_finite("growth exponent p", p, at_least=2)
     alpha_coeff = (2 + (p - 2) * theta / 2) / p
     alpha_const = theta / 2
     p0 = 2 * p / (theta * (p - 2) + 2)

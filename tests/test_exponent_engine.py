@@ -120,6 +120,17 @@ def test_second_launch_reaches_the_crossing_ceiling():
     assert len(tr.alphas) == 8
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_non_finite_growth_exponent_rejected(p):
+    # inf once classified as full-derivative through nan comparisons and
+    # then spun the 100,000-step guard of the iteration
+    for call in (ee.classify, ee.gamma1, ee.recurrence_coefficients, ee.ceiling):
+        with pytest.raises(ValueError, match="^growth exponent p must be a finite number >= 2"):
+            call(p, 2)
+    with pytest.raises(ValueError, match="^growth exponent p"):
+        ee.iterate(p, 2, 0.0, 0.4)
+
+
 def test_steps_to_matches_constructor():
     tr = ee.iterate(3, 3, 0.0, 0.9)
     assert tr.steps_to(0.9) == tr.n_steps
