@@ -117,7 +117,6 @@ def run_exponents(cfg: dict, out_dir: Path, seed: int) -> int:
     _require(d_values, lambda d: d >= 1 and d.is_integer(), "dimension {} is not an integer >= 1")
     _require(targets, lambda t: t > 0, "target exponent {} is not positive")
     d_values = [int(d) for d in d_values]
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for p in p_values:
         for d in d_values:
@@ -132,6 +131,7 @@ def run_exponents(cfg: dict, out_dir: Path, seed: int) -> int:
                     cols.append("unreachable")
             rows.append(cols)
     header = ["p", "d", "regime", "gamma0", "gamma1"] + [f"steps_to_{t:g}" for t in targets]
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "exponents.csv", header, rows)
     print(f"wrote {out_dir / 'exponents.csv'} ({len(rows)} rows)")
     return EXIT_OK

@@ -118,10 +118,15 @@ class IterationTrace:
         return n
 
 
-def _run_iteration(A, B, alpha0, target, g1, max_steps=100_000):
-    """Shared recurrence loop; returns (alphas, n_steps, crossed, cap)."""
+def _run_iteration(A, B, alpha0, target, g1):
+    """Shared recurrence loop; returns (alphas, n_steps, crossed, cap).
+
+    Every step either raises alpha or ends the loop, so it terminates: a step
+    that no longer raises alpha means the float recurrence has settled below
+    the target (just under gamma0), and the target is unreachable.
+    """
     alphas = [alpha0]
-    while len(alphas) <= max_steps:
+    while True:
         nxt = A * alphas[-1] + B
         if nxt > 1:
             # Crossing step: from a base <= 1 every exponent strictly below
@@ -132,10 +137,12 @@ def _run_iteration(A, B, alpha0, target, g1, max_steps=100_000):
             if target < cap:
                 return alphas, len(alphas), True, cap
             return alphas, len(alphas) + 1, True, g1
+        if nxt <= alphas[-1]:
+            raise UnreachableTargetError(
+                f"target {target} lies above {alphas[-1]!r}, where the iteration settles")
         alphas.append(nxt)
         if nxt >= target:
             return alphas, len(alphas) - 1, False, None
-    raise RuntimeError("exponent iteration failed to terminate; target too close to the ceiling")
 
 
 def iterate(p, d, alpha0=0.0, target=None) -> IterationTrace:
@@ -143,7 +150,8 @@ def iterate(p, d, alpha0=0.0, target=None) -> IterationTrace:
 
     Preconditions: ``0 <= alpha0 < target`` and the target must lie strictly
     below :func:`ceiling`; beyond it the recurrence cannot reach and an
-    UnreachableTargetError is raised.
+    UnreachableTargetError is raised.  So is it for a target just under
+    gamma0 that the float recurrence settles below.
     """
     if target is None:
         raise ValueError("iterate requires an explicit target exponent")

@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import stencil
 from .errors import EmptyDomainError, GridMismatchError, PreconditionError, require_finite
@@ -236,21 +237,21 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     rows, reduce = _feature_map(np.asarray(values, dtype=float), norm, geom)
     l2 = reduce is _l2
     top = float(max(rows.view(float).max(), -rows.view(float).min())) if rows.size else 0.0
-    exp = _unit_exponent(top, norm.q)
+    exp = int(_unit_exponent(top, norm.q))
     if exp:
         rows = np.ldexp(rows.view(float), -exp).view(rows.dtype)
         return rows, lambda r: np.ldexp(reduce(r), exp), l2
     return rows, reduce, l2
 
 
-def _unit_exponent(top: float, q: float) -> int:
-    """Power of two that brings ``top`` into [1/2, 1) when the q-th powers
+def _unit_exponent(top, q: float) -> np.ndarray:
+    """Power of two that brings each ``top`` into [1/2, 1) when the q-th powers
     (squares for q <= 2 or q = inf) of numbers of that size would leave the
-    normal float range; 0, i.e. no scaling, otherwise."""
+    normal float range; 0, i.e. no scaling, otherwise.  Elementwise."""
     k = 800.0 / (q if 2.0 < q < math.inf else 2.0)
-    if 0.0 < top < math.inf and not 2.0**-k < top < 2.0**k:
-        return math.frexp(top)[1]
-    return 0
+    top = np.asarray(top, dtype=float)
+    scale = (0.0 < top) & (top < math.inf) & ~((2.0**-k < top) & (top < 2.0**k))
+    return np.where(scale, np.frexp(top)[1], 0)
 
 
 def _feature_map(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
@@ -380,21 +381,53 @@ def _binomial_weights(r: int) -> np.ndarray:
     return _BINOM_SIGNS[r]
 
 
+def _difference_length(n: int, r: int, k: int, dt: float) -> int:
+    """Samples n - r*k left by an order-r difference at step k*dt; raises below two."""
+    m = n - r * k
+    if m < 2:
+        raise EmptyDomainError(
+            f"difference of order {r} at step {k * dt} leaves an empty interval")
+    return m
+
+
+def _lag_windows(a: np.ndarray, start: int, step: int, lags: int, m: int) -> np.ndarray:
+    """Strided view ``out[l, i] = a[start + l*step + i]`` of shape (lags, m, ...).
+
+    Entries past the end of ``a`` read as zero; only then are the samples
+    from ``start`` on copied, with the missing zero samples appended.
+    """
+    a = a[start:]
+    short = (lags - 1) * step + m - a.shape[0]
+    if short > 0:
+        a = np.concatenate([a, np.zeros((short,) + a.shape[1:], a.dtype)])
+    return np.moveaxis(sliding_window_view(a, m, axis=0)[::step][:lags], -1, 1)
+
+
+def _differences(a: np.ndarray, r: int, k0: int, lags: int) -> np.ndarray:
+    """Binomial stencils sum_j (-1)**(r-j) C(r,j) a[j*k + i] along axis 0 for
+    the steps k = k0 .. k0 + lags - 1, as one array of shape
+    (lags, len(a) - r*k0, ...).
+
+    Entry i of lag k is ``w0*a + w1*b + ...`` in that order, whatever the
+    block; only its first len(a) - r*k entries are stencils that fit, the
+    rest read zeros past the end of ``a``.
+    """
+    m0 = a.shape[0] - r * k0
+    weights = _binomial_weights(r)
+    out = weights[0] * a[None, :m0]  # as many axes as the sum, so numpy adds in place
+    for j in range(1, r + 1):
+        out = out + weights[j] * _lag_windows(a, j * k0, j, lags, m0)
+    return out
+
+
 def _difference(a: np.ndarray, r: int, k: int, dt: float) -> np.ndarray:
     """Binomial stencil sum_j (-1)**(r-j) C(r,j) a[j*k + i] along axis 0.
 
     ``a`` holds samples spaced dt apart; the result keeps the len(a) - r*k
     indices whose stencil fits.  Raises when fewer than two survive.
     """
-    m = a.shape[0] - r * k
-    if m < 2:
-        raise EmptyDomainError(
-            f"difference of order {r} at step {k * dt} leaves an empty interval")
-    weights = _binomial_weights(r)
-    out = weights[0] * a[:m]
-    for j in range(1, r + 1):
-        out = out + weights[j] * a[j * k : j * k + m]
-    return out
+    _difference_length(a.shape[0], r, k, dt)
+    return _differences(a, r, k, 1)[0]
 
 
 def higher_difference(f: TimeGridFunction, r: int, h: float) -> TimeGridFunction:
@@ -418,17 +451,33 @@ def time_lp(sample_norms: np.ndarray, p: float, dt: float) -> float:
     calculus needs -- while constants keep their exact measure-weighted value.
     """
     g = np.asarray(sample_norms, dtype=float)
-    m = g.shape[0]
-    if m == 0:
+    if g.shape[0] == 0:
         raise EmptyDomainError("empty index set in time norm")
+    return _time_lp_rows(g[None], [g.shape[0]], p, dt)[0]
+
+
+def _time_lp_rows(g: np.ndarray, lengths, p: float, dt: float) -> list:
+    """``time_lp`` of each row ``g[i, :lengths[i]]``; entries past a row's
+    length must be zero.  The power is taken over the whole block; each row's
+    sum is its own pairwise ``np.add.reduce`` (what ``np.sum`` calls), and the
+    root and the exponent are per-row scalar steps, so every value equals the
+    one-row evaluation bit for bit."""
+    top = np.max(g, axis=1)
     if math.isinf(p):
-        return float(np.max(g))
-    w = (m - 1) / m * dt
-    exp = _unit_exponent(float(np.max(g)), p)  # p-th powers of tiny or huge norms
-    return float(np.ldexp((w * np.sum(np.ldexp(g, -exp) ** p)) ** (1.0 / p), exp))
+        return top.tolist()
+    exp = _unit_exponent(top, p)  # p-th powers of tiny or huge norms
+    powers = (np.ldexp(g, -exp[:, None]) if exp.any() else g) ** p
+    out = []
+    for row, m, e in zip(powers, lengths, exp.tolist()):
+        w = (m - 1) / m * dt
+        out.append(float(np.ldexp((w * np.add.reduce(row[:m])) ** (1.0 / p), e)))
+    return out
 
 
 _EPS = np.finfo(float).eps
+_LAG_BLOCK_ELEMENTS = 2**16  # differenced entries per block of lags
+_LAG_BLOCK_LAGS = 128
+
 
 
 class _NormContext:
@@ -453,6 +502,7 @@ class _NormContext:
         self.scale = float(np.max(self.sample_norms)) if len(self.sample_norms) else 0.0
         coords = _row_space_coordinates(rows) if l2 else None
         self.rows = rows if coords is None else coords
+        self._profiles = {}
 
     def lp_norm(self, p: float) -> float:
         return time_lp(self.sample_norms, p, self.f.dt)
@@ -461,13 +511,58 @@ class _NormContext:
         """Feature rows of D_h^r f at h = k*dt (differences commute with the map)."""
         return _difference(self.rows, r, k, self.f.dt)
 
+    def _lag_blocks(self, r: int, first: int, last: int):
+        """(k0, lags) blocks covering lags first..last, each differencing at
+        most ``_LAG_BLOCK_ELEMENTS`` entries and ``_LAG_BLOCK_LAGS`` lags."""
+        n, width = self.rows.shape
+        k = first
+        while k <= last:
+            per_lag = max(1, (n - r * k) * width)
+            lags = min(_LAG_BLOCK_LAGS, max(1, _LAG_BLOCK_ELEMENTS // per_lag), last - k + 1)
+            yield k, lags
+            k += lags
+
+    def _block_sample_norms(self, r: int, k0: int, lags: int, floor: float):
+        """Per-sample norms of D_h^r f at h = k*dt for k = k0..k0+lags-1.
+
+        Returns ``(g, m)``: g has shape (lags, m[0]) and row l holds the
+        m[l] = n - r*k sample norms of lag k = k0 + l, then zeros; values at
+        or below ``floor`` are zero too.  The stencils of ``_differences``
+        are reduced row by row, so each value equals the one-lag evaluation
+        bit for bit.
+        """
+        m0 = self.rows.shape[0] - r * k0
+        diff = _differences(self.rows, r, k0, lags)
+        vals = self.reduce(diff.reshape(lags * m0, self.rows.shape[1])).reshape(lags, m0)
+        g = np.where(vals <= floor, 0.0, vals)
+        tail = r * (lags - 1)  # the tails all lie in the last columns, as a staircase
+        if tail:
+            g[:, -tail:][np.arange(tail) >= tail - r * np.arange(lags)[:, None]] = 0.0
+        return g, list(range(m0, m0 - r * lags, -r))
+
+    def _difference_norms(self, r: int, k0: int, lags: int, p: float) -> list:
+        _difference_length(self.rows.shape[0], r, k0 + lags - 1, self.f.dt)
+        g, m = self._block_sample_norms(r, k0, lags, 32.0 * 2.0**r * _EPS * self.scale)
+        return _time_lp_rows(g, m, p, self.f.dt)
+
     def difference_sample_norms(self, r: int, k: int) -> np.ndarray:
-        vals = self.reduce(self.difference_rows(r, k))
-        floor = 32.0 * 2.0**r * _EPS * self.scale
-        return np.where(vals <= floor, 0.0, vals)
+        """Per-sample norms of D_h^r f at h = k*dt, snapped to the rounding floor."""
+        _difference_length(self.rows.shape[0], r, k, self.f.dt)
+        return self._block_sample_norms(r, k, 1, 32.0 * 2.0**r * _EPS * self.scale)[0][0]
 
     def difference_norm(self, r: int, k: int, p: float) -> float:
-        return time_lp(self.difference_sample_norms(r, k), p, self.f.dt)
+        return self._difference_norms(r, k, 1, p)[0]
+
+    def lag_profile(self, r: int, K: int, p: float) -> np.ndarray:
+        """|D_h^r f|_{L^p(X)} at h = k*dt for k = 1..K, as one array.
+
+        Computed in blocks of lags and kept per (r, p): a later call with a
+        larger K only computes the lags beyond the ones already known.
+        """
+        profile = self._profiles.setdefault((r, p), [])
+        for k0, lags in self._lag_blocks(r, len(profile) + 1, K):
+            profile.extend(self._difference_norms(r, k0, lags, p))
+        return np.array(profile[:K])
 
     def seminorm(self, alpha: float, r: int, delta: float, p: float) -> float:
         """sup over admissible h <= delta of h**(-alpha) |D_h^r f|_{L^p(X)}."""
@@ -476,9 +571,8 @@ class _NormContext:
             raise EmptyDomainError(
                 f"no admissible step h <= {delta} for order-{r} differences")
         best = 0.0
-        for k in ks:
-            h = k * self.f.dt
-            best = max(best, h ** (-alpha) * self.difference_norm(r, k, p))
+        for k, norm in zip(ks, self.lag_profile(r, len(ks), p).tolist()):
+            best = max(best, (k * self.f.dt) ** (-alpha) * norm)
         return float(best)
 
     def nikolskii_norm(self, alpha: float, r: int, delta: float, p: float) -> float:
@@ -495,10 +589,11 @@ class _NormContext:
     def holder_seminorm(self, lam: float) -> float:
         """sup_{s != t} |f(t) - f(s)|_X / |t - s|**lam over all sample pairs."""
         best = 0.0
-        for k in range(1, self.f.n_samples):
-            diff = self.reduce(self.rows[k:] - self.rows[:-k])
-            best = max(best, np.max(diff) / (k * self.f.dt) ** lam)
-        return float(best)
+        for k0, lags in self._lag_blocks(1, 1, self.f.n_samples - 1):
+            top = np.max(self._block_sample_norms(1, k0, lags, -math.inf)[0], axis=1)
+            steps = [(k * self.f.dt) ** lam for k in range(k0, k0 + lags)]
+            best = float(np.fmax.reduce(top / steps, initial=best))  # NaN lags never win
+        return best
 
 
 def lp_norm(f: TimeGridFunction, p: float, x_norm: XNorm = EUCLID) -> float:

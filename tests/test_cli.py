@@ -179,6 +179,14 @@ targets = 0.4
         assert run(["exponents", "--config", cfg, "--out", out]) == 1
         assert not out.exists()
 
+    def test_target_the_iteration_settles_below_is_unreachable(self, tmp_path):
+        cfg = write_config(tmp_path / "e.ini", "[exponents]\np_values = 3.159424712356178\n"
+                           "d_values = 2\ntargets = 0.9, 0.9948364583415449\n")
+        out = tmp_path / "o"
+        assert run(["exponents", "--config", cfg, "--out", out]) == 0
+        row = (out / "exponents.csv").read_text().strip().splitlines()[1].split(",")
+        assert row[-1] == "unreachable" and row[-2].isdigit()
+
     def test_module_entry_point_matches_main(self, tmp_path):
         cfg = write_config(tmp_path / "e.ini", "[exponents]\np_values = 2, 3, 4\ntargets = 0.4, 1.03\n")
         src = str(Path(ra.__file__).resolve().parents[1])

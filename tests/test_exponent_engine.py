@@ -110,6 +110,17 @@ def test_unreachable_targets():
         ee.iterate(3, 3, 0.5, 0.25)     # alpha0 >= target
 
 
+def test_target_where_the_float_recurrence_settles_is_unreachable():
+    # gamma0 = 0.994836458341545, but the float recurrence settles one ulp
+    # lower, at 0.9948364583415447; the target between them passes the ceiling
+    p, target = 3.159424712356178, 0.9948364583415449
+    assert target < ee.ceiling(p, 2)
+    with pytest.raises(UnreachableTargetError, match="0.9948364583415447"):
+        ee.iterate(p, 2, 0.0, target)
+    with pytest.raises(UnreachableTargetError):
+        ee.iterate(p, 2, 0.0, 0.99).steps_to(target)
+
+
 def test_second_launch_reaches_the_crossing_ceiling():
     # p = 3, d = 2: the first crossing step's open cap misses 1.03, so one more
     # launch from bases approaching 1 is counted and the cap rises to gamma1
