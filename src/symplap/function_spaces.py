@@ -33,7 +33,9 @@ gradients, FFTs or dictionary pairings per step.  Time norms have one
 evaluator, ``_NormContext``, built once per (function, X-norm) by every check.
 Its difference norms, W^{k,p} divided differences included, snap values below
 the binomial-stencil rounding floor to zero; the Hoelder sup and the Marchaud
-remainder report raw values.
+remainder report raw values.  It differences whole blocks of lags at once and
+keeps the difference norms of lags 1..K per (r, p) (``lag_profile``); every
+value equals the one-lag evaluation bit for bit.
 
 For an l2 reduction whose feature rows are numerically of low rank, the
 context differences the rows' coordinates in an orthonormal basis Q of their
@@ -396,6 +398,8 @@ def _lag_windows(a: np.ndarray, start: int, step: int, lags: int, m: int) -> np.
     Entries past the end of ``a`` read as zero; only then are the samples
     from ``start`` on copied, with the missing zero samples appended.
     """
+    if lags == 1:
+        return a[None, start : start + m]
     a = a[start:]
     short = (lags - 1) * step + m - a.shape[0]
     if short > 0:
