@@ -544,15 +544,18 @@ class _NormContext:
             g[:, -tail:][np.arange(tail) >= tail - r * np.arange(lags)[:, None]] = 0.0
         return g, list(range(m0, m0 - r * lags, -r))
 
-    def _difference_norms(self, r: int, k0: int, lags: int, p: float) -> list:
+    def _snapped_block(self, r: int, k0: int, lags: int):
+        """``_block_sample_norms`` snapped to the rounding floor; raises when
+        the last lag leaves fewer than two samples."""
         _difference_length(self.rows.shape[0], r, k0 + lags - 1, self.f.dt)
-        g, m = self._block_sample_norms(r, k0, lags, 32.0 * 2.0**r * _EPS * self.scale)
-        return _time_lp_rows(g, m, p, self.f.dt)
+        return self._block_sample_norms(r, k0, lags, 32.0 * 2.0**r * _EPS * self.scale)
+
+    def _difference_norms(self, r: int, k0: int, lags: int, p: float) -> list:
+        return _time_lp_rows(*self._snapped_block(r, k0, lags), p, self.f.dt)
 
     def difference_sample_norms(self, r: int, k: int) -> np.ndarray:
         """Per-sample norms of D_h^r f at h = k*dt, snapped to the rounding floor."""
-        _difference_length(self.rows.shape[0], r, k, self.f.dt)
-        return self._block_sample_norms(r, k, 1, 32.0 * 2.0**r * _EPS * self.scale)[0][0]
+        return self._snapped_block(r, k, 1)[0][0]
 
     def difference_norm(self, r: int, k: int, p: float) -> float:
         return self._difference_norms(r, k, 1, p)[0]
