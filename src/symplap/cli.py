@@ -174,6 +174,11 @@ def run_analyze(cfg: dict, out_dir: Path, seed: int) -> int:
     for radius in (r, big_r):
         ra._check_radius(radius)  # the margin rule of the sweep and the ball estimate
     traj = ps.load_trajectory(traj_path)
+    ceiling = ee.ceiling(traj.model.p, 2)  # the interior estimate claims nothing at or above it
+    for a in alphas:
+        if a >= ceiling:
+            raise ValidationFailure(f"alpha = {a:g} in alphas is not below the regime ceiling "
+                                    f"{ceiling:g} of p = {traj.model.p:g}")
     center_frac = _floats(cfg.get("center", "0.5 0.5"))
     if len(center_frac) != 2:
         raise ValidationFailure(f"center needs two fractions, got {len(center_frac)}")

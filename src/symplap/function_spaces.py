@@ -205,16 +205,32 @@ def _lq_reduction(points: int, comps: list, q: float, cell: float):
     combination of the per-block norms.
     """
     def reduce(rows: np.ndarray) -> np.ndarray:
-        m, mags, start = rows.shape[0], [], 0
-        for c in comps:
+        m, start = rows.shape[0], 0
+        mag = np.empty((m, points * len(comps)))
+        for b, c in enumerate(comps):
             block = rows[:, start : start + points * c].reshape(m, points, c)
-            mags.append(np.abs(block[:, :, 0]) if c == 1 else np.sqrt(np.sum(block**2, axis=2)))
+            _magnitude(block, mag[:, b * points : (b + 1) * points])
             start += points * c
-        mag = np.concatenate(mags, axis=1)
         if math.isinf(q):
             return np.max(mag, axis=1) if mag.size else np.zeros(m)
         return (cell * np.sum(mag**q, axis=1)) ** (1.0 / q)
     return reduce
+
+
+def _magnitude(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Euclidean magnitude over the last axis of ``block``, written into ``out``.
+
+    The squares are summed plane by plane from the first component on, the
+    order in which ``np.sum(block**2, axis=-1)`` adds them, bit for bit, but
+    on unit-stride planes instead of a short trailing axis.
+    """
+    if block.shape[-1] == 1:
+        return np.abs(block[..., 0], out=out)
+    np.square(block[..., 0], out=out)
+    work = np.empty_like(out)
+    for j in range(1, block.shape[-1]):
+        out += np.square(block[..., j], out=work)
+    return np.sqrt(out, out=out)
 
 
 def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
@@ -267,12 +283,20 @@ def _feature_map(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
         flat = values.reshape((m,) + shape + (-1,))
         mat = _dictionary_functionals(geom, shape, flat.shape[-1], norm.q)
         return flat.reshape(m, -1) @ mat.T, _amax
-    fields = [values]
+    comps = [int(np.prod(values.shape[1 + geom.ndim :]))]
+    axes = range(1, 1 + geom.ndim)
+    if geom.mask is None:
+        fields = [values]
+        if norm.kind == "w1p":
+            fields.append(stencil.gradient(values, geom.h, axes))
+    else:
+        fields = [values[:, geom.mask]]
+        if norm.kind == "w1p":  # the gradient on the mask's box, exact on the mask
+            box = np.ix_(*stencil.periodic_box(geom.mask, 1))
+            grad = stencil.gradient(values[(slice(None),) + box], geom.h, axes)
+            fields.append(grad[:, geom.mask[box]])
     if norm.kind == "w1p":
-        fields.append(stencil.gradient(values, geom.h, range(1, 1 + geom.ndim)))
-    comps = [int(np.prod(f.shape[1 + geom.ndim :])) for f in fields]
-    if geom.mask is not None:
-        fields = [f[:, geom.mask] for f in fields]
+        comps.append(comps[0] * geom.ndim)
     rows = np.concatenate([f.reshape(m, -1) for f in fields], axis=1)
     if norm.q == 2.0:
         return math.sqrt(geom.cell_measure()) * rows, _l2

@@ -101,14 +101,24 @@ def ball_point_count(traj: Trajectory, cyl: SubCylinder) -> int:
     return int(np.sum(_ball_mask(traj.grid, cyl.center[:2], cyl.r)))
 
 
-def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u") -> TimeGridFunction:
+def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u", *,
+             _box: bool = False) -> TimeGridFunction:
     """Time-sampled restriction to the sub-cylinder.
 
     ``target`` selects the solution itself ("u") or the square-root field of
     its symmetrized gradient ("vmap", applied pointwise snapshot by snapshot
     before any differencing).  The ball enters as a norm mask; gradients keep
     using the ambient periodic field.
+
+    ``_box`` is for the analyzer's own rows that read the field only
+    pointwise on the ball (L^q norms): a "vmap" restriction is then evaluated
+    on the ball's periodic box with a one-point halo only
+    (:func:`stencil.periodic_box`), equal on the mask bit for bit and with
+    the masked entries in full-grid order.  "u" restrictions always keep the
+    full grid, which their dictionary and spectral norms need.
     """
+    if target not in ("u", "vmap"):
+        raise ValueError(f"unknown restriction target {target!r}")
     _check_margins(traj, cyl)
     lo, hi = cyl.time_window()
     k_lo = int(math.ceil(lo / traj.dt - 1e-9))
@@ -116,13 +126,14 @@ def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u") -> TimeGridF
     if k_hi - k_lo < 1:
         raise GeometryError("time window contains fewer than two snapshots")
     values = traj.snapshots[k_lo : k_hi + 1]
-    if target == "vmap":
-        values = v_map(sym_gradient(values, traj.grid), traj.model)
-    elif target != "u":
-        raise ValueError(f"unknown restriction target {target!r}")
     mask = _ball_mask(traj.grid, cyl.center[:2], cyl.r)
     if not mask.any():
         raise GeometryError(f"ball of radius {cyl.r} contains no grid nodes")
+    if target == "vmap":
+        if _box:
+            box = np.ix_(*stencil.periodic_box(mask, 1))
+            values, mask = values[(slice(None),) + box], mask[box]
+        values = v_map(sym_gradient(values, traj.grid), traj.model)
     return TimeGridFunction(values, t0=k_lo * traj.dt, dt=traj.dt,
                             geometry=traj.grid.geometry(mask))
 
@@ -228,7 +239,7 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
         table = regime_norm_table(traj.model.p, max(alphas))
     rows = []
     for target, x_norm, time_p, alpha_pred in table:
-        f = restrict(traj, cyl, target=target)
+        f = restrict(traj, cyl, target=target, _box=x_norm.kind == "lp")
         r = natural_order(alpha_pred + 1e-12)  # difference order strictly above the prediction
         ks = dyadic_steps(f, r, delta)
         if len(ks) < 4:
@@ -274,7 +285,7 @@ def _interior_norms(traj: Trajectory, cyl: SubCylinder, alpha: float, delta: flo
     p = traj.model.p
     out = {}
     for target, x_norm, time_p, alpha_pred in regime_norm_table(p, alpha):
-        f = restrict(traj, cyl, target=target)
+        f = restrict(traj, cyl, target=target, _box=x_norm.kind == "lp")
         ctx = _NormContext(f, x_norm)
         label = f"{target}:{x_norm.label()}:p{time_p:g}"
         if alpha_pred == int(alpha_pred):
@@ -345,6 +356,8 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
     the B_R integral of phi(|grad u|) + |u_t|^2, with u_t the backward divided
     difference the implicit stepper controls.  The observed lhs/rhs ratio is
     the quantity frozen as a regression baseline; lhs does not depend on R.
+    Each integral is evaluated on the periodic box of its ball
+    (:func:`stencil.periodic_box`), equal to the full-grid sum bit for bit.
 
     Rough initial data (the ``kink`` tag) voids the bounded-time-derivative
     hypothesis; such runs are flagged, not failed.
@@ -355,24 +368,30 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
     grid = traj.grid
     mask_r = _ball_mask(grid, center_xy, r)
     mask_R = _ball_mask(grid, center_xy, big_r)
+    # lhs differences u twice, rhs once: each works on its ball's box with that halo
+    box_r = np.ix_(*stencil.periodic_box(mask_r, 2))
+    box_R = np.ix_(*stencil.periodic_box(mask_R, 1))
+    in_r, in_R = mask_r[box_r], mask_R[box_R]
     h2 = grid.h**2
     phi_dd0 = traj.model.phi_dd0
 
     lhs = 0.0
     rhs_sup = 0.0
+    u_prev = traj.snapshots[0][box_R]
     for k in range(1, traj.n_steps + 1):
-        u = traj.snapshots[k]
-        grad_u = stencil.gradient(u, grid.h, (0, 1))
+        grad_u = stencil.gradient(traj.snapshots[k][box_r], grid.h, (0, 1))
         du = sym(grad_u)  # sym_gradient(u, grid) bit for bit, from the same differences
         vdu = v_map(du, traj.model)
         grad_v = stencil.gradient(vdu, grid.h, (0, 1))
         grad_du = stencil.gradient(du, grid.h, (0, 1))
         dens = np.sum(grad_v**2, axis=(-3, -2, -1)) + phi_dd0 * np.sum(grad_du**2, axis=(-3, -2, -1))
-        lhs = max(lhs, h2 * float(np.sum(dens[mask_r])))
+        lhs = max(lhs, h2 * float(np.sum(dens[in_r])))
 
-        ut = (traj.snapshots[k] - traj.snapshots[k - 1]) / traj.dt
-        dens_rhs = phi(frob(grad_u), traj.model) + np.sum(ut**2, axis=-1)
-        rhs_sup = max(rhs_sup, h2 * float(np.sum(dens_rhs[mask_R])))
+        u = traj.snapshots[k][box_R]
+        ut = (u - u_prev) / traj.dt
+        u_prev = u
+        dens_rhs = phi(frob(stencil.gradient(u, grid.h, (0, 1))), traj.model) + np.sum(ut**2, axis=-1)
+        rhs_sup = max(rhs_sup, h2 * float(np.sum(dens_rhs[in_R])))
 
     rhs = (1.0 + 1.0 / phi_dd0) / (big_r - r) ** 2 * rhs_sup
     observed = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)

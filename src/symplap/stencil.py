@@ -15,9 +15,12 @@ def difference(a: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarra
     """Centred periodic difference of ``a`` along ``axis`` (of any length), written into ``out``.
 
     Both arrays are indexed with slice tuples along ``axis``; the two
-    wrap-around rows are length-1 slices, so 1-D arrays work as well.
+    wrap-around rows are length-1 slices, so 1-D arrays work as well.  An
+    empty axis (the box of an empty mask) has nothing to difference.
     """
     n, lead = a.shape[axis], (slice(None),) * (axis % a.ndim)
+    if n == 0:
+        return out
     first, last = lead + (slice(0, 1),), lead + (slice(-1, None),)
     np.subtract(a[lead + (slice(2, None),)], a[lead + (slice(None, -2),)],
                 out=out[lead + (slice(1, -1),)])
@@ -25,6 +28,27 @@ def difference(a: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarra
     np.subtract(a[first], a[lead + (slice(-2 % n, -2 % n + 1),)], out=out[last])
     out /= 2.0 * h
     return out
+
+
+def periodic_box(mask: np.ndarray, halo: int) -> tuple:
+    """Per axis of ``mask``, the sorted periodic indices of its projection widened by ``halo``.
+
+    Gathered with ``np.ix_``, the box keeps full-grid C order, so the masked
+    entries of a box array come in the order of the full grid.  A box index
+    whose two periodic neighbours lie in the box has them as its neighbours
+    in the box as well (across the seam through the box's own wraparound),
+    so ``difference`` on the box equals the full-grid difference on the
+    projection widened by ``halo - 1``, and ``halo`` nested differences are
+    exact on the mask.
+    """
+    boxes = []
+    for axis, n in enumerate(mask.shape):
+        proj = mask.any(axis=tuple(a for a in range(mask.ndim) if a != axis))
+        hit = np.zeros(n, dtype=bool)
+        for shift in range(-halo, halo + 1):
+            hit |= np.roll(proj, shift)
+        boxes.append(np.flatnonzero(hit))
+    return tuple(boxes)
 
 
 def gradient(a: np.ndarray, h: float, axes) -> np.ndarray:

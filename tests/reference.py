@@ -1,10 +1,13 @@
-"""Per-lag reference forms of the time-norm evaluator.
+"""Reference forms of evaluations that now run in blocks, on planes or on boxes.
 
-``_NormContext`` evaluates difference norms in blocks of lags.  These are the
-one-lag-at-a-time loops it replaced, kept as the tests' reference: each lag
-is differenced by the binomial stencil, reduced, snapped to the rounding floor
-and measured by the one-row discrete L^p norm in time.  The block evaluation
-must equal them bit for bit.
+``_NormContext`` evaluates difference norms in blocks of lags.  The per-lag
+functions below are the one-lag-at-a-time loops it replaced: each lag is
+differenced by the binomial stencil, reduced, snapped to the rounding floor
+and measured by the one-row discrete L^p norm in time.  ``lq_reduction``
+reduces the short trailing component axis, where the engine sums component
+planes, and ``caccioppoli`` evaluates the ball estimate's densities on the
+full grid, where the analyzer works on the balls' periodic boxes.  The
+current evaluations must equal all of them bit for bit.
 """
 
 import math
@@ -12,6 +15,9 @@ import math
 import numpy as np
 
 import symplap.function_spaces as fs
+from symplap import stencil
+from symplap.regularity_analyzer import _ball_mask
+from symplap.tensor_models import frob, phi, sym, v_map
 
 EPS = np.finfo(float).eps
 
@@ -66,3 +72,43 @@ def holder_seminorm(ctx, lam):
         diff = ctx.reduce(ctx.rows[k:] - ctx.rows[:-k])
         best = max(best, np.max(diff) / (k * ctx.f.dt) ** lam)
     return float(best)
+
+
+def lq_reduction(points, comps, q, cell):
+    def reduce(rows: np.ndarray) -> np.ndarray:
+        m, mags, start = rows.shape[0], [], 0
+        for c in comps:
+            block = rows[:, start : start + points * c].reshape(m, points, c)
+            mags.append(np.abs(block[:, :, 0]) if c == 1 else np.sqrt(np.sum(block**2, axis=2)))
+            start += points * c
+        mag = np.concatenate(mags, axis=1)
+        if math.isinf(q):
+            return np.max(mag, axis=1) if mag.size else np.zeros(m)
+        return (cell * np.sum(mag**q, axis=1)) ** (1.0 / q)
+    return reduce
+
+
+def caccioppoli(traj, center_xy, r, big_r):
+    """``(lhs, rhs_sup)`` of ``check_caccioppoli``, from densities on the full grid."""
+    grid = traj.grid
+    mask_r = _ball_mask(grid, center_xy, r)
+    mask_R = _ball_mask(grid, center_xy, big_r)
+    h2 = grid.h**2
+    phi_dd0 = traj.model.phi_dd0
+
+    lhs = 0.0
+    rhs_sup = 0.0
+    for k in range(1, traj.n_steps + 1):
+        u = traj.snapshots[k]
+        grad_u = stencil.gradient(u, grid.h, (0, 1))
+        du = sym(grad_u)  # sym_gradient(u, grid) bit for bit, from the same differences
+        vdu = v_map(du, traj.model)
+        grad_v = stencil.gradient(vdu, grid.h, (0, 1))
+        grad_du = stencil.gradient(du, grid.h, (0, 1))
+        dens = np.sum(grad_v**2, axis=(-3, -2, -1)) + phi_dd0 * np.sum(grad_du**2, axis=(-3, -2, -1))
+        lhs = max(lhs, h2 * float(np.sum(dens[mask_r])))
+
+        ut = (traj.snapshots[k] - traj.snapshots[k - 1]) / traj.dt
+        dens_rhs = phi(frob(grad_u), traj.model) + np.sum(ut**2, axis=-1)
+        rhs_sup = max(rhs_sup, h2 * float(np.sum(dens_rhs[mask_R])))
+    return lhs, rhs_sup
