@@ -247,6 +247,10 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     * W^{-1,q'} otherwise: the dictionary functionals, max-abs (lower bound);
     * L^q, W^{1,q}, q != 2: masked values (and masked gradient), masked l^q.
 
+    A masked gradient is taken on the mask's periodic box
+    (``stencil.periodic_box``, halo 1), which equals the full-grid gradient
+    on the mask bit for bit.
+
     Rows whose squares or q-th powers would leave the normal range are brought
     to unit size by an exact power of two (complex rows through their real
     view), which ``reduce`` undoes; all other rows are returned as mapped.
@@ -291,7 +295,7 @@ def _feature_map(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
             fields.append(stencil.gradient(values, geom.h, axes))
     else:
         fields = [values[:, geom.mask]]
-        if norm.kind == "w1p":  # the gradient on the mask's box, exact on the mask
+        if norm.kind == "w1p":
             box = np.ix_(*stencil.periodic_box(geom.mask, 1))
             grad = stencil.gradient(values[(slice(None),) + box], geom.h, axes)
             fields.append(grad[:, geom.mask[box]])

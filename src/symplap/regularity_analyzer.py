@@ -117,8 +117,6 @@ def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u", *,
     the masked entries in full-grid order.  "u" restrictions always keep the
     full grid, which their dictionary and spectral norms need.
     """
-    if target not in ("u", "vmap"):
-        raise ValueError(f"unknown restriction target {target!r}")
     _check_margins(traj, cyl)
     lo, hi = cyl.time_window()
     k_lo = int(math.ceil(lo / traj.dt - 1e-9))
@@ -127,13 +125,15 @@ def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u", *,
         raise GeometryError("time window contains fewer than two snapshots")
     values = traj.snapshots[k_lo : k_hi + 1]
     mask = _ball_mask(traj.grid, cyl.center[:2], cyl.r)
-    if not mask.any():
-        raise GeometryError(f"ball of radius {cyl.r} contains no grid nodes")
     if target == "vmap":
         if _box:
             box = np.ix_(*stencil.periodic_box(mask, 1))
             values, mask = values[(slice(None),) + box], mask[box]
         values = v_map(sym_gradient(values, traj.grid), traj.model)
+    elif target != "u":
+        raise ValueError(f"unknown restriction target {target!r}")
+    if not mask.any():
+        raise GeometryError(f"ball of radius {cyl.r} contains no grid nodes")
     return TimeGridFunction(values, t0=k_lo * traj.dt, dt=traj.dt,
                             geometry=traj.grid.geometry(mask))
 
@@ -380,7 +380,7 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
     u_prev = traj.snapshots[0][box_R]
     for k in range(1, traj.n_steps + 1):
         grad_u = stencil.gradient(traj.snapshots[k][box_r], grid.h, (0, 1))
-        du = sym(grad_u)  # sym_gradient(u, grid) bit for bit, from the same differences
+        du = sym(grad_u)  # sym_gradient's values bit for bit, from the same differences
         vdu = v_map(du, traj.model)
         grad_v = stencil.gradient(vdu, grid.h, (0, 1))
         grad_du = stencil.gradient(du, grid.h, (0, 1))

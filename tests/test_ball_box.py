@@ -129,9 +129,13 @@ def test_caccioppoli_equals_full_grid_reference(short_traj, cx, cy, r, gap):
 
 @st.composite
 def feature_rows(draw, comps):
+    """Rows of random magnitudes and mantissas, with a drawn share of exact zeros."""
     points, m = draw(st.integers(1, 24)), draw(st.integers(1, 4))
-    elements = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_subnormal=False))
-    return draw(hnp.arrays(np.float64, (m, points * sum(comps)), elements=elements)), points
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (m, points * sum(comps))
+    rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    rows[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    return rows, points
 
 
 @settings(max_examples=60, deadline=None)
