@@ -56,6 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import stencil
 from .errors import EmptyDomainError, GridMismatchError, PreconditionError, require_finite
+from .tensor_models import _plane_dot
 
 # ---------------------------------------------------------------------------
 # spatial geometry and state-space norms
@@ -218,19 +219,13 @@ def _lq_reduction(points: int, comps: list, q: float, cell: float):
 
 
 def _magnitude(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Euclidean magnitude over the last axis of ``block``, written into ``out``.
-
-    The squares are summed plane by plane from the first component on, the
-    order in which ``np.sum(block**2, axis=-1)`` adds them, bit for bit, but
-    on unit-stride planes instead of a short trailing axis.
-    """
+    """Euclidean magnitude over the last axis of ``block``, written into ``out``:
+    bit for bit ``np.sqrt(np.sum(block**2, axis=-1))``, summed plane by plane
+    (``tensor_models._plane_dot``) instead of over a short trailing axis."""
     if block.shape[-1] == 1:
         return np.abs(block[..., 0], out=out)
-    np.square(block[..., 0], out=out)
-    work = np.empty_like(out)
-    for j in range(1, block.shape[-1]):
-        out += np.square(block[..., j], out=work)
-    return np.sqrt(out, out=out)
+    planes = [block[..., j] for j in range(block.shape[-1])]
+    return np.sqrt(_plane_dot(planes, planes, out, np.empty_like(out)), out=out)
 
 
 def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):

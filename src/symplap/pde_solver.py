@@ -51,7 +51,7 @@ import numpy as np
 from . import stencil
 from .errors import SolverFailureError, TimeStepError, TrajectoryFormatError, require_finite
 from .function_spaces import SpaceGeometry
-from .tensor_models import ModelParams, _phi_d_over_t, _rank_one_coefficient, phi
+from .tensor_models import ModelParams, _phi_d_over_t, _plane_dot, _rank_one_coefficient, phi
 # The step calls neither of these (..., 2, 2) maps; they stay attributes of this
 # module because the benchmark's tracer (bench/tracing.py) wraps them here.
 from .tensor_models import stress, stress_derivative_apply  # noqa: F401
@@ -115,8 +115,8 @@ def _sym_gradient_planes(u: np.ndarray, h: float, e11, e12, e22, work) -> None:
     ``u`` has shape (..., n, n, 2); ``e11 = d_1 u_1``, ``e22 = d_2 u_2`` and
     ``e12 = (d_2 u_1 + d_1 u_2)/2`` are differences along the last two axes
     of the component views, with ``work`` as scratch of their shape.  This is
-    the arithmetic of ``_symmetrize`` on the full gradient, so the entries
-    are those of :func:`sym_gradient` bit for bit.
+    the arithmetic of ``tensor_models.sym`` on the full gradient, so the
+    entries are those of :func:`sym_gradient` bit for bit.
     """
     u1, u2 = u[..., 0], u[..., 1]
     stencil.difference(u1, -2, h, e11)
@@ -138,31 +138,16 @@ def _divergence_row(t1: np.ndarray, t2: np.ndarray, h: float, out, work1, work2)
     np.add(work1, stencil.difference(t2, -1, h, work2), out=out)
 
 
+def _plane_contraction(e: np.ndarray, f: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``out = Q:H`` for the planes ``e = (e11, e12, e22)`` of Q and ``f`` of H: the
+    entries (11, 12, 12, 22) in C order, so bit for bit ``np.sum(Q * H, axis=(-2, -1))``."""
+    return _plane_dot((e[0], e[1], e[1], e[2]), (f[0], f[1], f[1], f[2]), out, work)
+
+
 def _plane_norm(e: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Frobenius norm of the symmetric field with planes ``e = (e11, e12, e22)``.
-
-    ``e11^2 + e12^2 + e12^2 + e22^2`` in this order is the order in which
-    ``frob`` reduces a (2, 2) matrix, so the norm is bit for bit ``frob``'s.
-    """
-    t = e[0] * e[0]
-    np.multiply(e[1], e[1], out=work)
-    t += work
-    t += work
-    np.multiply(e[2], e[2], out=work)
-    t += work
+    """Frobenius norm sqrt(Q:Q) of the planes ``e``, as a fresh array: bit for bit ``frob``."""
+    t = _plane_contraction(e, e, np.empty_like(work), work)
     return np.sqrt(t, out=t)
-
-
-def _plane_contraction(e: np.ndarray, f: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-    """``out = Q:H`` for the planes ``e`` of Q and ``f`` of H, in the order of
-    a (2, 2) reduction started from zero, so bit for bit ``np.sum(Q * H, axis=(-2, -1))``."""
-    np.multiply(e[0], f[0], out=out)
-    out += 0.0
-    np.multiply(e[1], f[1], out=work)
-    out += work
-    out += work
-    np.multiply(e[2], f[2], out=work)
-    out += work
 
 
 def sym_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -34,11 +34,11 @@ import numpy as np
 from . import exponent_engine as ee
 from .errors import GeometryError, InsufficientResolutionError, PreconditionError
 from . import stencil
-from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, higher_difference,
-                              lp, lp_norm, natural_order, w1p, wm1p)
+from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, lp, lp_norm,
+                              natural_order, w1p, wm1p)
 from .function_spaces import raw_seminorm  # noqa: F401  uncalled; the benchmark tracer wraps it
 from .pde_solver import Trajectory, sym_gradient
-from .tensor_models import frob, phi, sym, v_map
+from .tensor_models import frob, phi, v_map
 
 INTERIOR_MARGIN = 0.1  # fraction of each domain extent kept clear around a cylinder
 
@@ -95,10 +95,6 @@ def _check_margins(traj: Trajectory, cyl: SubCylinder) -> None:
         raise GeometryError(
             f"time window [{lo:g}, {hi:g}] violates the {INTERIOR_MARGIN:.0%} interior margin "
             f"of [0, {t_hi:g}]")
-
-
-def ball_point_count(traj: Trajectory, cyl: SubCylinder) -> int:
-    return int(np.sum(_ball_mask(traj.grid, cyl.center[:2], cyl.r)))
 
 
 def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u", *,
@@ -379,8 +375,7 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
     rhs_sup = 0.0
     u_prev = traj.snapshots[0][box_R]
     for k in range(1, traj.n_steps + 1):
-        grad_u = stencil.gradient(traj.snapshots[k][box_r], grid.h, (0, 1))
-        du = sym(grad_u)  # sym_gradient's values bit for bit, from the same differences
+        du = sym_gradient(traj.snapshots[k][box_r], grid)
         vdu = v_map(du, traj.model)
         grad_v = stencil.gradient(vdu, grid.h, (0, 1))
         grad_du = stencil.gradient(du, grid.h, (0, 1))
@@ -399,16 +394,3 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
         if traj.meta.get("ic") == "kink" else "ok"
     return BallEstimateReport(lhs=lhs, rhs=rhs, observed_constant=observed,
                               rhs_sup=rhs_sup, hypothesis_flag=flag)
-
-
-def vmap_consistency_gap(traj: Trajectory, cyl: SubCylinder, k: int = 2) -> float:
-    """Bit-equality witness: pipeline differences of the square-root field
-    versus manual pointwise differences of the same field values.
-
-    The square-root map is applied snapshot-wise before any differencing, so
-    the two routes must agree exactly; returns the max absolute gap.
-    """
-    f = restrict(traj, cyl, target="vmap")
-    pipeline = higher_difference(f, 1, k * f.dt).values
-    manual = f.values[k:] - f.values[:-k]
-    return float(np.max(np.abs(pipeline - manual)))

@@ -116,22 +116,31 @@ def _phi_d_over_t(t, params: ModelParams):
 
 
 def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetric part over the last two axes, as a new float array."""
-    return _symmetrize(np.array(m, dtype=float))
-
-
-def _symmetrize(out: np.ndarray) -> np.ndarray:
-    """Replace the float array ``out`` by its symmetric part in place; returns it.
+    """Symmetric part over the last two axes, as a new float array.
 
     The diagonal is kept and each off-diagonal pair averaged once, with no
     transposed temporary; ``0.5 * (a + a) == a`` for finite ``a`` below
     2**1023, so this equals ``0.5 * (m + m^T)`` bit for bit.
     """
+    out = np.array(m, dtype=float)
     d = out.shape[-1]
     for i in range(d):
         for j in range(i + 1, d):
             out[..., i, j] = 0.5 * (out[..., i, j] + out[..., j, i])
             out[..., j, i] = out[..., i, j]
+    return out
+
+
+def _plane_dot(a, b, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``out = a[0]*b[0] + 0.0 + a[1]*b[1] + ...``, in this order, over equal-shaped planes.
+
+    That is the order and the signed zeros of ``np.sum`` over fewer than eight
+    trailing entries, bit for bit, on unit-stride planes.  ``work`` is scratch.
+    """
+    np.multiply(a[0], b[0], out=out)
+    out += 0.0
+    for k in range(1, len(a)):
+        out += np.multiply(a[k], b[k], out=work)
     return out
 
 
@@ -174,32 +183,18 @@ def _rank_one_coefficient(t, params: ModelParams):
     return np.where(t > 0.0, c2, 0.0)
 
 
-def hessian_coefficients(q: np.ndarray, params: ModelParams):
-    """Pointwise coefficients ``(g(|Q|), g'(|Q|)/|Q|)`` of the stress derivative at Q.
-
-    ``g(t) = phi'(t)/t`` is :func:`_phi_d_over_t` and the rank-one
-    coefficient is :func:`_rank_one_coefficient`, both functions of t = |Q|
-    alone, so the solver evaluates them once per Newton iteration and reuses
-    them in every Hessian action of the linear solve.
-    """
-    t = frob(q)
-    return _phi_d_over_t(t, params), _rank_one_coefficient(t, params)
-
-
-def stress_derivative_apply(q: np.ndarray, h: np.ndarray, coefficients) -> np.ndarray:
-    """Directional derivative of ``stress`` at Q applied to H.
-
-    The derivative is ``g(|Q|) H + (g'(|Q|)/|Q|) (Q:H) Q``, with the pointwise
-    coefficients ``coefficients = hessian_coefficients(Q, params)``.
+def stress_derivative_apply(q: np.ndarray, h: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Directional derivative ``g(|Q|) H + (g'(|Q|)/|Q|) (Q:H) Q`` of ``stress`` at Q
+    applied to H, with g = :func:`_phi_d_over_t` and :func:`_rank_one_coefficient`.
 
     This is the Hessian of the convex map Q -> phi(|Q|): symmetric and positive
     semidefinite, which is what makes the Newton systems CG-solvable.
     """
     q = np.asarray(q, dtype=float)
     h = np.asarray(h, dtype=float)
-    g, c2 = coefficients
-    coeff = c2 * np.sum(q * h, axis=(-2, -1))
-    return g[..., None, None] * h + coeff[..., None, None] * q
+    t = frob(q)
+    coeff = _rank_one_coefficient(t, params) * np.sum(q * h, axis=(-2, -1))
+    return _phi_d_over_t(t, params)[..., None, None] * h + coeff[..., None, None] * q
 
 
 def monotone_pairing(p_mat: np.ndarray, q_mat: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -134,13 +134,12 @@ class TestStep:
                 tm.stress(ps.sym_gradient(w, grid32), P3), grid32)
 
         du = ps.sym_gradient(u, grid32)
-        coefficients = tm.hessian_coefficients(du, P3)
         eps = 1e-6
         for _ in range(20):
             v = rng.normal(size=u.shape)
             fd = (residual(u + eps * v) - residual(u - eps * v)) / (2 * eps)
             an = v - dt * ps.divergence(
-                tm.stress_derivative_apply(du, ps.sym_gradient(v, grid32), coefficients), grid32)
+                tm.stress_derivative_apply(du, ps.sym_gradient(v, grid32), P3), grid32)
             denom = np.max(np.abs(an))
             assert np.max(np.abs(fd - an)) <= 1e-5 * denom
 
