@@ -329,7 +329,11 @@ def _row_space_coordinates(rows: np.ndarray) -> np.ndarray | None:
     candidate space; the singular vectors of the rows inside it, truncated at
     ``_ROW_SPACE_TOL`` of the largest singular value, give Q.  The projection
     is kept only when the explicit residual |rows - rows Q Q^T|_F is at most
-    ``_ROW_SPACE_TOL * |rows|_F``.  Complex rows go through their real view.
+    ``_ROW_SPACE_TOL * |rows|_F``.  A Q that kept fewer than
+    ``_SKETCH_COLUMNS`` directions and fails this test can sit at rounding
+    level off the row space; it is refined once by one subspace iteration,
+    a thin QR of ``rows.T @ rows Q``, and tested again.  Complex rows go
+    through their real view.
 
     Right multiplication by Q commutes with time differences and keeps the l2
     norm of every vector in the row space, so difference norms move only at
@@ -344,16 +348,23 @@ def _row_space_coordinates(rows: np.ndarray) -> np.ndarray | None:
     if not math.isfinite(total):
         return None
     omega = np.random.default_rng(_SKETCH_SEED).standard_normal((m, _SKETCH_COLUMNS))
-    q = np.linalg.qr(real.T @ omega)[0]
-    _, sing, vt = np.linalg.svd(real @ q, full_matrices=False)
-    q = q @ vt[sing > _ROW_SPACE_TOL * sing[0]].T
-    # row by row: one blocked product may round identical rows differently
-    coords = np.matmul(real[:, None, :], q)[:, 0]
-    resid = 0.0
-    for i in range(0, m, _RESIDUAL_CHUNK):
-        block = real[i : i + _RESIDUAL_CHUNK] - coords[i : i + _RESIDUAL_CHUNK] @ q.T
-        resid += float(np.sum(block**2))
-    return coords if math.sqrt(resid) <= _ROW_SPACE_TOL * total else None
+    candidates = real.T @ omega
+    for _ in range(2):
+        q = np.linalg.qr(candidates)[0]
+        _, sing, vt = np.linalg.svd(real @ q, full_matrices=False)
+        q = q @ vt[sing > _ROW_SPACE_TOL * sing[0]].T
+        # row by row: one blocked product may round identical rows differently
+        coords = np.matmul(real[:, None, :], q)[:, 0]
+        resid = 0.0
+        for i in range(0, m, _RESIDUAL_CHUNK):
+            block = real[i : i + _RESIDUAL_CHUNK] - coords[i : i + _RESIDUAL_CHUNK] @ q.T
+            resid += float(np.sum(block**2))
+        if math.sqrt(resid) <= _ROW_SPACE_TOL * total:
+            return coords
+        if not 0 < q.shape[1] < _SKETCH_COLUMNS:
+            return None  # all directions kept: the rows are not of low rank
+        candidates = real.T @ coords  # one subspace iteration on the kept directions
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,14 @@ class SubCylinder:
 
 
 def _ball_mask(grid, center_xy, r) -> np.ndarray:
+    """Grid nodes within r of the centre on the torus; the centre is taken modulo
+    the period, and a non-finite centre raises ``GeometryError``."""
+    if not all(math.isfinite(c) for c in center_xy):
+        raise GeometryError(f"ball center {tuple(map(float, center_xy))} is not finite")
     x1, x2 = grid.coordinates()
     extent = 2.0 * math.pi
-    d1 = np.abs(x1 - center_xy[0])
-    d2 = np.abs(x2 - center_xy[1])
+    d1 = np.abs(x1 - center_xy[0]) % extent
+    d2 = np.abs(x2 - center_xy[1]) % extent
     d1 = np.minimum(d1, extent - d1)
     d2 = np.minimum(d2, extent - d2)
     return d1**2 + d2**2 <= r**2 * (1 + 1e-12)
@@ -354,6 +358,8 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
     the quantity frozen as a regression baseline; lhs does not depend on R.
     Each integral is evaluated on the periodic box of its ball
     (:func:`stencil.periodic_box`), equal to the full-grid sum bit for bit.
+    An inner ball with no grid node raises ``GeometryError``, as in
+    :func:`restrict`.
 
     Rough initial data (the ``kink`` tag) voids the bounded-time-derivative
     hypothesis; such runs are flagged, not failed.
@@ -363,6 +369,8 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
     _check_radius(big_r)
     grid = traj.grid
     mask_r = _ball_mask(grid, center_xy, r)
+    if not mask_r.any():
+        raise GeometryError(f"ball of radius {r} contains no grid nodes")
     mask_R = _ball_mask(grid, center_xy, big_r)
     # lhs differences u twice, rhs once: each works on its ball's box with that halo
     box_r = np.ix_(*stencil.periodic_box(mask_r, 2))

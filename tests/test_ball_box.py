@@ -24,6 +24,7 @@ import symplap.pde_solver as ps
 import symplap.regularity_analyzer as ra
 import symplap.stencil as stencil
 import symplap.tensor_models as tm
+from symplap.errors import GeometryError
 
 TWO_PI = 2.0 * math.pi
 P3 = tm.ModelParams(p=3.0, mu=1.0, model="A2")
@@ -122,9 +123,36 @@ def test_box_is_sorted_and_wraps_across_the_seam():
 @example(cx=3.0, cy=0.02, r=0.85, gap=0.85)
 def test_caccioppoli_equals_full_grid_reference(short_traj, cx, cy, r, gap):
     big_r = min(r + gap, 2.5)
+    if not ra._ball_mask(short_traj.grid, (cx, cy), r).any():
+        with pytest.raises(GeometryError, match="no grid nodes"):
+            ra.check_caccioppoli(short_traj, (cx, cy), r, big_r)
+        return
     ball = ra.check_caccioppoli(short_traj, (cx, cy), r, big_r)
     assert _bitwise_equal([ball.lhs, ball.rhs_sup],
                           reference.caccioppoli(short_traj, (cx, cy), r, big_r))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cx=CENTRES, cy=CENTRES, k1=st.integers(-3, 3), k2=st.integers(-3, 3))
+@example(cx=5.0, cy=1.0, k1=1, k2=0)  # an offset above 3 pi
+@example(cx=math.pi, cy=math.pi, k1=3, k2=0)  # the centre (7 pi, pi)
+def test_centres_are_taken_modulo_the_period(short_traj, cx, cy, k1, k2):
+    moved = (cx + k1 * TWO_PI, cy + k2 * TWO_PI)
+    for r in (0.85, 1.7):
+        assert np.array_equal(ra._ball_mask(short_traj.grid, moved, r),
+                              ra._ball_mask(short_traj.grid, (cx, cy), r))
+    ball = ra.check_caccioppoli(short_traj, (cx, cy), 0.85, 1.7)
+    shifted = ra.check_caccioppoli(short_traj, moved, 0.85, 1.7)
+    assert _bitwise_equal([shifted.lhs, shifted.rhs_sup], [ball.lhs, ball.rhs_sup])
+
+
+@pytest.mark.parametrize("center", [(math.nan, 1.0), (1.0, math.inf)])
+def test_non_finite_centre_raises(short_traj, center):
+    with pytest.raises(GeometryError, match="center"):
+        ra.check_caccioppoli(short_traj, center, 0.85, 1.7)
+    cyl = ra.SubCylinder(center=(*center, 0.02), r=0.1)
+    with pytest.raises(GeometryError, match="center"):
+        ra.restrict(short_traj, cyl)
 
 
 @st.composite

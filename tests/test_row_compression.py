@@ -96,3 +96,15 @@ def test_full_rank_rows_keep_the_exact_path(case, r, alpha, p, lam):
     assert np.array_equal(ctx.rows.view(np.uint64), ref.rows.view(np.uint64))
     assert ctx.seminorm(alpha, r, 1.0, p) == ref.seminorm(alpha, r, 1.0, p)
     assert ctx.holder_seminorm(lam) == ref.holder_seminorm(lam)
+
+
+def test_a_sketch_basis_off_the_row_space_is_refined_once():
+    # a rank-1 field whose one-pass sketch basis misses the residual bound at
+    # about 1.05e-14; one subspace iteration brings it to rounding level
+    rng = np.random.default_rng(1955)
+    m, rank = rng.integers(12, 61), rng.integers(1, 4)
+    coeffs = np.cumsum(2.0**600 * rng.standard_normal((m, rank)), axis=0)
+    values = np.tensordot(coeffs, rng.standard_normal((rank, N, N, 2)), axes=1)
+    f = fs.TimeGridFunction(values, 0.0, 1.0 / (m - 1), geometry=GEOM)
+    assert (m, rank) == (39, 1)
+    assert fs._NormContext(f, fs.L2).rows.shape == (39, 1)
