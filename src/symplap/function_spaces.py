@@ -362,7 +362,7 @@ def _row_space_coordinates(rows: np.ndarray) -> np.ndarray | None:
         if math.sqrt(resid) <= _ROW_SPACE_TOL * total:
             return coords
         if not 0 < q.shape[1] < _SKETCH_COLUMNS:
-            return None  # all directions kept: the rows are not of low rank
+            return None  # every sketch direction kept: the rows are not of low rank
         candidates = real.T @ coords  # one subspace iteration on the kept directions
     return None
 

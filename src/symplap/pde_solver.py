@@ -138,7 +138,8 @@ def _divergence_row(t1: np.ndarray, t2: np.ndarray, h: float, out, work1, work2)
     np.add(work1, stencil.difference(t2, -1, h, work2), out=out)
 
 
-def _plane_contraction(e: np.ndarray, f: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _plane_contraction(e: np.ndarray, f: np.ndarray, out: np.ndarray,
+                       work: np.ndarray) -> np.ndarray:
     """``out = Q:H`` for the planes ``e = (e11, e12, e22)`` of Q and ``f`` of H: the
     entries (11, 12, 12, 22) in C order, so bit for bit ``np.sum(Q * H, axis=(-2, -1))``."""
     return _plane_dot((e[0], e[1], e[1], e[2]), (f[0], f[1], f[1], f[2]), out, work)
