@@ -224,7 +224,7 @@ def _magnitude(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     (``tensor_models._plane_dot``) instead of over a short trailing axis."""
     if block.shape[-1] == 1:
         return np.abs(block[..., 0], out=out)
-    planes = [block[..., j] for j in range(block.shape[-1])]
+    planes = np.moveaxis(block, -1, 0)
     return np.sqrt(_plane_dot(planes, planes, out, np.empty_like(out)), out=out)
 
 
