@@ -18,7 +18,7 @@ difference steps stay on-grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -44,8 +44,7 @@ class CorpusFunction:
     def sample_derivative(self, n_samples: int) -> TimeGridFunction | None:
         if self.fprime is None:
             return None
-        t = np.linspace(0.0, 1.0, n_samples)
-        return TimeGridFunction(self.fprime(t), t0=0.0, dt=t[1] - t[0])
+        return replace(self, f=self.fprime).sample(n_samples)
 
 
 def _sinusoid(rng) -> CorpusFunction:
@@ -117,8 +116,7 @@ def build_corpus(size: int = 100, seed: int = 1234) -> list[CorpusFunction]:
     out = []
     for i in range(size):
         fn = _FAMILIES[i % len(_FAMILIES)](rng)
-        out.append(CorpusFunction(name=f"{i:03d}_{fn.name}", f=fn.f,
-                                  fprime=fn.fprime, kind=fn.kind))
+        out.append(replace(fn, name=f"{i:03d}_{fn.name}"))
     return out
 
 

@@ -145,7 +145,7 @@ def _run_iteration(A, B, alpha0, target, g1):
             return alphas, len(alphas) - 1, False, None
 
 
-def iterate(p, d, alpha0=0.0, target=None) -> IterationTrace:
+def iterate(p, d, alpha0, target) -> IterationTrace:
     """Run the exponent recurrence from ``alpha0`` until ``target`` is certified.
 
     Preconditions: ``0 <= alpha0 < target`` and the target must lie strictly
@@ -153,8 +153,6 @@ def iterate(p, d, alpha0=0.0, target=None) -> IterationTrace:
     UnreachableTargetError is raised.  So is it for a target just under
     gamma0 that the float recurrence settles below.
     """
-    if target is None:
-        raise ValueError("iterate requires an explicit target exponent")
     if not 0 <= alpha0 < target:
         raise ValueError("need 0 <= alpha0 < target")
     top = ceiling(p, d)

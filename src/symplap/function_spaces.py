@@ -48,6 +48,7 @@ rounding level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -408,13 +409,9 @@ def steps_of(f: TimeGridFunction, h: float) -> int:
     return k_round
 
 
-_BINOM_SIGNS = {}
-
-
+@functools.cache
 def _binomial_weights(r: int) -> np.ndarray:
-    if r not in _BINOM_SIGNS:
-        _BINOM_SIGNS[r] = np.array([(-1.0) ** (r - j) * math.comb(r, j) for j in range(r + 1)])
-    return _BINOM_SIGNS[r]
+    return np.array([(-1.0) ** (r - j) * math.comb(r, j) for j in range(r + 1)])
 
 
 def _difference_length(n: int, r: int, k: int, dt: float) -> int:
@@ -649,6 +646,11 @@ def admissible_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
     return list(range(1, k_cap + 1))
 
 
+def dyadic_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
+    """The powers of two 1, 2, 4, ... among :func:`admissible_steps`."""
+    return [k for k in admissible_steps(f, r, delta) if not k & (k - 1)]
+
+
 def raw_seminorm(f: TimeGridFunction, alpha: float, r: int, delta: float, p: float,
                  x_norm: XNorm = EUCLID) -> float:
     """sup over admissible h <= delta of h**(-alpha) |D_h^r f|_{L^p(X)}.
@@ -836,10 +838,7 @@ def check_marchaud(f, *, r=2, p=math.inf, x_norm=EUCLID):
     right on the one admitting (r+1)h; checked over every dyadic h = 2^j dt
     that leaves room for the 2rh index set (worst margin reported).
     """
-    ks, k = [], 1
-    while f.n_samples - 2 * r * k >= 2:
-        ks.append(k)
-        k *= 2
+    ks = dyadic_steps(f, 2 * r, f.interval_len)
     if not ks:
         raise PreconditionError("no step h leaves room for the 2rh index set")
     ctx = _NormContext(f, x_norm)

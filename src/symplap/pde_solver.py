@@ -42,6 +42,7 @@ results are the same bits either way.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -103,10 +104,6 @@ class SpatialField:
             raise ValueError(f"field shape {self.data.shape} does not match grid {(n, n, self.grid.d)}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("field entries must be finite")
-
-    @classmethod
-    def zero(cls, grid: TorusGrid) -> "SpatialField":
-        return cls(np.zeros((grid.n, grid.n, grid.d)), grid)
 
 
 def _sym_gradient_planes(u: np.ndarray, h: float, e11, e12, e22, work) -> None:
@@ -367,27 +364,31 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     of the residual below ``TOL_FACTOR * (1 + |u_prev|_inf)``, so the
     forcing measured along a trajectory vanishes at solver precision in
     either norm however loosely the linear systems were solved.  Damps the
-    update by halving while the residual fails to decrease; raises
+    update by halving, at most 12 times, while the residual fails to decrease; raises
     SolverFailureError (with the residual history attached) if the tolerance
     is not met within ``MAX_NEWTON`` iterations.  Returns
     (u_next, StepDiagnostics); its ``cg_iterations`` counts Hessian actions,
     one per CG iteration.
 
-    The residual, the symmetric gradient, its norm and ``g = phi'(|Du|)/|Du|``
-    of the accepted line-search trial are carried into the next Newton
-    iteration rather than evaluated again, and the rank-one Hessian
-    coefficient is evaluated once per Newton iteration, so a Hessian action
-    costs one gradient, one pointwise product and one divergence.  Both maps
-    run on plane-stored symmetric fields (:class:`_StepKernels`), bit for bit
-    their (2, 2) forms.
+    The preconditioner is built once, from the mean of ``g = phi'(|Du|)/|Du|``
+    at the guess.  The accepted trial's residual, Du, |Du| and g serve the
+    next Newton iteration, and a Hessian action costs one gradient, one
+    pointwise product and one divergence.  Both maps run on plane-stored
+    symmetric fields (:class:`_StepKernels`), bit for bit their (2, 2) forms.
     """
     require_finite("dt", dt, error=TimeStepError)
     tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(u_prev))))
     l2_weight = grid.h  # sqrt(h^2) per sample
     kernels = _StepKernels(u_prev, dt, model, grid)
-    precond = None
     u = u_prev.copy() if guess is None else guess  # never written in place
     e, t, g, r = kernels.residual(u)
+    apply_m = _spectral_preconditioner(grid, dt, float(np.mean(g)))
+
+    def precond(v):
+        z = apply_m(v)
+        z *= dt
+        return z
+
     history, eta = [], ETA_MAX
     for it in range(MAX_NEWTON):
         rsup, rnorm = float(np.max(np.abs(r))), float(np.sqrt(np.sum(r**2)))
@@ -399,34 +400,19 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
         if it:
             eta = _forcing_term(rnorm / rnorm_prev)
         rnorm_prev = rnorm
-        c2 = _rank_one_coefficient(t, model)
-        if precond is None:
-            apply_m = _spectral_preconditioner(grid, dt, float(np.mean(g)))
-
-            def precond(v):
-                z = apply_m(v)
-                z *= dt
-                return z
-
-        def matvec(v):
-            return kernels.hessian_action(v, e, g, c2)
-
+        matvec = functools.partial(kernels.hessian_action, e=e, g=g,
+                                   c2=_rank_one_coefficient(t, model))
         delta, info = cg(matvec, -r, precond=precond,
                          atol=max(1e-14 * (1.0 + rsup), eta * rnorm))
         if info != 0:
             raise SolverFailureError("linear solver stalled inside Newton iteration",
                                      residual_history=history)
-        s = 1.0
-        for _ in range(12):
-            trial = u + s * delta
-            trial_state = kernels.residual(trial)
-            if float(np.max(np.abs(trial_state[3]))) < rsup:
-                u, (e, t, g, r) = trial, trial_state
+        for j in range(13):  # damping 2**-j; the last trial is taken whatever its residual
+            trial = u + 0.5**j * delta
+            state = kernels.residual(trial)
+            if j == 12 or float(np.max(np.abs(state[3]))) < rsup:
                 break
-            s *= 0.5
-        else:  # no halving decreased the residual: take the smallest, not yet evaluated
-            u = u + s * delta
-            e, t, g, r = kernels.residual(u)
+        u, (e, t, g, r) = trial, state
     raise SolverFailureError(
         f"Newton iteration did not reach tolerance {tol:.3e} in {MAX_NEWTON} steps",
         residual_history=history)

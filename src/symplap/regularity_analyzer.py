@@ -34,8 +34,8 @@ import numpy as np
 from . import exponent_engine as ee
 from .errors import GeometryError, InsufficientResolutionError, PreconditionError
 from . import stencil
-from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, lp, lp_norm,
-                              natural_order, w1p, wm1p)
+from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, dyadic_steps, lp,
+                              lp_norm, natural_order, w1p, wm1p)
 from .function_spaces import raw_seminorm  # noqa: F401  uncalled; the benchmark tracer wraps it
 from .pde_solver import Trajectory, sym_gradient
 from .tensor_models import frob, phi, v_map
@@ -166,15 +166,6 @@ def estimate_exponent(h_values, norms):
     return float(slope), r_sq
 
 
-def dyadic_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
-    """Step multiples 2, 4, 8, ... with k*dt <= delta and a nonempty domain."""
-    ks, k = [], 2
-    while k * f.dt <= delta * (1 + 1e-12) and f.n_samples - r * k >= 2:
-        ks.append(k)
-        k *= 2
-    return ks
-
-
 @dataclass
 class SweepRow:
     """Differences of one field in one state-space norm at one difference order."""
@@ -241,7 +232,7 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
     for target, x_norm, time_p, alpha_pred in table:
         f = restrict(traj, cyl, target=target, _box=x_norm.kind == "lp")
         r = natural_order(alpha_pred + 1e-12)  # difference order strictly above the prediction
-        ks = dyadic_steps(f, r, delta)
+        ks = dyadic_steps(f, r, delta)[1:]  # from 2 dt on
         if len(ks) < 4:
             raise InsufficientResolutionError(
                 f"only {len(ks)} dyadic steps fit below delta = {delta}")

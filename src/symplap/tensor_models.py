@@ -116,19 +116,8 @@ def _phi_d_over_t(t, params: ModelParams):
 
 
 def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetric part over the last two axes, as a new float array.
-
-    The diagonal is kept and each off-diagonal pair averaged once, with no
-    transposed temporary; ``0.5 * (a + a) == a`` for finite ``a`` below
-    2**1023, so this equals ``0.5 * (m + m^T)`` bit for bit.
-    """
-    out = np.array(m, dtype=float)
-    d = out.shape[-1]
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[..., i, j] = 0.5 * (out[..., i, j] + out[..., j, i])
-            out[..., j, i] = out[..., i, j]
-    return out
+    """Symmetric part ``(m + m^T)/2`` over the last two axes, as a new array."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def _plane_dot(a, b, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -175,11 +164,11 @@ def _rank_one_coefficient(t, params: ModelParams):
     """
     t = np.asarray(t, dtype=float)
     p, mu = params.p, params.mu
-    if params.model == "A1":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c2 = np.where(t > 0.0, (p - 2.0) * t ** (p - 4.0), 0.0)
-    else:
-        c2 = (p - 2.0) * (mu + t**2) ** ((p - 4.0) / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # A1 at t = 0, replaced below
+        if params.model == "A1":
+            c2 = (p - 2.0) * t ** (p - 4.0)
+        else:
+            c2 = (p - 2.0) * (mu + t**2) ** ((p - 4.0) / 2.0)
     return np.where(t > 0.0, c2, 0.0)
 
 

@@ -6,8 +6,11 @@ differenced by the binomial stencil, reduced, snapped to the rounding floor
 and measured by the one-row discrete L^p norm in time.  ``lq_reduction``
 reduces the short trailing component axis, where the engine sums component
 planes, and ``caccioppoli`` evaluates the ball estimate's densities on the
-full grid, where the analyzer works on the balls' periodic boxes.  The
-current evaluations must equal all of them bit for bit.
+full grid, where the analyzer works on the balls' periodic boxes.
+``sweep_steps`` and ``marchaud_steps`` are the loops that chose the dyadic
+steps of the analyzer's sweep and of the Marchaud check before both took
+them from ``function_spaces.dyadic_steps``.  The current evaluations must
+equal all of them bit for bit.
 """
 
 import math
@@ -64,6 +67,24 @@ def seminorm(ctx, alpha, r, delta, p):
         h = k * ctx.f.dt
         best = max(best, h ** (-alpha) * difference_norm(ctx, r, k, p))
     return float(best)
+
+
+def sweep_steps(f, r, delta):
+    """Steps 2, 4, 8, ... with k*dt <= delta and a nonempty order-r difference domain."""
+    ks, k = [], 2
+    while k * f.dt <= delta * (1 + 1e-12) and f.n_samples - r * k >= 2:
+        ks.append(k)
+        k *= 2
+    return ks
+
+
+def marchaud_steps(f, r):
+    """Steps 1, 2, 4, ... that leave room for the index set of steps 2rh."""
+    ks, k = [], 1
+    while f.n_samples - 2 * r * k >= 2:
+        ks.append(k)
+        k *= 2
+    return ks
 
 
 def holder_seminorm(ctx, lam):

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import symplap.function_spaces as fs
 from symplap.corpus import build_corpus, lift_to_field
 from symplap.errors import EmptyDomainError, GridMismatchError, PreconditionError
@@ -197,6 +200,19 @@ class TestModulus:
         direct = fs.nikolskii_seminorm(f, fs.SeminormSpec(alpha=alpha, p=p, r=r, delta=delta))
         assert via_modulus == direct
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 2049), unit_interval=st.booleans(), r=st.integers(1, 3),
+       whole=st.integers(0, 2100), frac=st.one_of(st.just(0.0), st.floats(0.001, 0.999)))
+def test_dyadic_steps_are_the_sweep_and_marchaud_steps(n, unit_interval, r, whole, frac):
+    # dt of a corpus sample or of the solver's default step; delta on a
+    # multiple of dt (frac = 0) or well between two multiples
+    dt = 1.0 / (n - 1) if unit_interval else 1.0 / 200
+    f = fs.TimeGridFunction(np.zeros(n), 0.0, dt)
+    delta = (whole + frac) * dt
+    assert fs.dyadic_steps(f, r, delta)[1:] == reference.sweep_steps(f, r, delta)
+    assert fs.dyadic_steps(f, 2 * r, f.interval_len) == reference.marchaud_steps(f, r)
 
 class TestSpatialNorms:
     def test_zero_field_all_tags(self):

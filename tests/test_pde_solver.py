@@ -261,20 +261,20 @@ class TestConjugateGradients:
 
 class TestSolve:
     def test_zero_data_stays_zero(self, grid32):
-        traj = ps.solve(ps.SpatialField.zero(grid32), 0.05, 0.01, P3)
+        traj = ps.solve(ps.SpatialField(np.zeros((32, 32, 2)), grid32), 0.05, 0.01, P3)
         assert np.all(traj.snapshots == 0.0)
         assert np.all(traj.energies() == 0.0)
 
     def test_t_final_must_be_multiple_of_dt(self, grid32):
         with pytest.raises(ValueError):
-            ps.solve(ps.SpatialField.zero(grid32), 0.053, 0.01, P3)
+            ps.solve(ps.SpatialField(np.zeros((32, 32, 2)), grid32), 0.053, 0.01, P3)
 
     @pytest.mark.parametrize("t_final, dt, name", [
         (math.inf, 0.01, "t_final"), (math.nan, 0.01, "t_final"), (-0.05, 0.01, "t_final"),
         (0.05, math.inf, "dt"), (0.05, math.nan, "dt"), (1.0, 0.0, "dt"), (0.05, -0.01, "dt")])
     def test_non_finite_or_non_positive_time_rejected(self, grid32, t_final, dt, name):
         with pytest.raises(TimeStepError, match=f"^{name} must be a finite positive number"):
-            ps.solve(ps.SpatialField.zero(grid32), t_final, dt, P3)
+            ps.solve(ps.SpatialField(np.zeros((32, 32, 2)), grid32), t_final, dt, P3)
 
     def test_failed_step_keeps_the_solved_snapshots(self, monkeypatch):
         grid = ps.TorusGrid(16)
@@ -386,7 +386,7 @@ class TestPersistence:
 
     @pytest.fixture()
     def saved(self, tmp_path, grid32):
-        traj = ps.solve(ps.SpatialField.zero(grid32), 0.01, 5e-3, P3)
+        traj = ps.solve(ps.SpatialField(np.zeros((32, 32, 2)), grid32), 0.01, 5e-3, P3)
         path = tmp_path / "t.bin"
         ps.save_trajectory(traj, path)
         return path
@@ -420,7 +420,7 @@ class TestPersistence:
         assert np.array_equal(data.view(np.uint64), traj.snapshots.view(np.uint64))
 
     def test_header_is_little_endian_float64(self, tmp_path, grid32):
-        traj = ps.solve(ps.SpatialField.zero(grid32), 0.01, 5e-3, P3)
+        traj = ps.solve(ps.SpatialField(np.zeros((32, 32, 2)), grid32), 0.01, 5e-3, P3)
         path = tmp_path / "t.bin"
         ps.save_trajectory(traj, path)
         raw = np.frombuffer(path.read_bytes()[:32], dtype="<f8")

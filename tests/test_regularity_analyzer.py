@@ -40,7 +40,8 @@ def p3_traj():
 @pytest.fixture(scope="module")
 def zero_traj():
     grid = ps.TorusGrid(16)
-    return ps.solve(ps.SpatialField.zero(grid), 2.0, 0.01, LINEAR, meta={"ic": "zero"})
+    u0 = ps.SpatialField(np.zeros((16, 16, 2)), grid)
+    return ps.solve(u0, 2.0, 0.01, LINEAR, meta={"ic": "zero"})
 
 
 class TestRestrict:
