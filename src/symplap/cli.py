@@ -87,15 +87,16 @@ def _solve_settings(cfg: dict, seed: int):
 def run_solve(cfg: dict, out_dir: Path, seed: int | None) -> int:
     seed = 0 if seed is None else seed
     model, grid, u0, dt, t_final, ic = _solve_settings(cfg, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "trajectory.bin"
-    try:
+    try:  # solve checks u0 before its first step; --out is made only after that
         traj = ps.solve(u0, t_final, dt, model, meta={"ic": ic, "seed": seed})
     except SolverFailureError as exc:
         if getattr(exc, "partial", None) is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
             ps.save_trajectory(exc.partial, traj_path)
         print(f"solver failure at step {exc.step_index}: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
+    out_dir.mkdir(parents=True, exist_ok=True)
     ps.save_trajectory(traj, traj_path)
     rows = []
     energies = traj.energies()

@@ -442,17 +442,31 @@ class Trajectory:
         return np.array([energy(u, self.model, self.grid) for u in self.snapshots])
 
 
+def _require_finite_data(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> None:
+    """Raise ``ValueError`` unless the energy and the stress of the state ``u`` are finite."""
+    e, work = np.empty((3,) + u.shape[:-1]), np.empty(u.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is what is checked
+        _sym_gradient_planes(u, grid.h, *e, work)
+        t = _plane_norm(e, work)
+        finite = np.isfinite(np.sum(phi(t, model))) and np.isfinite(_phi_d_over_t(t, model) * e).all()
+    if not finite:
+        raise ValueError(f"initial data with max |u0| = {np.max(np.abs(u)):.3g} overflow: "
+                         "their energy or stress is not finite")
+
+
 def solve(u0: SpatialField, t_final: float, dt: float, model: ModelParams,
           meta: dict | None = None) -> Trajectory:
     """March the implicit scheme from u0 to t_final (must be a multiple of dt).
 
     ``dt`` and ``t_final`` are checked by :func:`step_count` before anything
-    is allocated.  On a step failure the partially computed trajectory is
+    is allocated, and u0 is rejected with a ``ValueError`` when its energy or
+    its stress is not finite (overflow).  On a step failure the partially computed trajectory is
     attached to the raised SolverFailureError as ``partial`` together with the
     failing index.
     """
     n_steps = step_count(t_final, dt)
     grid = u0.grid
+    _require_finite_data(u0.data, model, grid)
     snapshots = np.empty((n_steps + 1,) + u0.data.shape)
     snapshots[0] = u0.data
     diagnostics = []
@@ -480,7 +494,8 @@ def initial_condition(tag: str, grid: TorusGrid, seed: int = 0, cutoff: int = 3,
                        model it decays exactly exponentially, and on the grid
                        it is an exact eigenfield of the discrete operator.
     ``random_smooth``  seeded band-limited random field (modes up to
-                       ``cutoff``), normalized to the requested amplitude.
+                       ``cutoff``, an integer in [1, n/2 - 1]), normalized
+                       to the requested amplitude.
     ``kink``           periodic triangle-wave profile whose symmetrized
                        gradient jumps across two lines; probes how rough an
                        initial state the implicit stepping tolerates.
@@ -489,6 +504,9 @@ def initial_condition(tag: str, grid: TorusGrid, seed: int = 0, cutoff: int = 3,
     if tag == "eigenfield":
         data = amplitude * np.stack([np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)], axis=-1)
     elif tag == "random_smooth":
+        if not 1 <= cutoff <= grid.n // 2 - 1:  # modes n/2 feed the kernel of sym_gradient
+            raise ValueError(f"cutoff must be an integer in [1, n/2 - 1] = [1, {grid.n // 2 - 1}] "
+                             f"at n = {grid.n}, got {cutoff!r}")
         rng = np.random.default_rng(seed)
         data = np.zeros((grid.n, grid.n, 2))
         for k1 in range(-cutoff, cutoff + 1):

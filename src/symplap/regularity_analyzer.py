@@ -55,6 +55,8 @@ class SubCylinder:
     time_halfwidth: float | None = None
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.center):
+            raise GeometryError(f"cylinder center {tuple(map(float, self.center))} is not finite")
         # the ball mask and the default halfwidth see only r**2
         if not self.r > 0:
             raise GeometryError(f"ball radius r = {self.r} is not positive")

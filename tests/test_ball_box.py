@@ -150,9 +150,8 @@ def test_centres_are_taken_modulo_the_period(short_traj, cx, cy, k1, k2):
 def test_non_finite_centre_raises(short_traj, center):
     with pytest.raises(GeometryError, match="center"):
         ra.check_caccioppoli(short_traj, center, 0.85, 1.7)
-    cyl = ra.SubCylinder(center=(*center, 0.02), r=0.1)
-    with pytest.raises(GeometryError, match="center"):
-        ra.restrict(short_traj, cyl)
+    with pytest.raises(GeometryError, match="center"):  # raised by SubCylinder itself
+        ra.restrict(short_traj, ra.SubCylinder(center=(*center, 0.02), r=0.1))
 
 
 @st.composite

@@ -102,6 +102,23 @@ class TestSolve:
         assert not out.exists()
         assert f"validation error: {name} must be a finite positive number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cutoff", ["0", "-1", "8"])
+    def test_cutoff_outside_the_band_writes_nothing(self, tmp_path, capsys, cutoff):
+        body = SOLVE_BODY.format(p=3, t_final=0.02, ic="random_smooth") + f"cutoff = {cutoff}\n"
+        cfg = write_config(tmp_path / "c.ini", body)
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert "validation error: cutoff must be an integer in [1, n/2 - 1]" in capsys.readouterr().err
+
+    def test_overflowing_initial_data_writes_nothing(self, tmp_path, capsys):
+        body = SOLVE_BODY.format(p=3, t_final=0.02, ic="random_smooth") + "amplitude = 1e150\n"
+        cfg = write_config(tmp_path / "o.ini", body)
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert "energy or stress is not finite" in capsys.readouterr().err
+
     def test_misaligned_t_final_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "bad2.ini", SOLVE_BODY.format(p=2, t_final=0.0213, ic="eigenfield"))
         assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 1
@@ -324,7 +341,8 @@ big_r = 3.1
                                                    ("alphas", "-1, 0.5", "alphas"),
                                                    ("alphas", "0.5, inf", "alphas"),
                                                    ("alphas", "0.5, 1.6", "ceiling"),
-                                                   ("center", "nan 0.5", "center")])
+                                                   ("center", "nan 0.5", "center"),
+                                                   ("t_center", "nan", "center")])
     def test_out_of_range_value_is_validation_error(self, tmp_path, solved, capsys, key, value,
                                                     message):
         settings = dict(trajectory=solved, alphas="0.5", delta="0.15", r="0.85", big_r="1.7",

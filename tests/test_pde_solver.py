@@ -276,6 +276,21 @@ class TestSolve:
         with pytest.raises(TimeStepError, match=f"^{name} must be a finite positive number"):
             ps.solve(ps.SpatialField(np.zeros((32, 32, 2)), grid32), t_final, dt, P3)
 
+    @pytest.mark.parametrize("amplitude", [1e150, 1e200])
+    def test_overflowing_data_fail_before_the_first_step(self, monkeypatch, amplitude):
+        # at amplitude 1e150 and p = 3 the energy of u0 is already infinite
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(ps, "step", no_step)
+        u0 = ps.initial_condition("random_smooth", ps.TorusGrid(16), amplitude=amplitude)
+        with pytest.raises(ValueError, match="energy or stress is not finite"):
+            ps.solve(u0, 0.02, 0.01, P3)
+
+    def test_large_finite_data_still_solve(self):
+        u0 = ps.initial_condition("random_smooth", ps.TorusGrid(16), amplitude=1e3)
+        assert np.all(np.isfinite(ps.solve(u0, 0.01, 0.01, P3).snapshots))
+
     def test_failed_step_keeps_the_solved_snapshots(self, monkeypatch):
         grid = ps.TorusGrid(16)
         u0 = ps.initial_condition("random_smooth", grid, seed=3)
@@ -368,6 +383,19 @@ class TestSolve:
         except SolverFailureError as exc:
             assert exc.residual_history
             assert exc.step_index is not None
+
+
+class TestInitialCondition:
+    @pytest.mark.parametrize("cutoff", [0, -1, 4, 5])
+    def test_random_smooth_cutoff_outside_the_band_is_rejected(self, cutoff):
+        # 0 and -1 gave the zero field; 4 = n/2 put energy into the Nyquist modes
+        with pytest.raises(ValueError, match=r"cutoff must be an integer in \[1, n/2 - 1\]"):
+            ps.initial_condition("random_smooth", ps.TorusGrid(8), cutoff=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [1, 3])
+    def test_random_smooth_cutoff_in_the_band_is_accepted(self, cutoff):
+        u0 = ps.initial_condition("random_smooth", ps.TorusGrid(8), cutoff=cutoff)
+        assert np.max(np.abs(u0.data)) == 1.0
 
 
 class TestPersistence:
