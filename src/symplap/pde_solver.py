@@ -364,9 +364,9 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     of the residual below ``TOL_FACTOR * (1 + |u_prev|_inf)``, so the
     forcing measured along a trajectory vanishes at solver precision in
     either norm however loosely the linear systems were solved.  Damps the
-    update by halving, at most 12 times, while the residual fails to decrease; raises
-    SolverFailureError (with the residual history attached) if the tolerance
-    is not met within ``MAX_NEWTON`` iterations.  Returns
+    update by halving, at most 12 times, while the residual fails to
+    decrease; raises SolverFailureError (with the residual history attached)
+    if the tolerance is not met within ``MAX_NEWTON`` iterations.  Returns
     (u_next, StepDiagnostics); its ``cg_iterations`` counts Hessian actions,
     one per CG iteration.
 
@@ -448,7 +448,8 @@ def _require_finite_data(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is what is checked
         _sym_gradient_planes(u, grid.h, *e, work)
         t = _plane_norm(e, work)
-        finite = np.isfinite(np.sum(phi(t, model))) and np.isfinite(_phi_d_over_t(t, model) * e).all()
+        finite = (np.isfinite(np.sum(phi(t, model)))
+                  and np.isfinite(_phi_d_over_t(t, model) * e).all())
     if not finite:
         raise ValueError(f"initial data with max |u0| = {np.max(np.abs(u)):.3g} overflow: "
                          "their energy or stress is not finite")
@@ -460,9 +461,9 @@ def solve(u0: SpatialField, t_final: float, dt: float, model: ModelParams,
 
     ``dt`` and ``t_final`` are checked by :func:`step_count` before anything
     is allocated, and u0 is rejected with a ``ValueError`` when its energy or
-    its stress is not finite (overflow).  On a step failure the partially computed trajectory is
-    attached to the raised SolverFailureError as ``partial`` together with the
-    failing index.
+    its stress overflows.  On a step failure the partially computed
+    trajectory is attached to the raised SolverFailureError as ``partial``
+    together with the failing index.
     """
     n_steps = step_count(t_final, dt)
     grid = u0.grid

@@ -388,7 +388,7 @@ class TestSolve:
 class TestInitialCondition:
     @pytest.mark.parametrize("cutoff", [0, -1, 4, 5])
     def test_random_smooth_cutoff_outside_the_band_is_rejected(self, cutoff):
-        # 0 and -1 gave the zero field; 4 = n/2 put energy into the Nyquist modes
+        # 0 and -1 would give the zero field; 4 = n/2 and 5 would feed the Nyquist modes
         with pytest.raises(ValueError, match=r"cutoff must be an integer in \[1, n/2 - 1\]"):
             ps.initial_condition("random_smooth", ps.TorusGrid(8), cutoff=cutoff)
 
