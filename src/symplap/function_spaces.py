@@ -43,7 +43,11 @@ row space, found by a fixed-seed sketch, instead of the rows themselves; it
 does so only when the explicit residual |rows - rows Q Q^T|_F is at most
 1e-14 |rows|_F (``_row_space_coordinates``).  Differences and the l2 norm
 inside the row space commute with the projection, so results move only at
-rounding level.
+rounding level.  The interpolation check factors the raw samples of its
+field once instead and maps only the basis fields into L^2, W^{1,2} and
+W^{-1,2} (``_interpolation_contexts``); those three contexts take their
+sample norms and rounding floor from the coordinates, which moves them by at
+most 2e-15 of the largest sample norm on the canonical corpus.
 """
 
 from __future__ import annotations
@@ -252,7 +256,7 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     view), which ``reduce`` undoes; all other rows are returned as mapped.
     The third value tells whether the reduction is the l2 norm of each row.
     """
-    rows, reduce = _feature_map(np.asarray(values, dtype=float), norm, geom)
+    rows, reduce = _feature_map(values, norm, geom)
     l2 = reduce is _l2
     top = float(max(rows.view(float).max(), -rows.view(float).min())) if rows.size else 0.0
     exp = int(_unit_exponent(top, norm.q))
@@ -273,6 +277,9 @@ def _unit_exponent(top, q: float) -> np.ndarray:
 
 
 def _feature_map(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
+    # in C order, the rows do not depend on the layout of the samples, and
+    # complex rows have the contiguous last axis their real view needs
+    values = np.ascontiguousarray(values, dtype=float)
     m = values.shape[0]
     if geom is None or norm.kind == "euclid":
         return values.reshape(m, -1), _l2
@@ -320,9 +327,10 @@ _ROW_SPACE_TOL = 1e-14
 _RESIDUAL_CHUNK = 64  # rows per residual slice; one m x M temporary is 3.1 MB on lifted fields
 
 
-def _row_space_coordinates(rows: np.ndarray) -> np.ndarray | None:
-    """Coordinates ``rows @ Q`` of l2 feature rows in an orthonormal basis Q of
-    their numerical row space, or None when the rows are not of low rank.
+def _row_space_coordinates(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(rows @ Q, Q)``: the coordinates of l2 feature rows in an orthonormal
+    basis Q of their numerical row space, or None when the rows are not of
+    low rank.
 
     A randomized range finder (Halko, Martinsson and Tropp, SIAM Review 53,
     2011) applied on the right: a thin QR of ``rows.T @ Omega``, Omega a
@@ -361,7 +369,7 @@ def _row_space_coordinates(rows: np.ndarray) -> np.ndarray | None:
             block = real[i : i + _RESIDUAL_CHUNK] - coords[i : i + _RESIDUAL_CHUNK] @ q.T
             resid += float(np.sum(block**2))
         if math.sqrt(resid) <= _ROW_SPACE_TOL * total:
-            return coords
+            return coords, q
         if not 0 < q.shape[1] < _SKETCH_COLUMNS:
             return None  # every sketch direction kept: the rows are not of low rank
         candidates = real.T @ coords  # one subspace iteration on the kept directions
@@ -528,15 +536,28 @@ class _NormContext:
     from the exact rows.  For an l2 reduction, ``rows`` then holds the rows'
     coordinates in their row space when they are numerically of low rank
     (see ``_row_space_coordinates``), and every difference norm works on those.
+    The contexts of the interpolation check are the exception: built from one
+    factorisation of the raw samples, they have only the coordinates and take
+    the sample norms and the floor scale from them (``_on_coordinates``).
     """
 
     def __init__(self, f: TimeGridFunction, x_norm: XNorm):
-        self.f = f
-        rows, self.reduce, l2 = _features(f.values, x_norm, f.geometry)
-        self.sample_norms = self.reduce(rows)
-        self.scale = float(np.max(self.sample_norms)) if len(self.sample_norms) else 0.0
-        coords = _row_space_coordinates(rows) if l2 else None
-        self.rows = rows if coords is None else coords
+        rows, reduce, l2 = _features(f.values, x_norm, f.geometry)
+        basis = _row_space_coordinates(rows) if l2 else None
+        self._bind(f, reduce(rows), rows if basis is None else basis[0], reduce)
+
+    @classmethod
+    def _on_coordinates(cls, f: TimeGridFunction, coords: np.ndarray) -> _NormContext:
+        """Context of an l2 norm whose feature rows of f have the coordinates
+        ``coords`` in an orthonormal basis; sample norms and the floor scale
+        are taken from the coordinates (see ``_interpolation_contexts``)."""
+        ctx = cls.__new__(cls)
+        ctx._bind(f, _l2(coords), coords, _l2)
+        return ctx
+
+    def _bind(self, f: TimeGridFunction, sample_norms: np.ndarray, rows: np.ndarray, reduce):
+        self.f, self.sample_norms, self.rows, self.reduce = f, sample_norms, rows, reduce
+        self.scale = float(np.max(sample_norms)) if len(sample_norms) else 0.0
         self._profiles = {}
 
     def lp_norm(self, p: float) -> float:
@@ -632,6 +653,48 @@ class _NormContext:
             steps = [(k * self.f.dt) ** lam for k in range(k0, k0 + lags)]
             best = float(np.fmax.reduce(top / steps, initial=best))  # NaN lags never win
         return best
+
+
+def _interpolation_contexts(f: TimeGridFunction, norms) -> list:
+    """One context of f per l2 norm of ``norms``, all from one factorisation
+    of the raw samples.
+
+    The raw values factor as ``C Q^T`` (``_row_space_coordinates``); only the
+    k <= 8 basis fields ``Q^T`` go through each feature map L, and a thin QR
+    ``(L Q)^T = U R`` gives the coordinates ``C R^T`` of the mapped rows
+    ``C R^T U^T``, so their differences have the l2 norms of the mapped rows'
+    differences.  Each row is multiplied on its own: identical samples keep
+    identical coordinates.
+
+    Falls back to one independent ``_NormContext`` per norm when the raw
+    values are zero or not of low rank, when a norm does not reduce by l2,
+    or when the raw values or the mapped rows could reach the power-of-two
+    rescaling of ``_features`` (where squares leave the normal range, the
+    residual test of the factor would be void).
+    """
+    raw = f.values.reshape(f.n_samples, -1)
+    top = float(np.max(np.abs(raw))) if raw.size else 0.0
+    basis = None if _unit_exponent(top, 2.0) else _row_space_coordinates(raw)
+    if basis is not None and basis[1].shape[1]:
+        coords, q = basis
+        fields = q.T.reshape((q.shape[1],) + f.values.shape[1:])
+        contexts = []
+        for norm in norms:
+            mapped, reduce = _feature_map(fields, norm, f.geometry)
+            if reduce is not _l2:
+                break
+            mapped = mapped.view(float)
+            r = np.linalg.qr(mapped.T, mode="r")
+            ctx = _NormContext._on_coordinates(f, np.matmul(coords[:, None, :], r.T)[:, 0])
+            # the largest mapped entry lies in [scale / sqrt(M), scale]; a
+            # factor 2 each way covers the rounding of the coordinates
+            bounds = [0.5 * ctx.scale / math.sqrt(mapped.shape[1]), 2.0 * ctx.scale]
+            if bounds[0] == 0.0 or _unit_exponent(bounds, 2.0).any():
+                break
+            contexts.append(ctx)
+        else:
+            return contexts
+    return [_NormContext(f, norm) for norm in norms]
 
 
 def lp_norm(f: TimeGridFunction, p: float, x_norm: XNorm = EUCLID) -> float:
@@ -910,9 +973,10 @@ def check_interpolation(f, *, alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0,
     b = 0.5
     alpha_b = (1 - b) * alpha1 + b * alpha2
     p_b = 1.0 / ((1 - b) / p1 + b / p2)
-    lhs = _NormContext(f, L2).seminorm(alpha_b, r, delta, p_b)
-    leg_x = _NormContext(f, W12).seminorm(alpha1, r, delta, p1)
-    leg_y = _NormContext(f, WM12).seminorm(alpha2, r, delta, p2)
+    ctx_z, ctx_x, ctx_y = _interpolation_contexts(f, (L2, W12, WM12))
+    lhs = ctx_z.seminorm(alpha_b, r, delta, p_b)
+    leg_x = ctx_x.seminorm(alpha1, r, delta, p1)
+    leg_y = ctx_y.seminorm(alpha2, r, delta, p2)
     rhs = calibrated * leg_x ** (1 - b) * leg_y**b
     return InequalityReport(INTERPOLATION, lhs, rhs, calibrated,
                             {"b": b, "alpha1": alpha1, "alpha2": alpha2, "p1": p1,

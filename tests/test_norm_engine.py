@@ -117,3 +117,17 @@ def test_engine_matches_definition(norm, case):
     got = fs._NormContext(f, norm).difference_sample_norms(r, k)
     assert np.all(np.abs(got - expected) <= tol)
     assert np.all(np.abs(fs.xnorms_over_time(d, norm, geom) - expected) <= tol)
+
+
+def test_time_fastest_layout_gives_the_contiguous_norms():
+    # a field stored with time as its fastest axis: its spectral rows come out
+    # of fftn with the input's strides and used to fail in their real view
+    data = np.random.default_rng(5).standard_normal((N, N, 2, 9))
+    moved = fs.TimeGridFunction(np.moveaxis(data, -1, 0), dt=0.125, geometry=GEOM)
+    copied = fs.TimeGridFunction(np.ascontiguousarray(moved.values), dt=0.125, geometry=GEOM)
+    assert not moved.values.flags.c_contiguous
+    for norm in (fs.WM12, fs.L2, fs.W12):
+        for p in (1.0, 2.0, math.inf):
+            assert fs.lp_norm(moved, p, norm) == fs.lp_norm(copied, p, norm)
+            assert (fs.raw_seminorm(moved, 0.5, 2, 0.5, p, norm)
+                    == fs.raw_seminorm(copied, 0.5, 2, 0.5, p, norm))
