@@ -655,9 +655,9 @@ class _NormContext:
         return best
 
 
-def _interpolation_contexts(f: TimeGridFunction, norms) -> list:
-    """One context of f per l2 norm of ``norms``, all from one factorisation
-    of the raw samples.
+def _interpolation_contexts(f: TimeGridFunction) -> list:
+    """The L^2, W^{1,2} and W^{-1,2} contexts of f, all from one
+    factorisation of the raw samples.
 
     The raw values factor as ``C Q^T`` (``_row_space_coordinates``); only the
     k <= 8 basis fields ``Q^T`` go through each feature map L, and a thin QR
@@ -667,11 +667,13 @@ def _interpolation_contexts(f: TimeGridFunction, norms) -> list:
     identical coordinates.
 
     Falls back to one independent ``_NormContext`` per norm when the raw
-    values are zero or not of low rank, when a norm does not reduce by l2,
+    values are zero or not of low rank, when a norm does not reduce by l2
+    (W^{-1,2} on a masked geometry is a dictionary bound),
     or when the raw values or the mapped rows could reach the power-of-two
     rescaling of ``_features`` (where squares leave the normal range, the
     residual test of the factor would be void).
     """
+    norms = (L2, W12, WM12)
     raw = f.values.reshape(f.n_samples, -1)
     top = float(np.max(np.abs(raw))) if raw.size else 0.0
     basis = None if _unit_exponent(top, 2.0) else _row_space_coordinates(raw)
@@ -973,7 +975,7 @@ def check_interpolation(f, *, alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0,
     b = 0.5
     alpha_b = (1 - b) * alpha1 + b * alpha2
     p_b = 1.0 / ((1 - b) / p1 + b / p2)
-    ctx_z, ctx_x, ctx_y = _interpolation_contexts(f, (L2, W12, WM12))
+    ctx_z, ctx_x, ctx_y = _interpolation_contexts(f)
     lhs = ctx_z.seminorm(alpha_b, r, delta, p_b)
     leg_x = ctx_x.seminorm(alpha1, r, delta, p1)
     leg_y = ctx_y.seminorm(alpha2, r, delta, p2)

@@ -3,8 +3,8 @@
 ``check_interpolation`` builds its L^2, W^{1,2} and W^{-1,2} contexts from one
 factorisation ``C Q^T`` of the raw samples (``_interpolation_contexts``).  The
 reference is one independent ``_NormContext`` per norm, the path taken when
-the raw samples are not of low rank or their feature rows could reach the
-power-of-two rescaling of ``_features``.  Lag profiles and seminorms agree to
+the raw samples are not of low rank, W^{-1,2} is a masked dictionary bound,
+or the rows could reach the power-of-two rescaling of ``_features``.  Lag profiles and seminorms agree to
 rounding, a constant-in-time field measures exactly zero, the fallback cases
 give bit-for-bit the reports of independent contexts, and a corpus field
 maps no more than the 8 basis fields.
@@ -27,8 +27,8 @@ NORMS = (fs.L2, fs.W12, fs.WM12)
 PARAMS = dict(verify.CANONICAL_PARAMS[fs.INTERPOLATION], delta=0.5)  # a step on 12 samples
 
 
-def independent(f, norms):
-    return [fs._NormContext(f, norm) for norm in norms]
+def independent(f):
+    return [fs._NormContext(f, norm) for norm in NORMS]
 
 
 def lifted(rng, m, rank, profile, scale=1.0):
@@ -55,7 +55,7 @@ fields = st.builds(lifted, st.integers(0, 2**32 - 1).map(np.random.default_rng),
        p=st.sampled_from([1.0, 4.0 / 3.0, 2.0, 4.0, math.inf]))
 def test_shared_contexts_give_the_independent_norms(f, r, alpha, p):
     K = (f.n_samples - 2) // r
-    for ctx, ref in zip(fs._interpolation_contexts(f, NORMS), independent(f, NORMS)):
+    for ctx, ref in zip(fs._interpolation_contexts(f), independent(f)):
         assert ctx.rows.shape[1] <= 8
         tol = 1e-14 * ref.scale
         assert np.all(np.abs(ctx.lag_profile(r, K, p) - ref.lag_profile(r, K, p)) <= tol)
@@ -68,7 +68,7 @@ def test_shared_contexts_give_the_independent_norms(f, r, alpha, p):
 def test_constant_in_time_field_measures_zero(f, r, p):
     const = fs.TimeGridFunction(np.repeat(f.values[:1], f.n_samples, axis=0), f.t0, f.dt,
                                 f.geometry)
-    for ctx in fs._interpolation_contexts(const, NORMS):
+    for ctx in fs._interpolation_contexts(const):
         assert ctx.rows.shape[1] <= 1
         assert ctx.holder_seminorm(0.5) == 0.0
         assert ctx.seminorm(0.5, r, 1.0, p) == 0.0
@@ -78,7 +78,7 @@ def test_constant_in_time_field_measures_zero(f, r, p):
 def assert_fallback(f):
     """The shared path keeps the rows of independent contexts, and the
     check's report is bit for bit that of independent contexts."""
-    for ctx, ref in zip(fs._interpolation_contexts(f, NORMS), independent(f, NORMS)):
+    for ctx, ref in zip(fs._interpolation_contexts(f), independent(f)):
         assert np.array_equal(ctx.rows.view(np.uint64), ref.rows.view(np.uint64))
     got = fs.check_interpolation(f, **PARAMS)
     with mock.patch.object(fs, "_interpolation_contexts", independent):
@@ -98,6 +98,15 @@ def test_full_rank_field_keeps_independent_contexts(seed, m):
        exp=st.sampled_from([-600, 600]))
 def test_rescaled_field_keeps_independent_contexts(seed, m, rank, exp):
     assert_fallback(lifted(np.random.default_rng(seed), m, rank, "walk", 2.0**exp))
+
+
+def test_masked_field_keeps_independent_contexts():
+    # on a ball, W^{-1,2} is the dictionary lower bound, not an l2 norm
+    f = lifted(np.random.default_rng(3), 40, 2, "walk")
+    x = np.arange(N) - N / 2
+    mask = np.add.outer(x**2, x**2) <= 9.0
+    assert_fallback(fs.TimeGridFunction(f.values, f.t0, f.dt,
+                                        fs.SpaceGeometry(GEOM.h, 2, mask)))
 
 
 def test_corpus_field_maps_only_its_basis():
