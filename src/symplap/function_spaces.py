@@ -668,10 +668,10 @@ def _interpolation_contexts(f: TimeGridFunction) -> list:
 
     Falls back to one independent ``_NormContext`` per norm when the raw
     values are zero or not of low rank, when a norm does not reduce by l2
-    (W^{-1,2} on a masked geometry is a dictionary bound),
-    or when the raw values or the mapped rows could reach the power-of-two
-    rescaling of ``_features`` (where squares leave the normal range, the
-    residual test of the factor would be void).
+    (W^{-1,2} on a masked geometry is a dictionary bound), or when the raw
+    values or the mapped rows could reach the power-of-two rescaling of
+    ``_features`` (where squares leave the normal range, the residual test
+    of the factor would be void).
     """
     norms = (L2, W12, WM12)
     raw = f.values.reshape(f.n_samples, -1)

@@ -120,8 +120,8 @@ def test_engine_matches_definition(norm, case):
 
 
 def test_time_fastest_layout_gives_the_contiguous_norms():
-    # a field stored with time as its fastest axis: its spectral rows come out
-    # of fftn with the input's strides and used to fail in their real view
+    # time as the fastest axis: fftn keeps that layout, and the real view of
+    # complex spectral rows needs a contiguous last axis
     data = np.random.default_rng(5).standard_normal((N, N, 2, 9))
     moved = fs.TimeGridFunction(np.moveaxis(data, -1, 0), dt=0.125, geometry=GEOM)
     copied = fs.TimeGridFunction(np.ascontiguousarray(moved.values), dt=0.125, geometry=GEOM)

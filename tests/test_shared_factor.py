@@ -4,10 +4,10 @@
 factorisation ``C Q^T`` of the raw samples (``_interpolation_contexts``).  The
 reference is one independent ``_NormContext`` per norm, the path taken when
 the raw samples are not of low rank, W^{-1,2} is a masked dictionary bound,
-or the rows could reach the power-of-two rescaling of ``_features``.  Lag profiles and seminorms agree to
-rounding, a constant-in-time field measures exactly zero, the fallback cases
-give bit-for-bit the reports of independent contexts, and a corpus field
-maps no more than the 8 basis fields.
+or the rows could reach the power-of-two rescaling of ``_features``.  Lag
+profiles and seminorms agree to rounding, a constant-in-time field measures
+exactly zero, the fallback cases give bit-for-bit the reports of independent
+contexts, and a corpus field maps no more than the 8 basis fields.
 """
 
 import math
