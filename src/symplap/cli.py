@@ -168,6 +168,7 @@ def run_analyze(cfg: dict, out_dir: Path, seed: int) -> int:
     for a in alphas:
         require_finite("smoothness exponent in alphas", a, at_least=0)
     delta = float(cfg.get("delta", 0.1))
+    require_finite("delta", delta)
     r = float(cfg.get("r", 0.85))
     big_r = float(cfg.get("big_r", 1.7))
     if not big_r > r:

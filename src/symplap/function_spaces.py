@@ -37,17 +37,10 @@ remainder report raw values.  It differences whole blocks of lags at once and
 keeps the difference norms of lags 1..K per (r, p) (``lag_profile``); every
 value equals the one-lag evaluation bit for bit.
 
-For an l2 reduction whose feature rows are numerically of low rank, the
-context differences the rows' coordinates in an orthonormal basis Q of their
-row space, found by a fixed-seed sketch, instead of the rows themselves; it
-does so only when the explicit residual |rows - rows Q Q^T|_F is at most
-1e-14 |rows|_F (``_row_space_coordinates``).  Differences and the l2 norm
-inside the row space commute with the projection, so results move only at
-rounding level.  The interpolation check factors the raw samples of its
-field once instead and maps only the basis fields into L^2, W^{1,2} and
-W^{-1,2} (``_interpolation_contexts``); those three contexts take their
-sample norms and rounding floor from the coordinates, which moves them by at
-most 2e-15 of the largest sample norm on the canonical corpus.
+A context whose norm is the l2 norm of rows linear in all samples factors
+low-rank raw samples once and differences the coordinates of the mapped rows
+instead of the rows, which moves results only at rounding level; every other
+context keeps the exact rows (``_NormContext``).
 """
 
 from __future__ import annotations
@@ -254,16 +247,14 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     Rows whose squares or q-th powers would leave the normal range are brought
     to unit size by an exact power of two (complex rows through their real
     view), which ``reduce`` undoes; all other rows are returned as mapped.
-    The third value tells whether the reduction is the l2 norm of each row.
     """
     rows, reduce = _feature_map(values, norm, geom)
-    l2 = reduce is _l2
     top = float(max(rows.view(float).max(), -rows.view(float).min())) if rows.size else 0.0
     exp = int(_unit_exponent(top, norm.q))
     if exp:
         rows = np.ldexp(rows.view(float), -exp).view(rows.dtype)
-        return rows, lambda r: np.ldexp(reduce(r), exp), l2
-    return rows, reduce, l2
+        return rows, lambda r: np.ldexp(reduce(r), exp)
+    return rows, reduce
 
 
 def _unit_exponent(top, q: float) -> np.ndarray:
@@ -317,7 +308,7 @@ def spatial_norm(snapshot: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) 
 
 def xnorms_over_time(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) -> np.ndarray:
     """Vector of state-space norms, one per time sample (axis 0)."""
-    rows, reduce, _ = _features(values, norm, geom)
+    rows, reduce = _features(values, norm, geom)
     return reduce(rows)
 
 
@@ -328,9 +319,10 @@ _RESIDUAL_CHUNK = 64  # rows per residual slice; one m x M temporary is 3.1 MB o
 
 
 def _row_space_coordinates(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(rows @ Q, Q)``: the coordinates of l2 feature rows in an orthonormal
-    basis Q of their numerical row space, or None when the rows are not of
-    low rank.
+    """``(rows @ Q, Q)``: the coordinates of real rows in an orthonormal basis
+    Q of their numerical row space, or None when the rows are zero, not of
+    low rank, or have entries whose squares could leave the normal range
+    (the residual test would be void there).
 
     A randomized range finder (Halko, Martinsson and Tropp, SIAM Review 53,
     2011) applied on the right: a thin QR of ``rows.T @ Omega``, Omega a
@@ -341,38 +333,35 @@ def _row_space_coordinates(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | 
     ``_ROW_SPACE_TOL * |rows|_F``.  A Q that kept fewer than
     ``_SKETCH_COLUMNS`` directions and fails this test can sit at rounding
     level off the row space; it is refined once by one subspace iteration,
-    a thin QR of ``rows.T @ rows Q``, and tested again.  Complex rows go
-    through their real view.
+    a thin QR of ``rows.T @ rows Q``, and tested again.
 
-    Right multiplication by Q commutes with time differences and keeps the l2
-    norm of every vector in the row space, so difference norms move only at
-    rounding level; each row is multiplied on its own, so identical rows get
-    identical coordinates and their differences stay exactly zero.
+    Each row is multiplied on its own, so identical rows get identical
+    coordinates and their differences stay exactly zero.
     """
-    real = rows.view(float)
-    m, n = real.shape
+    m, n = rows.shape
     if n <= _SKETCH_COLUMNS:
         return None
-    total = float(np.linalg.norm(real))
-    if not math.isfinite(total):
+    top = float(np.max(np.abs(rows)))
+    if not 0.0 < top < math.inf or _unit_exponent(top, 2.0):
         return None
+    total = float(np.linalg.norm(rows))
     omega = np.random.default_rng(_SKETCH_SEED).standard_normal((m, _SKETCH_COLUMNS))
-    candidates = real.T @ omega
+    candidates = rows.T @ omega
     for _ in range(2):
         q = np.linalg.qr(candidates)[0]
-        _, sing, vt = np.linalg.svd(real @ q, full_matrices=False)
+        _, sing, vt = np.linalg.svd(rows @ q, full_matrices=False)
         q = q @ vt[sing > _ROW_SPACE_TOL * sing[0]].T
         # row by row: one blocked product may round identical rows differently
-        coords = np.matmul(real[:, None, :], q)[:, 0]
+        coords = np.matmul(rows[:, None, :], q)[:, 0]
         resid = 0.0
         for i in range(0, m, _RESIDUAL_CHUNK):
-            block = real[i : i + _RESIDUAL_CHUNK] - coords[i : i + _RESIDUAL_CHUNK] @ q.T
+            block = rows[i : i + _RESIDUAL_CHUNK] - coords[i : i + _RESIDUAL_CHUNK] @ q.T
             resid += float(np.sum(block**2))
         if math.sqrt(resid) <= _ROW_SPACE_TOL * total:
             return coords, q
         if not 0 < q.shape[1] < _SKETCH_COLUMNS:
             return None  # every sketch direction kept: the rows are not of low rank
-        candidates = real.T @ coords  # one subspace iteration on the kept directions
+        candidates = rows.T @ coords  # one subspace iteration on the kept directions
     return None
 
 
@@ -517,47 +506,58 @@ def _time_lp_rows(g: np.ndarray, lengths, p: float, dt: float) -> list:
     return out
 
 
+def _factored_rows(f: TimeGridFunction, x_norm: XNorm, cache: dict) -> np.ndarray | None:
+    """Coordinates ``C R^T`` of the l2 feature rows of f (see ``_NormContext``),
+    or None when its raw samples have no low-rank factor or the mapped rows
+    could be rescaled by ``_features``; ``cache`` keeps the factor of f."""
+    if "factor" not in cache:
+        cache["factor"] = _row_space_coordinates(f.values.reshape(f.n_samples, -1))
+    if cache["factor"] is None:
+        return None
+    coords, q = cache["factor"]
+    basis = q.T.reshape((q.shape[1],) + f.values.shape[1:])
+    mapped = _feature_map(basis, x_norm, f.geometry)[0].view(float)
+    rows = np.matmul(coords[:, None, :], np.linalg.qr(mapped.T, mode="r").T)[:, 0]
+    # the largest mapped entry lies in [scale / sqrt(M), scale]; a factor 2
+    # each way covers the rounding of the coordinates
+    scale = float(np.max(_l2(rows)))
+    bounds = [0.5 * scale / math.sqrt(mapped.shape[1]), 2.0 * scale]
+    return None if bounds[0] == 0.0 or _unit_exponent(bounds, 2.0).any() else rows
+
+
 _EPS = np.finfo(float).eps
 _LAG_BLOCK_ELEMENTS = 2**16  # differenced entries per block of lags
 _LAG_BLOCK_LAGS = 128
 
 
-
 class _NormContext:
     """The one evaluator of time norms, per (function, X-norm).
 
-    Carries the feature rows of f with their reduction (see ``_features``)
-    and the rounding floor scale: per-sample difference norms below
-    ``32 * 2**r * eps * max_t |f(t)|_X`` are pure binomial-stencil roundoff
-    and are snapped to exact zero, so that analytically vanishing differences
-    (affine data under second differences, constants) measure as zero.
+    Carries the feature rows of f with their reduction (see ``_features``),
+    the sample norms and the rounding floor scale: per-sample difference
+    norms below ``32 * 2**r * eps * max_t |f(t)|_X`` are pure
+    binomial-stencil roundoff and are snapped to exact zero, so that
+    analytically vanishing differences (affine data under second
+    differences, constants) measure as zero.
 
-    The sample norms, and with them ``lp_norm`` and the floor scale, come
-    from the exact rows.  For an l2 reduction, ``rows`` then holds the rows'
-    coordinates in their row space when they are numerically of low rank
-    (see ``_row_space_coordinates``), and every difference norm works on those.
-    The contexts of the interpolation check are the exception: built from one
-    factorisation of the raw samples, they have only the coordinates and take
-    the sample norms and the floor scale from them (``_on_coordinates``).
+    One rule for the rows: when X reduces by l2 rows linear in all samples
+    (no mask; Euclidean, L^2, W^{1,2}, spectral W^{-1,2}) and the raw samples
+    factor as ``C Q^T`` (``_row_space_coordinates``), only the k <= 8 basis
+    fields ``Q^T`` go through the feature map L; a thin QR ``(L Q)^T = U R``
+    gives the rows' coordinates ``C R^T``, row by row, whose differences have
+    the l2 norms of the mapped rows' differences.  The sample norms and the
+    floor scale come from them too.  Every other context keeps the exact
+    rows.  ``_cache`` shares the factor between contexts of one f; it never
+    changes a result.
     """
 
-    def __init__(self, f: TimeGridFunction, x_norm: XNorm):
-        rows, reduce, l2 = _features(f.values, x_norm, f.geometry)
-        basis = _row_space_coordinates(rows) if l2 else None
-        self._bind(f, reduce(rows), rows if basis is None else basis[0], reduce)
-
-    @classmethod
-    def _on_coordinates(cls, f: TimeGridFunction, coords: np.ndarray) -> _NormContext:
-        """Context of an l2 norm whose feature rows of f have the coordinates
-        ``coords`` in an orthonormal basis; sample norms and the floor scale
-        are taken from the coordinates (see ``_interpolation_contexts``)."""
-        ctx = cls.__new__(cls)
-        ctx._bind(f, _l2(coords), coords, _l2)
-        return ctx
-
-    def _bind(self, f: TimeGridFunction, sample_norms: np.ndarray, rows: np.ndarray, reduce):
-        self.f, self.sample_norms, self.rows, self.reduce = f, sample_norms, rows, reduce
-        self.scale = float(np.max(sample_norms)) if len(sample_norms) else 0.0
+    def __init__(self, f: TimeGridFunction, x_norm: XNorm, _cache: dict | None = None):
+        geom = f.geometry
+        l2 = geom is None or geom.mask is None and (x_norm.kind == "euclid" or x_norm.q == 2.0)
+        rows = _factored_rows(f, x_norm, {} if _cache is None else _cache) if l2 else None
+        self.rows, self.reduce = _features(f.values, x_norm, geom) if rows is None else (rows, _l2)
+        self.f, self.sample_norms = f, self.reduce(self.rows)
+        self.scale = float(np.max(self.sample_norms)) if len(self.sample_norms) else 0.0
         self._profiles = {}
 
     def lp_norm(self, p: float) -> float:
@@ -655,60 +655,18 @@ class _NormContext:
         return best
 
 
-def _interpolation_contexts(f: TimeGridFunction) -> list:
-    """The L^2, W^{1,2} and W^{-1,2} contexts of f, all from one
-    factorisation of the raw samples.
-
-    The raw values factor as ``C Q^T`` (``_row_space_coordinates``); only the
-    k <= 8 basis fields ``Q^T`` go through each feature map L, and a thin QR
-    ``(L Q)^T = U R`` gives the coordinates ``C R^T`` of the mapped rows
-    ``C R^T U^T``, so their differences have the l2 norms of the mapped rows'
-    differences.  Each row is multiplied on its own: identical samples keep
-    identical coordinates.
-
-    Falls back to one independent ``_NormContext`` per norm when the raw
-    values are zero or not of low rank, when a norm does not reduce by l2
-    (W^{-1,2} on a masked geometry is a dictionary bound), or when the raw
-    values or the mapped rows could reach the power-of-two rescaling of
-    ``_features`` (where squares leave the normal range, the residual test
-    of the factor would be void).
-    """
-    norms = (L2, W12, WM12)
-    raw = f.values.reshape(f.n_samples, -1)
-    top = float(np.max(np.abs(raw))) if raw.size else 0.0
-    basis = None if _unit_exponent(top, 2.0) else _row_space_coordinates(raw)
-    if basis is not None and basis[1].shape[1]:
-        coords, q = basis
-        fields = q.T.reshape((q.shape[1],) + f.values.shape[1:])
-        contexts = []
-        for norm in norms:
-            mapped, reduce = _feature_map(fields, norm, f.geometry)
-            if reduce is not _l2:
-                break
-            mapped = mapped.view(float)
-            r = np.linalg.qr(mapped.T, mode="r")
-            ctx = _NormContext._on_coordinates(f, np.matmul(coords[:, None, :], r.T)[:, 0])
-            # the largest mapped entry lies in [scale / sqrt(M), scale]; a
-            # factor 2 each way covers the rounding of the coordinates
-            bounds = [0.5 * ctx.scale / math.sqrt(mapped.shape[1]), 2.0 * ctx.scale]
-            if bounds[0] == 0.0 or _unit_exponent(bounds, 2.0).any():
-                break
-            contexts.append(ctx)
-        else:
-            return contexts
-    return [_NormContext(f, norm) for norm in norms]
-
-
 def lp_norm(f: TimeGridFunction, p: float, x_norm: XNorm = EUCLID) -> float:
     """Bochner norm |f|_{L^p(I;X)} on the full grid."""
     return _NormContext(f, x_norm).lp_norm(p)
 
 
 def admissible_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
-    """Grid multiples k with k*dt <= delta and a nonempty difference domain."""
-    k_cap = int(math.floor(delta / f.dt * (1 + 1e-12)))
-    k_cap = min(k_cap, (f.n_samples - 2) // r)
-    return list(range(1, k_cap + 1))
+    """Grid multiples k with k*dt <= delta and a nonempty difference domain;
+    an infinite ``delta`` admits every step that fits."""
+    if math.isnan(delta):
+        raise ValueError("step cap delta must be a number, got nan")
+    k_cap = min(delta / f.dt * (1 + 1e-12), (f.n_samples - 2) // r)
+    return list(range(1, math.floor(max(k_cap, 0)) + 1))
 
 
 def dyadic_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
@@ -975,7 +933,8 @@ def check_interpolation(f, *, alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0,
     b = 0.5
     alpha_b = (1 - b) * alpha1 + b * alpha2
     p_b = 1.0 / ((1 - b) / p1 + b / p2)
-    ctx_z, ctx_x, ctx_y = _interpolation_contexts(f)
+    cache = {}  # the three contexts share one factor of f's raw samples
+    ctx_z, ctx_x, ctx_y = (_NormContext(f, norm, cache) for norm in (L2, W12, WM12))
     lhs = ctx_z.seminorm(alpha_b, r, delta, p_b)
     leg_x = ctx_x.seminorm(alpha1, r, delta, p1)
     leg_y = ctx_y.seminorm(alpha2, r, delta, p2)

@@ -342,7 +342,10 @@ big_r = 3.1
                                                    ("alphas", "0.5, inf", "alphas"),
                                                    ("alphas", "0.5, 1.6", "ceiling"),
                                                    ("center", "nan 0.5", "center"),
-                                                   ("t_center", "nan", "center")])
+                                                   ("t_center", "nan", "center"),
+                                                   ("delta", "inf", "delta"),
+                                                   ("delta", "nan", "delta"),
+                                                   ("delta", "0", "delta")])
     def test_out_of_range_value_is_validation_error(self, tmp_path, solved, capsys, key, value,
                                                     message):
         settings = dict(trajectory=solved, alphas="0.5", delta="0.15", r="0.85", big_r="1.7",

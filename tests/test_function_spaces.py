@@ -200,6 +200,16 @@ class TestModulus:
         direct = fs.nikolskii_seminorm(f, fs.SeminormSpec(alpha=alpha, p=p, r=r, delta=delta))
         assert via_modulus == direct
 
+    def test_infinite_step_cap_admits_every_step(self):
+        rng = np.random.default_rng(5)
+        f = grid_fn(np.cumsum(rng.normal(size=65)), dt=1 / 64)
+        assert fs.admissible_steps(f, 2, INF) == fs.admissible_steps(f, 2, 1e300) \
+            == list(range(1, 32))
+        assert fs.modulus_of_continuity(f, 1, INF) == fs.modulus_of_continuity(f, 1, 1e300)
+        assert fs.admissible_steps(f, 1, -INF) == []
+        with pytest.raises(ValueError, match="delta"):
+            fs.modulus_of_continuity(f, 1, math.nan)
+
 
 
 @settings(max_examples=300, deadline=None)

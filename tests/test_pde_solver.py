@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import symplap.pde_solver as ps
 import symplap.tensor_models as tm
@@ -286,6 +286,28 @@ class TestSolve:
         u0 = ps.initial_condition("random_smooth", ps.TorusGrid(16), amplitude=amplitude)
         with pytest.raises(ValueError, match="energy or stress is not finite"):
             ps.solve(u0, 0.02, 0.01, P3)
+
+    @settings(max_examples=12, deadline=None)
+    @given(p=st.sampled_from([2.0, 2.5, 3.0, 4.0]), model=st.sampled_from(["A1", "A2"]),
+           seed=st.integers(0, 2**16), coeffs=st.lists(st.floats(-1.0, 1.0), min_size=8,
+                                                       max_size=8))
+    def test_symmetric_gradient_kernel_content_is_conserved(self, p, model, seed, coeffs):
+        # the kernel of the discrete symmetric gradient: constants and the
+        # Nyquist checkerboards (n/2, 0), (0, n/2), (n/2, n/2), per component
+        n = 16
+        grid = ps.TorusGrid(n)
+        sign = (-1.0) ** np.arange(n)
+        modes = [np.ones((n, n)), np.outer(sign, np.ones(n)), np.outer(np.ones(n), sign),
+                 np.outer(sign, sign)]
+        kernel = np.array([np.stack([m * (c == 0), m * (c == 1)], axis=-1)
+                           for m in modes for c in (0, 1)])
+        u0 = ps.initial_condition("random_smooth", grid, seed=seed).data
+        u0 = u0 + np.tensordot(coeffs, kernel, axes=1)
+        traj = ps.solve(ps.SpatialField(u0, grid), 0.04, 0.01, tm.ModelParams(p=p, mu=1.0,
+                                                                             model=model))
+        content = np.tensordot(traj.snapshots, kernel, axes=([1, 2, 3], [1, 2, 3])) / n**2
+        tol = 1e-12 * (1.0 + np.max(np.abs(u0)))
+        assert np.max(np.abs(content - coeffs)) <= tol
 
     def test_large_finite_data_still_solve(self):
         u0 = ps.initial_condition("random_smooth", ps.TorusGrid(16), amplitude=1e3)

@@ -149,6 +149,13 @@ class TestSweep:
             for s_small, s_big in zip(rs.seminorms, rb.seminorms):
                 assert s_small <= s_big * (1 + 1e-10)
 
+    def test_masked_contexts_make_no_low_rank_attempt(self, p3_traj):
+        # every restriction lives on a ball: its contexts keep the exact rows
+        with mock.patch.object(fs, "_row_space_coordinates",
+                               wraps=fs._row_space_coordinates) as spy:
+            ra.seminorm_sweep(p3_traj, CYL, alphas=[0.5], delta=0.16)
+        assert spy.call_count == 0
+
     def test_insufficient_dyadic_resolution(self, p2_traj):
         with pytest.raises(InsufficientResolutionError):
             ra.seminorm_sweep(p2_traj, CYL, alphas=[0.5], delta=0.05)

@@ -1,13 +1,15 @@
-"""Property tests of the shared factorisation of the interpolation check.
+"""Property tests of the factor shared by the interpolation check's contexts.
 
-``check_interpolation`` builds its L^2, W^{1,2} and W^{-1,2} contexts from one
-factorisation ``C Q^T`` of the raw samples (``_interpolation_contexts``).  The
-reference is one independent ``_NormContext`` per norm, the path taken when
-the raw samples are not of low rank, W^{-1,2} is a masked dictionary bound,
-or the rows could reach the power-of-two rescaling of ``_features``.  Lag
-profiles and seminorms agree to rounding, a constant-in-time field measures
-exactly zero, the fallback cases give bit-for-bit the reports of independent
-contexts, and a corpus field maps no more than the 8 basis fields.
+``check_interpolation`` builds its L^2, W^{1,2} and W^{-1,2} contexts like
+every other check, sharing one factorisation ``C Q^T`` of the raw samples
+through the contexts' private cache; a context built with the shared factor
+equals one built without it, bit for bit.  The reference is one context per
+norm on the exact rows (``_row_space_coordinates`` switched off), the path
+taken when the raw samples are zero or not of low rank, the geometry is
+masked, or the rows could reach the power-of-two rescaling of ``_features``.
+Lag profiles and seminorms agree to rounding, a constant-in-time field
+measures exactly zero, the fallback cases give bit-for-bit the reports of
+exact contexts, and a corpus field maps no more than the 8 basis fields.
 """
 
 import math
@@ -27,8 +29,19 @@ NORMS = (fs.L2, fs.W12, fs.WM12)
 PARAMS = dict(verify.CANONICAL_PARAMS[fs.INTERPOLATION], delta=0.5)  # a step on 12 samples
 
 
-def independent(f):
-    return [fs._NormContext(f, norm) for norm in NORMS]
+def shared(f):
+    cache = {}
+    return [fs._NormContext(f, norm, cache) for norm in NORMS]
+
+
+def exact(f):
+    with mock.patch.object(fs, "_row_space_coordinates", lambda rows: None):
+        return [fs._NormContext(f, norm) for norm in NORMS]
+
+
+def assert_same(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def lifted(rng, m, rank, profile, scale=1.0):
@@ -55,12 +68,27 @@ fields = st.builds(lifted, st.integers(0, 2**32 - 1).map(np.random.default_rng),
        p=st.sampled_from([1.0, 4.0 / 3.0, 2.0, 4.0, math.inf]))
 def test_shared_contexts_give_the_independent_norms(f, r, alpha, p):
     K = (f.n_samples - 2) // r
-    for ctx, ref in zip(fs._interpolation_contexts(f), independent(f)):
-        assert ctx.rows.shape[1] <= 8
+    for ctx, ref in zip(shared(f), exact(f)):
+        if f.values.any():
+            assert ctx.rows.shape[1] <= 8
+        else:
+            assert_same(ctx.rows, ref.rows)  # a zero field has no factor
         tol = 1e-14 * ref.scale
+        assert np.all(np.abs(ctx.sample_norms - ref.sample_norms) <= tol)
         assert np.all(np.abs(ctx.lag_profile(r, K, p) - ref.lag_profile(r, K, p)) <= tol)
         assert abs(ctx.seminorm(alpha, r, 1.0, p) - ref.seminorm(alpha, r, 1.0, p)) \
             <= tol * f.dt**-alpha
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=fields, norm=st.sampled_from(NORMS), first=st.sampled_from(NORMS))
+def test_shared_factor_changes_no_context(f, norm, first):
+    cache = {}
+    fs._NormContext(f, first, cache)  # another norm of f fills the cache
+    ctx, alone = fs._NormContext(f, norm, cache), fs._NormContext(f, norm)
+    assert_same(ctx.rows, alone.rows)
+    assert_same(ctx.sample_norms, alone.sample_norms)
+    assert ctx.scale == alone.scale
 
 
 @settings(max_examples=30, deadline=None)
@@ -68,23 +96,22 @@ def test_shared_contexts_give_the_independent_norms(f, r, alpha, p):
 def test_constant_in_time_field_measures_zero(f, r, p):
     const = fs.TimeGridFunction(np.repeat(f.values[:1], f.n_samples, axis=0), f.t0, f.dt,
                                 f.geometry)
-    for ctx in fs._interpolation_contexts(const):
-        assert ctx.rows.shape[1] <= 1
+    for ctx in shared(const):
+        assert ctx.rows.shape[1] <= 1 or not const.values.any()
         assert ctx.holder_seminorm(0.5) == 0.0
         assert ctx.seminorm(0.5, r, 1.0, p) == 0.0
         assert not np.any(ctx.difference_sample_norms(r, 1))
 
 
 def assert_fallback(f):
-    """The shared path keeps the rows of independent contexts, and the
-    check's report is bit for bit that of independent contexts."""
-    for ctx, ref in zip(fs._interpolation_contexts(f), independent(f)):
-        assert np.array_equal(ctx.rows.view(np.uint64), ref.rows.view(np.uint64))
+    """The shared contexts keep the exact rows, and the check's report is
+    bit for bit that of exact contexts."""
+    for ctx, ref in zip(shared(f), exact(f)):
+        assert_same(ctx.rows, ref.rows)
     got = fs.check_interpolation(f, **PARAMS)
-    with mock.patch.object(fs, "_interpolation_contexts", independent):
+    with mock.patch.object(fs, "_row_space_coordinates", lambda rows: None):
         want = fs.check_interpolation(f, **PARAMS)
-    pair = np.array([[got.lhs, got.rhs], [want.lhs, want.rhs]])
-    assert np.array_equal(pair[0].view(np.uint64), pair[1].view(np.uint64))
+    assert_same(np.array([got.lhs, got.rhs]), np.array([want.lhs, want.rhs]))
 
 
 @settings(max_examples=20, deadline=None)
@@ -101,12 +128,15 @@ def test_rescaled_field_keeps_independent_contexts(seed, m, rank, exp):
 
 
 def test_masked_field_keeps_independent_contexts():
-    # on a ball, W^{-1,2} is the dictionary lower bound, not an l2 norm
+    # on a ball no context factors its samples; W^{-1,2} is the dictionary
+    # lower bound there, not an l2 norm
     f = lifted(np.random.default_rng(3), 40, 2, "walk")
     x = np.arange(N) - N / 2
     mask = np.add.outer(x**2, x**2) <= 9.0
-    assert_fallback(fs.TimeGridFunction(f.values, f.t0, f.dt,
-                                        fs.SpaceGeometry(GEOM.h, 2, mask)))
+    masked = fs.TimeGridFunction(f.values, f.t0, f.dt, fs.SpaceGeometry(GEOM.h, 2, mask))
+    with mock.patch.object(fs, "_row_space_coordinates") as spy:
+        assert_fallback(masked)
+    assert spy.call_count == 0
 
 
 def test_corpus_field_maps_only_its_basis():
