@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exponent_engine as ee
-from .errors import GeometryError, InsufficientResolutionError, PreconditionError
+from .errors import GeometryError, InsufficientResolutionError, PreconditionError, require_finite
 from . import stencil
 from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, dyadic_steps, lp,
                               lp_norm, natural_order, w1p, wm1p)
@@ -190,10 +190,14 @@ def regime_norm_table(p: float, alpha: float) -> list:
     """State-space norms probed for a given growth exponent, with predictions.
 
     Entries are (target, x_norm, time_p, alpha_pred): the expected time
-    differentiability of each listed norm at level ``alpha``.  The low-growth
-    regimes replace the fractional rows by full-derivative rows (alpha_pred
-    1 or 2), plus the square-root field's row.
+    differentiability of each listed norm at level ``alpha``, which must be
+    finite, >= 0 and below the regime ceiling.  The low-growth regimes replace
+    the fractional rows by full-derivative rows (alpha_pred 1 or 2), plus the vmap row.
     """
+    require_finite("smoothness exponent alpha", alpha, at_least=0)
+    ceiling = ee.ceiling(p, 2)
+    if alpha >= ceiling:
+        raise PreconditionError(f"alpha = {alpha} is not below the regime ceiling {ceiling} of p = {p}")
     regime = ee.classify(p, 2)
     pp = p / (p - 1.0)
     if regime is ee.Regime.FRACTIONAL:
@@ -223,11 +227,16 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
 
     For each (target, X, time-p) entry: difference norms over dyadic steps at
     the natural order of the row's prediction, the slope estimate, and the
-    seminorm sup for each alpha of the grid.  The default table is the
-    regime table of the trajectory's own growth exponent.  Requires at least
-    4 admissible dyadic steps.
+    seminorm sup for each alpha of the non-empty grid (finite, >= 0).  The
+    default table is the regime table of the trajectory's own growth exponent,
+    which admits alphas below its ceiling only.  Requires at least 4
+    admissible dyadic steps.
     """
     alphas = list(alphas)
+    if not alphas:
+        raise ValueError("alphas lists no exponent")
+    for a in alphas:
+        require_finite("smoothness exponent in alphas", a, at_least=0)
     if table is None:
         table = regime_norm_table(traj.model.p, max(alphas))
     rows = []
@@ -275,9 +284,8 @@ class InteriorEstimateReport:
 
 
 def _interior_norms(traj: Trajectory, cyl: SubCylinder, alpha: float, delta: float) -> dict:
-    p = traj.model.p
     out = {}
-    for target, x_norm, time_p, alpha_pred in regime_norm_table(p, alpha):
+    for target, x_norm, time_p, alpha_pred in regime_norm_table(traj.model.p, alpha):
         f = restrict(traj, cyl, target=target, _box=x_norm.kind == "lp")
         ctx = _NormContext(f, x_norm)
         label = f"{target}:{x_norm.label()}:p{time_p:g}"
@@ -294,16 +302,13 @@ def check_seminorm_bounds(traj: Trajectory, inner: SubCylinder, outer: SubCylind
                           traj_fine: Trajectory | None = None) -> InteriorEstimateReport:
     """Measure the interior estimate: inner-cylinder norms vs the outer data bundle.
 
-    ``alpha`` must lie strictly below the regime's predicted ceiling (the
-    estimate claims nothing above).  The outer bundle is
+    ``alpha`` must lie strictly below the regime's predicted ceiling
+    (:func:`regime_norm_table` raises above it).  The outer bundle is
     (1 + sup_t L^2 + energy-norm)/(R - r); the constants of the bound being
     existential, the report records the empirical exponent and, when a
     dt-halved trajectory is given, the per-norm refinement growth factor.
     """
     p = traj.model.p
-    ceiling = ee.ceiling(p, 2)
-    if alpha >= ceiling:
-        raise PreconditionError(f"alpha = {alpha} is not below the predicted ceiling {ceiling}")
     if outer.r <= inner.r:
         raise GeometryError("outer cylinder must be strictly larger")
     if delta is None:
