@@ -2,9 +2,11 @@
 
 Experiments are described by INI-style config files (one section per
 subcommand) so runs are diffable and archivable; outputs are CSV and
-two-column plot-data files with fixed headers.  All parameters are validated
-before any file is written, and identical config plus seed yields
-byte-identical outputs.
+two-column plot-data files with fixed headers.  The CLI parses: it checks
+config syntax, list shapes, the trajectory path, the finite ``delta`` of
+``analyze`` and its radii (before the sweep); every other parameter rule is
+the library function's that consumes the parameter.  All run before any
+file is written, and identical config plus seed yields byte-identical outputs.
 
 Exit codes: 0 success, 1 validation error, 2 computation failure,
 3 assertion failure (an inequality or frozen-baseline violation).

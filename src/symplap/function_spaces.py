@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -374,7 +375,8 @@ class TimeGridFunction:
     """Uniform time samples of a state-space-valued function.
 
     ``values`` carries time along axis 0; trailing axes are the state (spatial
-    axes first when ``geometry`` is set, then components).
+    axes first when ``geometry`` is set, then components).  Every sample must
+    be finite.
     """
 
     values: np.ndarray
@@ -385,6 +387,8 @@ class TimeGridFunction:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         require_finite("time step dt", self.dt)
+        if not np.isfinite(self.values).all():
+            raise ValueError("time-grid values must be finite")
         if self.n_samples < 2:
             raise EmptyDomainError("a time-grid function needs at least two samples")
 
@@ -411,8 +415,16 @@ def _binomial_weights(r: int) -> np.ndarray:
     return np.array([(-1.0) ** (r - j) * math.comb(r, j) for j in range(r + 1)])
 
 
+def _check_order(r) -> None:
+    """Raise ``ValueError`` unless the difference order r is an integer >= 1."""
+    if not isinstance(r, numbers.Integral) or r < 1:
+        raise ValueError(f"difference order r must be an integer >= 1, got {r!r}")
+
+
 def _difference_length(n: int, r: int, k: int, dt: float) -> int:
-    """Samples n - r*k left by an order-r difference at step k*dt; raises below two."""
+    """Samples n - r*k left by an order-r difference at step k*dt; raises below two
+    and for an order r that is not an integer >= 1."""
+    _check_order(r)
     m = n - r * k
     if m < 2:
         raise EmptyDomainError(
@@ -469,8 +481,6 @@ def higher_difference(f: TimeGridFunction, r: int, h: float) -> TimeGridFunction
     with the recursive first-difference composition exactly.  Raises when h is
     off-grid or when fewer than two samples survive.
     """
-    if r < 1:
-        raise ValueError("difference order must be >= 1")
     out = _difference(f.values, r, steps_of(f, h), f.dt)
     return TimeGridFunction(out, t0=f.t0, dt=f.dt, geometry=f.geometry)
 
@@ -493,7 +503,10 @@ def _time_lp_rows(g: np.ndarray, lengths, p: float, dt: float) -> list:
     length must be zero.  The power is taken over the whole block; each row's
     sum is its own pairwise ``np.add.reduce`` (what ``np.sum`` calls), and the
     root and the exponent are per-row scalar steps, so every value equals the
-    one-row evaluation bit for bit."""
+    one-row evaluation bit for bit.  Every finite-p time norm passes here, so
+    this is where the time exponent p >= 1 (or inf) is enforced."""
+    if not p >= 1:
+        raise ValueError(f"time exponent p must be >= 1 or inf, got {p!r}")
     top = np.max(g, axis=1)
     if math.isinf(p):
         return top.tolist()
@@ -625,6 +638,7 @@ class _NormContext:
 
     def seminorm(self, alpha: float, r: int, delta: float, p: float) -> float:
         """sup over admissible h <= delta of h**(-alpha) |D_h^r f|_{L^p(X)}."""
+        require_finite("smoothness exponent alpha", alpha, at_least=0)
         ks = admissible_steps(self.f, r, delta)
         if not ks:
             raise EmptyDomainError(
@@ -647,6 +661,7 @@ class _NormContext:
 
     def holder_seminorm(self, lam: float) -> float:
         """sup_{s != t} |f(t) - f(s)|_X / |t - s|**lam over all sample pairs."""
+        require_finite("Hoelder exponent lam", lam, at_least=0)
         best = 0.0
         for k0, lags in self._lag_blocks(1, 1, self.f.n_samples - 1):
             top = np.max(self._block_sample_norms(1, k0, lags, -math.inf)[0], axis=1)
@@ -662,7 +677,9 @@ def lp_norm(f: TimeGridFunction, p: float, x_norm: XNorm = EUCLID) -> float:
 
 def admissible_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
     """Grid multiples k with k*dt <= delta and a nonempty difference domain;
-    an infinite ``delta`` admits every step that fits."""
+    an infinite ``delta`` admits every step that fits.  The order r must be an
+    integer >= 1."""
+    _check_order(r)
     if math.isnan(delta):
         raise ValueError("step cap delta must be a number, got nan")
     k_cap = min(delta / f.dt * (1 + 1e-12), (f.n_samples - 2) // r)

@@ -560,8 +560,9 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory`.
 
     Raises ``TrajectoryFormatError`` when the file size disagrees with its
-    header, or when the ``<path>.meta`` sidecar is missing or lacks the model
-    parameters (``model``, ``p``, ``mu``).
+    header, when a snapshot holds a non-finite entry, or when the
+    ``<path>.meta`` sidecar is missing or lacks the model parameters
+    (``model``, ``p``, ``mu``).
     """
     header_bytes = 8 * _HEADER_COUNT
     with open(path, "rb") as fh:
@@ -577,6 +578,9 @@ def load_trajectory(path) -> Trajectory:
                 f"{path}: {size} bytes, but its header (n = {n}, d = {d}, steps = {steps}) "
                 f"needs {expected}")
         data = np.fromfile(fh, dtype="<f8").reshape(steps + 1, n, n, d)
+    for k, snapshot in enumerate(data):  # one snapshot at a time: no array-sized temporary
+        if not np.isfinite(snapshot).all():
+            raise TrajectoryFormatError(f"{path}: snapshot {k} has a non-finite entry")
     meta = {}
     try:
         with open(f"{path}.meta") as fh:

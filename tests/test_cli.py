@@ -1,7 +1,9 @@
 """End-to-end CLI: config handling, artifacts, determinism, exit codes."""
 
+import ast
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import symplap.cli as cli
 import symplap.regularity_analyzer as ra
 from symplap.cli import main
 
@@ -358,6 +361,19 @@ big_r = 3.1
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    def test_non_finite_snapshot_writes_nothing(self, tmp_path, solved, capsys):
+        # one NaN in snapshot 50 inside the ball; the header is 4 float64, then
+        # (steps + 1, n, n, 2) float64 with n = 16
+        data = np.fromfile(solved, dtype="<f8")
+        data[4 + ((50 * 16 + 8) * 16 + 8) * 2] = np.nan
+        data.tofile(solved)
+        cfg = write_config(tmp_path / "a.ini", f"[analyze]\ntrajectory = {solved}\n"
+                                               "alphas = 0.5\ndelta = 0.15\nt_center = 0.5\n")
+        out = tmp_path / "an"
+        assert run(["analyze", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert "snapshot 50 has a non-finite entry" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path, solved):
         cfg = write_config(tmp_path / "a.ini", f"""
 [analyze]
@@ -374,3 +390,42 @@ time_halfwidth = 0.35
         assert run(["analyze", "--config", cfg, "--out", out2]) == 0
         assert (out1 / "regularity.csv").read_bytes() == (out2 / "regularity.csv").read_bytes()
         assert (out1 / "ball_estimate.txt").read_bytes() == (out2 / "ball_estimate.txt").read_bytes()
+
+
+def _keys_read(func, functions) -> set:
+    """Config keys a runner reads, ``cfg.get("key")``, ``cfg["key"]`` or ``"key" in cfg``,
+    also through the module functions it calls."""
+    def is_cfg(node):
+        return isinstance(node, ast.Name) and node.id == "cfg"
+
+    keys = set()
+    for node in ast.walk(functions[func]):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "get" and is_cfg(node.func.value):
+                keys.add(node.args[0].value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in functions and node.func.id != func:
+                keys |= _keys_read(node.func.id, functions)
+        elif isinstance(node, ast.Subscript) and is_cfg(node.value):
+            keys.add(node.slice.value)
+        elif isinstance(node, ast.Compare) and is_cfg(node.comparators[0]):
+            keys.add(node.left.value)
+    return keys
+
+
+def test_readme_config_lists_the_keys_each_runner_reads():
+    # the README's complete config, commented keys such as "; time_halfwidth" included
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    documented, section = {}, None
+    for line in block.splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line.strip()):
+            section = documented.setdefault(header.group(1), set())
+        elif key := re.match(r";?\s*(\w+)\s*=", line):
+            section.add(key.group(1))
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read = {section: _keys_read(runner.__name__, functions)
+            for section, runner in cli._RUNNERS.values()}
+    assert documented == read
+    assert sum(map(len, read.values())) == 23

@@ -85,6 +85,38 @@ class TestNonFiniteParameters:
         with pytest.raises(ValueError, match="^smoothness exponent alpha must be a finite number >= 0"):
             fs.SeminormSpec(alpha=alpha, p=2.0, r=r)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample(self, bad):
+        with pytest.raises(ValueError, match="^time-grid values must be finite"):
+            fs.TimeGridFunction([0.0, 1.0, bad, 3.0, 4.0, 5.0], 0.0, 0.2)
+        with pytest.raises(ValueError, match="^time-grid values must be finite"):
+            fs.TimeGridFunction(np.full((4, 3, 3, 2), bad), 0.0, 0.1)
+
+
+RAMP = fs.TimeGridFunction(np.arange(10.0), 0.0, 0.1)
+
+
+@pytest.mark.parametrize("evaluate, name", [
+    (lambda f: fs.raw_seminorm(f, math.nan, 1, 0.5, 2.0), "smoothness exponent alpha"),
+    (lambda f: fs.raw_seminorm(f, -0.5, 1, 0.5, 2.0), "smoothness exponent alpha"),
+    (lambda f: fs.raw_seminorm(f, 0.5, 1, 0.5, math.nan), "time exponent p"),
+    (lambda f: fs.nikolskii_norm(f, fs.SeminormSpec(alpha=0.5, p=math.nan)), "time exponent p"),
+    (lambda f: fs.modulus_of_continuity(f, 1, 0.5, p=-1.0), "time exponent p"),
+    (lambda f: fs.lp_norm(f, 0.5), "time exponent p"),
+    (lambda f: fs.lp_norm(f, 0.0), "time exponent p"),
+    (lambda f: fs.holder_seminorm(f, math.nan), "Hoelder exponent lam"),
+    (lambda f: fs.holder_seminorm(f, -0.5), "Hoelder exponent lam"),
+    (lambda f: fs.modulus_of_continuity(f, 0, 0.5), "difference order r"),
+    (lambda f: fs.modulus_of_continuity(f, 1.5, 0.5), "difference order r"),
+    (lambda f: fs.admissible_steps(f, -1, 0.5), "difference order r"),
+    (lambda f: fs.higher_difference(f, 0, 0.1), "difference order r"),
+    (lambda f: fs.higher_difference(f, 1.5, 0.1), "difference order r"),
+])
+def test_time_norm_parameter_rules(evaluate, name):
+    # each of these returned a number, or raised a bare ZeroDivisionError or TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        evaluate(RAMP)
+
 
 class TestSeminorm:
     def test_constant_seminorm_zero(self):

@@ -459,6 +459,15 @@ class TestPersistence:
         with pytest.raises(TrajectoryFormatError, match="header"):
             ps.load_trajectory(saved)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snapshot_rejected(self, saved, bad):
+        # the saved trajectory has 3 snapshots; poison one entry of the last
+        data = bytearray(saved.read_bytes())
+        data[-8:] = np.array([bad], dtype="<f8").tobytes()
+        saved.write_bytes(bytes(data))
+        with pytest.raises(TrajectoryFormatError, match="snapshot 2 has a non-finite entry"):
+            ps.load_trajectory(saved)
+
     def test_file_is_header_then_snapshot_bytes(self, tmp_path, grid32):
         traj = ps.solve(ps.initial_condition("random_smooth", grid32, seed=5), 0.01, 5e-3, P3)
         path = tmp_path / "t.bin"

@@ -343,3 +343,32 @@ class TestOneCeiling:
     @given(p=st.floats(min_value=2.0, max_value=12.0), d=st.sampled_from([2, 3]))
     def test_iterate_and_bounds_share_the_ceiling(self, p, d):
         _assert_one_ceiling(p, d)
+
+
+class TestAlphaRules:
+    @pytest.mark.parametrize("alphas, message", [([], "alphas lists no exponent"),
+                                                 ([-1.0], "smoothness exponent in alphas"),
+                                                 ([0.5, math.nan], "smoothness exponent in alphas"),
+                                                 ([math.inf], "smoothness exponent in alphas")])
+    def test_sweep_rejects_bad_alphas(self, p2_traj, alphas, message):
+        # bare errors before: max() of an empty list, ZeroDivisionError, int(nan), OverflowError
+        with pytest.raises(ValueError, match=message):
+            ra.seminorm_sweep(p2_traj, CYL, alphas=alphas, delta=0.16)
+
+    def test_sweep_rejects_alpha_at_the_ceiling(self, p2_traj):
+        top = ee.ceiling(2.0, 2)
+        with pytest.raises(PreconditionError, match="ceiling"):
+            ra.seminorm_sweep(p2_traj, CYL, alphas=[0.5, top], delta=0.16)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_table_only_below_the_ceiling(self, p):
+        top = ee.ceiling(p, 2)
+        assert ra.regime_norm_table(p, np.nextafter(top, 0.0))
+        for alpha in (top, np.nextafter(top, math.inf), 2 * top):
+            with pytest.raises(PreconditionError, match="alpha = .* not below the regime ceiling"):
+                ra.regime_norm_table(p, alpha)
+
+    @pytest.mark.parametrize("alpha", [-0.25, math.nan, math.inf])
+    def test_table_rejects_non_finite_or_negative_alpha(self, alpha):
+        with pytest.raises(ValueError, match="smoothness exponent alpha must be a finite number"):
+            ra.regime_norm_table(3.0, alpha)
