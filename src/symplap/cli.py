@@ -2,11 +2,12 @@
 
 Experiments are described by INI-style config files (one section per
 subcommand) so runs are diffable and archivable; outputs are CSV and
-two-column plot-data files with fixed headers.  The CLI parses: it checks
-config syntax, list shapes, the trajectory path, the finite ``delta`` of
-``analyze`` and its radii (before the sweep); every other parameter rule is
-the library function's that consumes the parameter.  All run before any
-file is written, and identical config plus seed yields byte-identical outputs.
+two-column plot-data files with fixed headers.  The CLI parses the config
+and checks only what the library does not: syntax, list shapes, the
+trajectory path, the finite ``delta`` of ``analyze`` and its radii (before
+the sweep).  Every other parameter rule lives in the library function that
+consumes the parameter.  All checks run before any file is written, and
+identical config plus seed yields byte-identical outputs.
 
 Exit codes: 0 success, 1 validation error, 2 computation failure,
 3 assertion failure (an inequality or frozen-baseline violation).
@@ -114,6 +115,8 @@ def run_exponents(cfg: dict, out_dir: Path, seed: int) -> int:
     p_values = _floats(cfg.get("p_values", "2, 2.5, 3, 4"))
     d_values = _floats(cfg.get("d_values", "2, 3"))
     targets = _floats(cfg.get("targets", "0.4"))
+    if not d_values:  # each p is checked by ee.classify, once per dimension
+        raise ValidationFailure("d_values lists no dimension")
     _require(d_values, lambda d: d >= 1 and d.is_integer(), "dimension {} is not an integer >= 1")
     _require(targets, lambda t: t > 0, "target exponent {} is not positive")
     d_values = [int(d) for d in d_values]

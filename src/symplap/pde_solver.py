@@ -560,7 +560,8 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory`.
 
     Raises ``TrajectoryFormatError`` when the file size disagrees with its
-    header, when a snapshot holds a non-finite entry, or when the
+    header, when the header's dt is not a finite positive number, when a
+    snapshot holds a non-finite entry, or when the
     ``<path>.meta`` sidecar is missing or lacks the model parameters
     (``model``, ``p``, ``mu``).
     """
@@ -572,6 +573,7 @@ def load_trajectory(path) -> Trajectory:
                 f"{path}: {size} bytes, shorter than the {header_bytes}-byte header")
         header = np.frombuffer(fh.read(header_bytes), dtype="<f8")
         n, d, dt, steps = int(header[0]), int(header[1]), float(header[2]), int(header[3])
+        require_finite(f"{path}: header dt", dt, error=TrajectoryFormatError)
         expected = header_bytes + 8 * (steps + 1) * n * n * d
         if min(n, d, steps + 1) < 1 or size != expected:
             raise TrajectoryFormatError(

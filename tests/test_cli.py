@@ -199,6 +199,15 @@ targets = 0.4
         assert run(["exponents", "--config", cfg, "--out", out]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("p_values", ["3", "1.0"])
+    def test_empty_dimension_list_writes_nothing(self, tmp_path, capsys, p_values):
+        # with no dimension no (p, d) pair would reach the growth-exponent check
+        cfg = write_config(tmp_path / "e.ini", f"[exponents]\np_values = {p_values}\nd_values =\n")
+        out = tmp_path / "o"
+        assert run(["exponents", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert "validation error: d_values" in capsys.readouterr().err
+
     def test_target_the_iteration_settles_below_is_unreachable(self, tmp_path):
         cfg = write_config(tmp_path / "e.ini", "[exponents]\np_values = 3.159424712356178\n"
                            "d_values = 2\ntargets = 0.9, 0.9948364583415449\n")

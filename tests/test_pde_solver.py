@@ -468,6 +468,15 @@ class TestPersistence:
         with pytest.raises(TrajectoryFormatError, match="snapshot 2 has a non-finite entry"):
             ps.load_trajectory(saved)
 
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -5e-3, math.inf])
+    def test_bad_header_time_step_rejected(self, saved, dt):
+        # a NaN dt used to load and then fail in restrict with a bare ValueError
+        data = bytearray(saved.read_bytes())
+        data[16:24] = np.array([dt], dtype="<f8").tobytes()
+        saved.write_bytes(bytes(data))
+        with pytest.raises(TrajectoryFormatError, match="header dt must be a finite positive"):
+            ps.load_trajectory(saved)
+
     def test_file_is_header_then_snapshot_bytes(self, tmp_path, grid32):
         traj = ps.solve(ps.initial_condition("random_smooth", grid32, seed=5), 0.01, 5e-3, P3)
         path = tmp_path / "t.bin"
