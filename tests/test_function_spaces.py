@@ -113,7 +113,7 @@ RAMP = fs.TimeGridFunction(np.arange(10.0), 0.0, 0.1)
     (lambda f: fs.higher_difference(f, 1.5, 0.1), "difference order r"),
 ])
 def test_time_norm_parameter_rules(evaluate, name):
-    # each of these returned a number, or raised a bare ZeroDivisionError or TypeError
+    # each rule is checked where its parameter is consumed, and names it
     with pytest.raises(ValueError, match=f"^{name} must be "):
         evaluate(RAMP)
 

@@ -470,7 +470,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("dt", [math.nan, 0.0, -5e-3, math.inf])
     def test_bad_header_time_step_rejected(self, saved, dt):
-        # a NaN dt used to load and then fail in restrict with a bare ValueError
+        # restrict divides the time window by dt
         data = bytearray(saved.read_bytes())
         data[16:24] = np.array([dt], dtype="<f8").tobytes()
         saved.write_bytes(bytes(data))

@@ -351,7 +351,6 @@ class TestAlphaRules:
                                                  ([0.5, math.nan], "smoothness exponent in alphas"),
                                                  ([math.inf], "smoothness exponent in alphas")])
     def test_sweep_rejects_bad_alphas(self, p2_traj, alphas, message):
-        # bare errors before: max() of an empty list, ZeroDivisionError, int(nan), OverflowError
         with pytest.raises(ValueError, match=message):
             ra.seminorm_sweep(p2_traj, CYL, alphas=alphas, delta=0.16)
 
