@@ -421,6 +421,18 @@ def _check_order(r) -> None:
         raise ValueError(f"difference order r must be an integer >= 1, got {r!r}")
 
 
+def _lag_weights(dt: float, ks, power: float, what: str) -> list:
+    """``(k dt)**power`` for each lag k in ``ks``; raises ``ValueError`` starting
+    with ``what`` when a weight overflows or underflows to zero."""
+    try:
+        weights = [(k * dt) ** power for k in ks]
+    except OverflowError:
+        weights = [0.0]
+    if min(weights, default=1.0) == 0.0:
+        raise ValueError(f"{what} takes the lag weight (k dt)**{power!r} out of the float range")
+    return weights
+
+
 def _difference_length(n: int, r: int, k: int, dt: float) -> int:
     """Samples n - r*k left by an order-r difference at step k*dt; raises below two
     and for an order r that is not an integer >= 1."""
@@ -643,9 +655,10 @@ class _NormContext:
         if not ks:
             raise EmptyDomainError(
                 f"no admissible step h <= {delta} for order-{r} differences")
+        weights = _lag_weights(self.f.dt, ks, -alpha, f"smoothness exponent alpha = {alpha!r}")
         best = 0.0
-        for k, norm in zip(ks, self.lag_profile(r, len(ks), p).tolist()):
-            best = max(best, (k * self.f.dt) ** (-alpha) * norm)
+        for weight, norm in zip(weights, self.lag_profile(r, len(ks), p).tolist()):
+            best = max(best, weight * norm)
         return float(best)
 
     def nikolskii_norm(self, alpha: float, r: int, delta: float, p: float) -> float:
@@ -665,7 +678,8 @@ class _NormContext:
         best = 0.0
         for k0, lags in self._lag_blocks(1, 1, self.f.n_samples - 1):
             top = np.max(self._block_sample_norms(1, k0, lags, -math.inf)[0], axis=1)
-            steps = [(k * self.f.dt) ** lam for k in range(k0, k0 + lags)]
+            steps = _lag_weights(self.f.dt, range(k0, k0 + lags), lam,
+                                 f"Hoelder exponent lam = {lam!r}")
             best = float(np.fmax.reduce(top / steps, initial=best))  # NaN lags never win
         return best
 

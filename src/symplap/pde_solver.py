@@ -28,21 +28,28 @@ every step after the first from the linear predictor ``2 u_k - u_{k-1}``.
 Neither changes what a step returns beyond the Newton tolerance: the sup +
 L^2 stopping rule is the same.
 
-Field layout: vector fields -- states, snapshots, residuals and the CG
-vectors -- are arrays of shape (n, n, 2), spatial axes first, component last.
-The public tensor fields of :func:`sym_gradient` and :func:`divergence` are
-(n, n, 2, 2), so the pointwise tensor algebra of ``tensor_models`` applies
-along trailing axes.  Inside :func:`step` a symmetric tensor field is three
-contiguous planes (e11, e12, e22) of shape (3, n, n): the differences then
-run on unit-stride planes, and ``|Q|^2`` and ``Q:H`` are sums of three
-products rather than reductions over two length-2 axes.  Every plane kernel
-does the arithmetic of its (2, 2) form in the same order, so the step's
-results are the same bits either way.
+Field layout: public vector fields -- states, snapshots and the files of
+:func:`save_trajectory` -- are arrays of shape (n, n, 2), spatial axes
+first, component last, and the public tensor fields of :func:`sym_gradient`
+and :func:`divergence` are (n, n, 2, 2), so the pointwise tensor algebra of
+``tensor_models`` applies along trailing axes.  Inside :func:`step`, vectors
+-- the iterates, the residual and the CG vectors -- are planar,
+component-stacked (2, n, n): ``step`` transposes its input on entry and its
+result on exit.  A symmetric tensor field is three contiguous planes
+(e11, e12, e22) of shape (3, n, n).  One difference along each spatial axis
+then covers both components, one ``rfft2``/``irfft2`` pair both planes of
+the preconditioner, and ``|Q|^2`` and ``Q:H`` are sums of three products
+rather than reductions over two length-2 axes.  The public functions reach
+the same plane kernels through ``np.moveaxis`` views.  Every plane kernel
+does the arithmetic of its (2, 2) form in the same order, so its results
+are the same bits either way; sums over all entries, as in CG's inner
+products and the residual norm, run in planar order.  :func:`solve`
+allocates the step's buffers once (:class:`_Workspace`), and every step
+reuses them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -106,33 +113,35 @@ class SpatialField:
             raise ValueError("field entries must be finite")
 
 
-def _sym_gradient_planes(u: np.ndarray, h: float, e11, e12, e22, work) -> None:
-    """The three distinct entries of the symmetrized gradient of ``u``, written in place.
+def _sym_gradient_planes(u: np.ndarray, h: float, d1: np.ndarray, d2: np.ndarray) -> None:
+    """The three distinct entries of the symmetrized gradient of the planar field ``u``.
 
-    ``u`` has shape (..., n, n, 2); ``e11 = d_1 u_1``, ``e22 = d_2 u_2`` and
-    ``e12 = (d_2 u_1 + d_1 u_2)/2`` are differences along the last two axes
-    of the component views, with ``work`` as scratch of their shape.  This is
-    the arithmetic of ``tensor_models.sym`` on the full gradient, so the
-    entries are those of :func:`sym_gradient` bit for bit.
+    ``u`` is component-stacked, (2, ..., n, n); ``d1`` and ``d2`` are two-plane
+    views of its shape.  One difference along each spatial axis covers both
+    components: ``d1 = (d_1 u_1, d_1 u_2)`` and ``d2 = (d_2 u_1, d_2 u_2)``,
+    then ``d2[0] = e12 = (d_2 u_1 + d_1 u_2)/2``.  So ``e11 = d1[0]``,
+    ``e12 = d2[0]`` and ``e22 = d2[1]``, and ``d1[1]`` is left as scratch.
+    This is the arithmetic of ``tensor_models.sym`` on the full gradient, so
+    the entries are those of :func:`sym_gradient` bit for bit.
     """
-    u1, u2 = u[..., 0], u[..., 1]
-    stencil.difference(u1, -2, h, e11)
-    stencil.difference(u2, -1, h, e22)
-    stencil.difference(u1, -1, h, e12)
-    e12 += stencil.difference(u2, -2, h, work)
-    e12 *= 0.5
+    stencil.difference(u, -2, h, d1)
+    stencil.difference(u, -1, h, d2)
+    d2[0] += d1[1]
+    d2[0] *= 0.5
 
 
-def _divergence_row(t1: np.ndarray, t2: np.ndarray, h: float, out, work1, work2) -> None:
-    """``out = d_1 t1 + d_2 t2`` along the last two axes: one row of a divergence.
+def _divergence_planes(c1: np.ndarray, c2: np.ndarray, h: float, out: np.ndarray,
+                       work: np.ndarray) -> None:
+    """``out = d_1 c1 + d_2 c2`` along the last two axes, for two-plane stacks: the
+    divergence with rows ``(c1[i], c2[i])``, with ``work`` as scratch of its shape.
 
-    Summed as ``(0 + d_1 t1) + d_2 t2``, the order of a sum started from zero,
+    Summed as ``(0 + d_1 c1) + d_2 c2``, the order of a sum started from zero,
     as the (2, 2) divergence always summed: the ``+ 0`` changes only the sign
     of a zero, and keeps those bits.
     """
-    stencil.difference(t1, -2, h, work1)
-    work1 += 0.0
-    np.add(work1, stencil.difference(t2, -1, h, work2), out=out)
+    stencil.difference(c1, -2, h, work)
+    work += 0.0
+    np.add(work, stencil.difference(c2, -1, h, out), out=out)
 
 
 def _plane_contraction(e: np.ndarray, f: np.ndarray, out: np.ndarray,
@@ -142,21 +151,27 @@ def _plane_contraction(e: np.ndarray, f: np.ndarray, out: np.ndarray,
     return _plane_dot((e[0], e[1], e[1], e[2]), (f[0], f[1], f[1], f[2]), out, work)
 
 
-def _plane_norm(e: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Frobenius norm sqrt(Q:Q) of the planes ``e``, as a fresh array: bit for bit ``frob``."""
-    t = _plane_contraction(e, e, np.empty_like(work), work)
-    return np.sqrt(t, out=t)
+def _plane_norm(e: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``out`` = Frobenius norm sqrt(Q:Q) of the planes ``e``: bit for bit ``frob``."""
+    return np.sqrt(_plane_contraction(e, e, out, work), out=out)
+
+
+def _strain(u: np.ndarray, h: float):
+    """The planes ``e`` (3, ...) of the symmetrized gradient of the (..., n, n, 2)
+    field ``u`` and their norm ``|e|``, as fresh arrays."""
+    buf = np.empty((5,) + u.shape[:-1])
+    _sym_gradient_planes(np.moveaxis(u, -1, 0), h, buf[0::3], buf[1:3])
+    return buf[:3], _plane_norm(buf[:3], buf[3], buf[4])
 
 
 def sym_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Symmetrized gradient (d_j u_i + d_i u_j)/2: (..., n, n, 2) -> (..., n, n, 2, 2)."""
     out = np.empty(u.shape + (2,))
-    # e12 is built unit-stride and then copied twice; the (2, 1) entry serves
-    # as scratch, so a stack needs only one plane beyond its result
-    e12 = np.empty(u.shape[:-1])
-    _sym_gradient_planes(u, grid.h, out[..., 0, 0], e12, out[..., 1, 1], out[..., 1, 0])
-    out[..., 0, 1] = e12
-    out[..., 1, 0] = e12
+    # the entries (11, 12, 21, 22) as planes; the (2, 1) entry serves as
+    # scratch, so a stack needs nothing beyond its result
+    q = np.moveaxis(out.reshape(u.shape[:-1] + (4,)), -1, 0)
+    _sym_gradient_planes(np.moveaxis(u, -1, 0), grid.h, q[0::2], q[1::2])
+    q[2] = q[1]
     return out
 
 
@@ -167,9 +182,9 @@ def divergence(t_field: np.ndarray, grid: TorusGrid) -> np.ndarray:
     the adjoint of ``sym_gradient`` (periodic centered differences telescope).
     """
     out = np.empty(t_field.shape[:-1])
-    work1, work2 = np.empty(t_field.shape[:-2]), np.empty(t_field.shape[:-2])
-    for i in range(2):
-        _divergence_row(t_field[..., i, 0], t_field[..., i, 1], grid.h, out[..., i], work1, work2)
+    rows = np.moveaxis(t_field, (-2, -1), (0, 1))  # rows[i, j] = T_ij
+    _divergence_planes(rows[:, 0], rows[:, 1], grid.h, np.moveaxis(out, -1, 0),
+                       np.empty((2,) + out.shape[:-1]))
     return out
 
 
@@ -180,13 +195,21 @@ def inner(u: np.ndarray, v: np.ndarray, grid: TorusGrid) -> float:
 
 def energy(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> float:
     """Discrete dissipated energy h^2 * sum phi(|Du|)."""
-    e, work = np.empty((3,) + u.shape[:-1]), np.empty(u.shape[:-1])
-    _sym_gradient_planes(u, grid.h, *e, work)
-    return float(grid.h**2 * np.sum(phi(_plane_norm(e, work), model)))
+    return float(grid.h**2 * np.sum(phi(_strain(u, grid.h)[1], model)))
 
 
-def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):
-    """Inverse of v -> v + dt*gbar*(-div D v) computed mode by mode.
+def _symbol_factors(grid: TorusGrid):
+    """The grid-only factors of :func:`_spectral_preconditioner` on the half
+    spectrum of ``rfft2``: s1, s2, s1**2, s2**2 and |s|^2, broadcastable."""
+    s = stencil.symbol(grid.n, grid.h)
+    s1, s2 = s[:, None], s[None, : grid.n // 2 + 1]
+    s1sq, s2sq = s1**2, s2**2
+    return s1, s2, s1sq, s2sq, s1sq + s2sq
+
+
+def _spectral_preconditioner(symbol, dt: float, gbar: float):
+    """Inverse of v -> v + dt*gbar*(-div D v) computed mode by mode, on planar
+    (2, n, n) fields, from the factors ``symbol`` of :func:`_symbol_factors`.
 
     Centered differences act diagonally in Fourier space with the real symbol
     s_j = sin(k_j h)/h.  The per-mode 2x2 block a I + c s s^T, with
@@ -197,24 +220,24 @@ def _spectral_preconditioner(grid: TorusGrid, dt: float, gbar: float):
     ``rfft2``.  For the linear model (constant coefficient) this
     preconditioner is the exact inverse, so CG converges in one iteration.
     """
-    n = grid.n
-    s = stencil.symbol(n, grid.h)
-    s1, s2 = s[:, None], s[None, : n // 2 + 1]
+    s1, s2, s1sq, s2sq, ssq = symbol
+    n = s1.shape[0]
     c = 0.5 * dt * gbar
-    ssq = s1**2 + s2**2
     a = 1.0 + c * ssq
     w = c / (a * (a + c * ssq))
-    m11, m12, m22 = 1.0 / a - w * s1**2, -w * s1 * s2, 1.0 / a - w * s2**2
+    m11, m12, m22 = 1.0 / a - w * s1sq, -w * s1 * s2, 1.0 / a - w * s2sq
 
     def apply(v: np.ndarray) -> np.ndarray:
-        # one transform per contiguous component plane: the same 1-D
-        # transforms as ``axes=(0, 1)`` on the (n, n, 2) field, without strides
-        v1 = np.fft.rfft2(np.ascontiguousarray(v[..., 0]))
-        v2 = np.fft.rfft2(np.ascontiguousarray(v[..., 1]))
-        out = np.empty_like(v)
-        out[..., 0] = np.fft.irfft2(m11 * v1 + m12 * v2, s=(n, n))
-        out[..., 1] = np.fft.irfft2(m12 * v1 + m22 * v2, s=(n, n))
-        return out
+        # one transform pair for both component planes; no ``out=`` on the
+        # transforms: ``np.fft.irfft2(..., out=)`` returns wrong values on
+        # numpy 2.4.6 (largest error 60 on unit-normal (2, 256, 256) data)
+        vhat = np.fft.rfft2(v)
+        first = m11 * vhat[0]
+        first += m12 * vhat[1]
+        vhat[1] *= m22  # m12 v1 + m22 v2 in place: the products commute bit for bit
+        vhat[1] += m12 * vhat[0]
+        vhat[0] = first
+        return np.fft.irfft2(vhat, s=(n, n))
 
     return apply
 
@@ -228,38 +251,43 @@ CG_RTOL = 1e-12      # CG stops once |r| < max(CG_RTOL |b|, atol)
 CG_MAXITER = 600     # CG iterations per linear solve before SolverFailureError
 
 
-def cg(matvec, b: np.ndarray, *, precond, atol: float, callback=None):
+def cg(matvec, b: np.ndarray, *, precond, atol: float, callback=None, _work=None):
     """Preconditioned conjugate gradients for ``matvec(x) = b`` from x0 = 0.
 
     Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., Alg. 9.1:
     ``matvec`` must be symmetric positive definite and ``precond`` an SPD
-    approximation of its inverse.  Arrays may have any shape; inner products
-    and norms run over all entries.  The iteration stops when
+    approximation of its inverse that returns a fresh array, which then
+    serves as the iteration's scratch.  Arrays may have any shape; inner
+    products and norms run over all entries.  The iteration stops when
     ``|r| < max(CG_RTOL |b|, atol)``, tested before each iteration, and
     ``callback(x)`` is called after each one.  The operations and their order
     are those of the library PCG that the tests take as reference, so the
     iterates equal its iterates bit for bit.  Returns ``(x, 0)`` on
     convergence and ``(x, CG_MAXITER)`` when the iteration budget runs out.
+    ``_work``, private to :func:`step`, holds three arrays of ``b``'s shape
+    for x, r and p; x is then returned in its buffer.
     """
     bnorm = np.linalg.norm(b)
     atol = max(float(atol), CG_RTOL * float(bnorm))
     if bnorm == 0:
         return b.copy(), 0
-    x, r = np.zeros_like(b), b.copy()
+    x, r, p = (np.empty_like(b) for _ in range(3)) if _work is None else _work
+    x.fill(0.0)
+    np.copyto(r, b)
     for it in range(CG_MAXITER):
         if np.linalg.norm(r) < atol:
             return x, 0
         z = precond(r)
         rho = np.vdot(r, z)
         if it == 0:
-            p = z.copy()
+            np.copyto(p, z)
         else:
             p *= rho / rho_prev
             p += z
         q = matvec(p)
         alpha = rho / np.vdot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=z)  # z is spent: it holds the products
+        r -= np.multiply(alpha, q, out=z)
         rho_prev = rho
         if callback is not None:
             callback(x)
@@ -296,63 +324,63 @@ class StepDiagnostics:
     cg_iterations: int
 
 
-class _StepKernels:
-    """The residual and the Hessian action of one backward-Euler step.
+class _Workspace:
+    """The buffers of :func:`step` and its :func:`cg`, allocated once per solve.
 
-    Symmetric tensor fields are held as three contiguous planes
-    (e11, e12, e22) of shape (3, n, n); vector fields keep the (n, n, 2)
-    layout.  The scratch planes and the Hessian action's result are allocated
-    once, here.  The arithmetic and its order are those of the (2, 2) forms,
-    so both maps are bit for bit the compositions of :func:`sym_gradient`,
-    ``tensor_models.stress`` / ``stress_derivative_apply`` and
-    :func:`divergence` on (n, n, 2, 2) fields.
+    Vectors are planar, (2, n, n); ``state`` holds the planes
+    (e11, e12, e22) of the current Du and then |Du|, ``flux`` the planes of
+    the stress or of the Hessian action's tensor and then Q:H.  One residual
+    state lives here, so each line-search trial overwrites the last; the
+    state of the iterate is dead once its linear system is solved.  The
+    preconditioner's grid-only symbol factors are built here too.
     """
 
-    def __init__(self, u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid):
+    def __init__(self, grid: TorusGrid):
         n = grid.n
-        self.u_prev, self.dt, self.model, self.h = u_prev, dt, model, grid.h
-        self.f = np.empty((3, n, n))  # planes of the stress, or of H and then g H + c2 (Q:H) Q
-        self.work1, self.work2, self.qh = np.empty((3, n, n))
-        self.div, self.action = np.empty_like(u_prev), np.empty_like(u_prev)
-        self.actions = 0  # Hessian actions so far
+        self.u_prev, self.u, self.trial, self.r, self.action, self.work = np.empty((6, 2, n, n))
+        self.state, self.flux = np.empty((2, 4, n, n))
+        self.cg = tuple(np.empty((3, 2, n, n)))  # x, r and p of cg
+        self.symbol = _symbol_factors(grid)
 
-    def _divergence_of_f(self) -> np.ndarray:
-        f, div = self.f, self.div
-        _divergence_row(f[0], f[1], self.h, div[..., 0], self.work1, self.work2)
-        _divergence_row(f[1], f[2], self.h, div[..., 1], self.work1, self.work2)
-        return div
 
-    def residual(self, u: np.ndarray):
-        """``(e, t, g, r)`` at ``u``: the planes of Du, |Du|, g = phi'(|Du|)/|Du| and
-        the residual ``(u - u_prev)/dt - div(g Du)``, all fresh arrays."""
-        e = np.empty_like(self.f)
-        _sym_gradient_planes(u, self.h, *e, self.work1)
-        t = _plane_norm(e, self.work1)
-        g = _phi_d_over_t(t, self.model)
-        np.multiply(e, g, out=self.f)
-        r = u - self.u_prev
-        r /= self.dt
-        r -= self._divergence_of_f()
-        return e, t, g, r
+def _residual(u, u_prev, dt: float, model: ModelParams, h: float, ws: _Workspace):
+    """``(e, t, g, r)`` at the planar ``u``: the planes of Du, |Du|,
+    g = phi'(|Du|)/|Du| and the residual ``(u - u_prev)/dt - div(g Du)``.
+    All but the fresh ``g`` are views of ``ws``.  Entry by entry the bits of
+    :func:`sym_gradient`, ``tensor_models.stress`` and :func:`divergence`."""
+    state, f, work = ws.state, ws.flux, ws.work
+    _sym_gradient_planes(u, h, state[0::3], state[1:3])
+    e, t = state[:3], state[3]
+    _plane_norm(e, t, work[0])
+    g = _phi_d_over_t(t, model)
+    np.multiply(e, g, out=f[:3])
+    _divergence_planes(f[0:2], f[1:3], h, ws.r, work)
+    np.subtract(u, u_prev, out=work)
+    work /= dt
+    np.subtract(work, ws.r, out=ws.r)
+    return e, t, g, ws.r
 
-    def hessian_action(self, v: np.ndarray, e: np.ndarray, g: np.ndarray, c2: np.ndarray):
-        """``v/dt - div(g H + c2 (Q:H) Q)`` with H = Dv, Q the planes ``e`` and ``c2``
-        the rank-one coefficient at Q, written into (and returning) one buffer."""
-        self.actions += 1
-        f, work = self.f, self.work1
-        _sym_gradient_planes(v, self.h, *f, work)
-        _plane_contraction(e, f, self.qh, work)
-        self.qh *= c2
-        f *= g
-        for k in range(3):
-            f[k] += np.multiply(self.qh, e[k], out=work)
-        np.divide(v, self.dt, out=self.action)
-        self.action -= self._divergence_of_f()
-        return self.action
+
+def _hessian_action(v, e, g, c2, dt: float, h: float, ws: _Workspace) -> np.ndarray:
+    """``v/dt - div(g H + c2 (Q:H) Q)`` with H = Dv, Q the planes ``e`` and ``c2`` the
+    rank-one coefficient at Q, for the planar ``v``; returns ``ws.action``.  Entry by
+    entry the bits of :func:`sym_gradient`, ``tensor_models.stress_derivative_apply``
+    and :func:`divergence`."""
+    f, work = ws.flux, ws.work
+    _sym_gradient_planes(v, h, f[0::3], f[1:3])
+    qh = f[3]
+    _plane_contraction(e, f[:3], qh, work[0])
+    qh *= c2
+    f[:3] *= g
+    for k in range(3):
+        f[k] += np.multiply(qh, e[k], out=work[0])
+    _divergence_planes(f[0:2], f[1:3], h, ws.action, work)
+    np.divide(v, dt, out=work)
+    return np.subtract(work, ws.action, out=ws.action)
 
 
 def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
-         guess: np.ndarray | None = None):
+         guess: np.ndarray | None = None, *, _work: _Workspace | None = None):
     """One backward-Euler step: solve (u - u_prev)/dt = div stress(Du).
 
     Inexact Newton iteration on the divided-difference residual with the
@@ -373,21 +401,33 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     The preconditioner is built once, from the mean of ``g = phi'(|Du|)/|Du|``
     at the guess.  The accepted trial's residual, Du, |Du| and g serve the
     next Newton iteration, and a Hessian action costs one gradient, one
-    pointwise product and one divergence.  Both maps run on plane-stored
-    symmetric fields (:class:`_StepKernels`), bit for bit their (2, 2) forms.
+    pointwise product and one divergence.  Inside, vectors are planar
+    (2, n, n): ``u_prev`` and the guess are transposed on entry, and the
+    result, a fresh (n, n, 2) array, on exit.  ``_work``, private to
+    :func:`solve`, is the :class:`_Workspace` that its steps share; without
+    it the step allocates its own.
     """
     require_finite("dt", dt, error=TimeStepError)
     tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(u_prev))))
     l2_weight = grid.h  # sqrt(h^2) per sample
-    kernels = _StepKernels(u_prev, dt, model, grid)
-    u = u_prev.copy() if guess is None else guess  # never written in place
-    e, t, g, r = kernels.residual(u)
-    apply_m = _spectral_preconditioner(grid, dt, float(np.mean(g)))
+    ws = _Workspace(grid) if _work is None else _work
+    np.copyto(ws.u_prev, np.moveaxis(u_prev, -1, 0))
+    u, trial = ws.u, ws.trial
+    np.copyto(u, np.moveaxis(u_prev if guess is None else guess, -1, 0))
+    e, t, g, r = _residual(u, ws.u_prev, dt, model, grid.h, ws)
+    apply_m = _spectral_preconditioner(ws.symbol, dt, float(np.mean(g)))
 
     def precond(v):
         z = apply_m(v)
         z *= dt
         return z
+
+    actions = 0
+
+    def matvec(v):  # reads the current g and c2
+        nonlocal actions
+        actions += 1
+        return _hessian_action(v, e, g, c2, dt, grid.h, ws)
 
     history, eta = [], ETA_MAX
     for it in range(MAX_NEWTON):
@@ -395,24 +435,24 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
         history.append(rsup)
         worst = max(rsup, l2_weight * rnorm)
         if worst < tol:
-            return u, StepDiagnostics(newton_iterations=it, residual=worst,
-                                      cg_iterations=kernels.actions)
+            return np.moveaxis(u, 0, -1).copy(), StepDiagnostics(
+                newton_iterations=it, residual=worst, cg_iterations=actions)
         if it:
             eta = _forcing_term(rnorm / rnorm_prev)
         rnorm_prev = rnorm
-        matvec = functools.partial(kernels.hessian_action, e=e, g=g,
-                                   c2=_rank_one_coefficient(t, model))
+        c2 = _rank_one_coefficient(t, model)
         delta, info = cg(matvec, -r, precond=precond,
-                         atol=max(1e-14 * (1.0 + rsup), eta * rnorm))
+                         atol=max(1e-14 * (1.0 + rsup), eta * rnorm), _work=ws.cg)
         if info != 0:
             raise SolverFailureError("linear solver stalled inside Newton iteration",
                                      residual_history=history)
         for j in range(13):  # damping 2**-j; the last trial is taken whatever its residual
-            trial = u + 0.5**j * delta
-            state = kernels.residual(trial)
-            if j == 12 or float(np.max(np.abs(state[3]))) < rsup:
+            np.multiply(delta, 0.5**j, out=trial)  # trial = u + 2**-j delta
+            trial += u
+            e, t, g, r = _residual(trial, ws.u_prev, dt, model, grid.h, ws)
+            if j == 12 or float(np.max(np.abs(r))) < rsup:
                 break
-        u, (e, t, g, r) = trial, state
+        u, trial = trial, u
     raise SolverFailureError(
         f"Newton iteration did not reach tolerance {tol:.3e} in {MAX_NEWTON} steps",
         residual_history=history)
@@ -444,10 +484,8 @@ class Trajectory:
 
 def _require_finite_data(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> None:
     """Raise ``ValueError`` unless the energy and the stress of the state ``u`` are finite."""
-    e, work = np.empty((3,) + u.shape[:-1]), np.empty(u.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is what is checked
-        _sym_gradient_planes(u, grid.h, *e, work)
-        t = _plane_norm(e, work)
+        e, t = _strain(u, grid.h)
         finite = (np.isfinite(np.sum(phi(t, model)))
                   and np.isfinite(_phi_d_over_t(t, model) * e).all())
     if not finite:
@@ -470,14 +508,14 @@ def solve(u0: SpatialField, t_final: float, dt: float, model: ModelParams,
     _require_finite_data(u0.data, model, grid)
     snapshots = np.empty((n_steps + 1,) + u0.data.shape)
     snapshots[0] = u0.data
-    diagnostics = []
+    diagnostics, work = [], _Workspace(grid)
     for k in range(n_steps):
         guess = None
         if k:  # the predictor 2 u_k - u_{k-1}, built in the slot of u_{k+1}: no fresh array
             guess = np.multiply(snapshots[k], 2.0, out=snapshots[k + 1])
             guess -= snapshots[k - 1]
         try:
-            snapshots[k + 1], diag = step(snapshots[k], dt, model, grid, guess)
+            snapshots[k + 1], diag = step(snapshots[k], dt, model, grid, guess, _work=work)
         except SolverFailureError as exc:
             exc.step_index = k
             exc.partial = Trajectory(snapshots[: k + 1].copy(), dt, model, grid,

@@ -118,6 +118,27 @@ def test_time_norm_parameter_rules(evaluate, name):
         evaluate(RAMP)
 
 
+@pytest.mark.parametrize("evaluate, name", [
+    (lambda f: fs.raw_seminorm(f, 400.0, 1, 0.5, 2.0), "smoothness exponent alpha"),
+    (lambda f: fs.raw_seminorm(fs.TimeGridFunction(f.values, 0.0, 1.0), 400.0, 1, 8.0, 2.0),
+     "smoothness exponent alpha"),
+    (lambda f: fs.holder_seminorm(f, 400), "Hoelder exponent lam"),
+    (lambda f: fs.holder_seminorm(fs.TimeGridFunction(f.values, 0.0, 1.0), 400),
+     "Hoelder exponent lam"),
+])
+def test_lag_weight_out_of_float_range(evaluate, name):
+    # h**-400 overflows at h = 0.1 and underflows at h = 8; h**400 the other
+    # way round: the exponent is named instead of an OverflowError or a
+    # division by zero
+    with pytest.raises(ValueError, match=f"^{name} = 400(.0)? takes the lag weight"):
+        evaluate(RAMP)
+
+
+def test_large_exponents_inside_the_float_range_still_measure():
+    assert math.isfinite(fs.raw_seminorm(RAMP, 300.0, 1, 0.5, 2.0))
+    assert math.isfinite(fs.holder_seminorm(RAMP, 300))
+
+
 class TestSeminorm:
     def test_constant_seminorm_zero(self):
         f = grid_fn(lambda t: np.full_like(t, 4.0))

@@ -4,9 +4,10 @@ The spectral preconditioner on ``rfft2`` is the exact inverse of the p = 2
 Newton operator and agrees with the full-spectrum ``fft2`` form it replaced;
 ``sym`` and the Hessian action with hoisted coefficients reproduce their
 direct formulas bit for bit, and the solver's own preconditioned CG returns
-what ``scipy.sparse.linalg.cg`` returns, bit for bit.  The solver step's
-kernels on plane-stored symmetric fields -- gradient, norm, contraction,
-divergence, residual, Hessian action, energy and the per-plane
+what ``scipy.sparse.linalg.cg`` returns, bit for bit, with and without the
+solver's workspace.  The solver step's kernels on planar (2, n, n) vectors
+and plane-stored symmetric fields -- gradient, norm, contraction,
+divergence, residual, Hessian action, energy and the stacked
 preconditioner -- give the bits of the (2, 2) forms they replaced.
 """
 
@@ -37,6 +38,12 @@ def fields(grid, seed):
     return v
 
 
+def preconditioner(grid, dt, gbar):
+    """The solver's preconditioner, applied to an (n, n, 2) field through its planar form."""
+    apply = ps._spectral_preconditioner(ps._symbol_factors(grid), dt, gbar)
+    return lambda v: np.moveaxis(apply(np.ascontiguousarray(np.moveaxis(v, -1, 0))), 0, -1)
+
+
 def linear_operator(v, grid, dt, gbar):
     """v + dt*gbar*(-div D v): the Newton operator of the p = 2 step, scaled by dt."""
     return v - dt * gbar * ps.divergence(ps.sym_gradient(v, grid), grid)
@@ -65,7 +72,7 @@ def fft2_preconditioner(grid, dt, gbar):
 @settings(max_examples=40, deadline=None)
 @given(grid=GRIDS, dt=DTS, gbar=GBARS, seed=st.integers(0, 2**32 - 1))
 def test_preconditioner_inverts_the_linear_operator(grid, dt, gbar, seed):
-    apply = ps._spectral_preconditioner(grid, dt, gbar)
+    apply = preconditioner(grid, dt, gbar)
     v = fields(grid, seed)
     scale = np.max(np.abs(v))
     assert np.max(np.abs(apply(linear_operator(v, grid, dt, gbar)) - v)) <= 1e-12 * scale
@@ -76,7 +83,7 @@ def test_preconditioner_inverts_the_linear_operator(grid, dt, gbar, seed):
 @given(grid=GRIDS, dt=DTS, gbar=GBARS, seed=st.integers(0, 2**32 - 1))
 def test_preconditioner_matches_the_full_spectrum_form(grid, dt, gbar, seed):
     v = fields(grid, seed)
-    new = ps._spectral_preconditioner(grid, dt, gbar)(v)
+    new = preconditioner(grid, dt, gbar)(v)
     old = fft2_preconditioner(grid, dt, gbar)(v)
     assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(v))
 
@@ -137,10 +144,19 @@ def test_cg_equals_the_reference_cg_bit_for_bit(n, decades, seed, zero_rhs, atol
     d = rng.uniform(0.1, 10.0, size=n)
     b = np.zeros(n) if zero_rhs else rng.normal(size=n)
     shape = (n, 1) if column else (n,)
-    ours, theirs = [], []
+    ours, pooled, theirs = [], [], []
     x, info = ps.cg(lambda v: (a @ v.ravel()).reshape(shape), b.reshape(shape),
                     precond=lambda v: (d * v.ravel()).reshape(shape), atol=atol,
                     callback=lambda xk: ours.append(xk.copy()))
+    # the solver's workspace, pre-filled with garbage, holds x, r and p
+    work = tuple(rng.normal(size=(3,) + shape))
+    x_pooled, info_pooled = ps.cg(lambda v: (a @ v.ravel()).reshape(shape), b.reshape(shape),
+                                  precond=lambda v: (d * v.ravel()).reshape(shape), atol=atol,
+                                  callback=lambda xk: pooled.append(xk.copy()), _work=work)
+    assert info_pooled == info
+    assert len(pooled) == len(ours)
+    for got, ref in zip(pooled + [x_pooled], ours + [x]):
+        assert np.array_equal(bits(got), bits(ref))
     want, want_info = reference_cg(
         LinearOperator((n, n), matvec=lambda v: a @ v, dtype=float), b, rtol=ps.CG_RTOL,
         atol=atol, maxiter=ps.CG_MAXITER, M=LinearOperator((n, n), matvec=lambda v: d * v, dtype=float),
@@ -203,6 +219,11 @@ def test_sym_gradient_and_divergence_on_stacks_match_the_full_tensor_forms(grid,
     assert np.array_equal(bits(ps.divergence(t_field, grid)), bits(want))
 
 
+def planar(u):
+    """An (n, n, 2) field as the contiguous (2, n, n) planes the step works on."""
+    return np.ascontiguousarray(np.moveaxis(u, -1, 0))
+
+
 def planes(m):
     return np.stack([m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]])
 
@@ -219,7 +240,7 @@ def test_plane_norm_and_contraction_match_the_full_tensor_reductions(seed, zeros
         m[rng.random(m.shape) < zeros / 2] = 0.0
         m[..., 1, 0] = m[..., 0, 1]
     work, out = np.empty((2, 6, 6))
-    assert np.array_equal(bits(ps._plane_norm(planes(q), work)), bits(tm.frob(q)))
+    assert np.array_equal(bits(ps._plane_norm(planes(q), out, work)), bits(tm.frob(q)))
     ps._plane_contraction(planes(q), planes(h), out, work)
     assert np.array_equal(bits(out), bits(np.sum(q * h, axis=(-2, -1))))
 
@@ -258,19 +279,19 @@ def test_plane_residual_and_hessian_action_match_the_full_tensor_forms(
     rng = np.random.default_rng(seed)
     u, u_prev = flat_fields(grid, seed, flat), fields(grid, seed + 1)
     v = rng.normal(size=u.shape)
-    kernels = ps._StepKernels(u_prev, dt, params, grid)
-    e, t, g, r = kernels.residual(u)
+    work = ps._Workspace(grid)
+    e, t, g, r = ps._residual(planar(u), planar(u_prev), dt, params, grid.h, work)
     du = full_sym_gradient(u, grid)
     want = (u - u_prev) / dt - zero_start_divergence(tm.stress(du, params), grid)
-    assert np.array_equal(bits(r), bits(want))
+    assert np.array_equal(bits(np.moveaxis(r, 0, -1)), bits(want))
     assert np.array_equal(bits(e), bits(planes(du)))
     assert np.array_equal(bits(t), bits(tm.frob(du)))
     assert np.array_equal(bits(g), bits(tm._phi_d_over_t(tm.frob(du), params)))
-    action = kernels.hessian_action(v, e, g, tm._rank_one_coefficient(t, params))
+    action = ps._hessian_action(planar(v), e, g, tm._rank_one_coefficient(t, params), dt,
+                                grid.h, work)
     want = v / dt - zero_start_divergence(
         tm.stress_derivative_apply(du, full_sym_gradient(v, grid), params), grid)
-    assert np.array_equal(bits(action), bits(want))
-    assert kernels.actions == 1
+    assert np.array_equal(bits(np.moveaxis(action, 0, -1)), bits(want))
 
 
 def axes_preconditioner(grid, dt, gbar):
@@ -298,5 +319,5 @@ def axes_preconditioner(grid, dt, gbar):
        seed=st.integers(0, 2**32 - 1))
 def test_plane_preconditioner_matches_the_axes_form(grid, dt, gbar, seed):
     v = fields(grid, seed)
-    new = ps._spectral_preconditioner(grid, dt, gbar)(v)
+    new = preconditioner(grid, dt, gbar)(v)
     assert np.array_equal(bits(new), bits(axes_preconditioner(grid, dt, gbar)(v)))
