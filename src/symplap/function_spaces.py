@@ -426,11 +426,11 @@ def _lag_weights(dt: float, ks, power: float, what: str) -> list:
     with ``what`` when a weight overflows or underflows to zero."""
     try:
         weights = [(k * dt) ** power for k in ks]
+        if 0.0 not in weights:
+            return weights
     except OverflowError:
-        weights = [0.0]
-    if min(weights, default=1.0) == 0.0:
-        raise ValueError(f"{what} takes the lag weight (k dt)**{power!r} out of the float range")
-    return weights
+        pass
+    raise ValueError(f"{what} takes the lag weight (k dt)**{power!r} out of the float range")
 
 
 def _difference_length(n: int, r: int, k: int, dt: float) -> int:
