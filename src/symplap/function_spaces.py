@@ -30,7 +30,8 @@ magnitude followed by masked l^q).  Time differences commute with the map, so
 every difference norm -- seminorms, the Hoelder sup, the Marchaud remainder,
 divided differences -- differences feature rows instead of recomputing
 gradients, FFTs or dictionary pairings per step.  Time norms have one
-evaluator, ``_NormContext``, built once per (function, X-norm) by every check.
+evaluator, ``_NormContext``; a ``TimeGridFunction`` owns one per X-norm, which
+all its checks share (the one-shot wrappers build a throwaway one).
 Its difference norms, W^{k,p} divided differences included, snap values below
 the binomial-stencil rounding floor to zero; the Hoelder sup and the Marchaud
 remainder report raw values.  It differences whole blocks of lags at once and
@@ -370,22 +371,29 @@ def _row_space_coordinates(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | 
 # time-grid functions and differences
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TimeGridFunction:
     """Uniform time samples of a state-space-valued function.
 
     ``values`` carries time along axis 0; trailing axes are the state (spatial
     axes first when ``geometry`` is set, then components).  Every sample must
-    be finite.
+    be finite.  ``values`` is a read-only view of the caller's array, not a
+    copy: the caller must not write to that array.  f is frozen and owns its
+    time-norm state, the row-space factor of its samples and one
+    ``_NormContext`` per X-norm (:meth:`context`); ``dataclasses.replace``
+    gives a function with fresh ones.
     """
 
     values: np.ndarray
     t0: float = 0.0
     dt: float = 1.0
     geometry: SpaceGeometry | None = None
+    _contexts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         require_finite("time step dt", self.dt)
         if not np.isfinite(self.values).all():
             raise ValueError("time-grid values must be finite")
@@ -400,9 +408,20 @@ class TimeGridFunction:
     def interval_len(self) -> float:
         return (self.n_samples - 1) * self.dt
 
+    @functools.cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return _row_space_coordinates(self.values.reshape(self.n_samples, -1))
+
+    def context(self, x_norm: XNorm) -> _NormContext:
+        """The one ``_NormContext`` of f in ``x_norm``, built on first use and kept."""
+        if x_norm not in self._contexts:
+            self._contexts[x_norm] = _NormContext(self, x_norm)
+        return self._contexts[x_norm]
+
 
 def steps_of(f: TimeGridFunction, h: float) -> int:
     """h as an integer number of grid steps; rejects off-grid step sizes."""
+    require_finite("step h", h, error=GridMismatchError)
     k = h / f.dt
     k_round = round(k)
     if k_round < 1 or abs(k - k_round) > 1e-9 * max(1.0, k):
@@ -531,15 +550,13 @@ def _time_lp_rows(g: np.ndarray, lengths, p: float, dt: float) -> list:
     return out
 
 
-def _factored_rows(f: TimeGridFunction, x_norm: XNorm, cache: dict) -> np.ndarray | None:
+def _factored_rows(f: TimeGridFunction, x_norm: XNorm) -> np.ndarray | None:
     """Coordinates ``C R^T`` of the l2 feature rows of f (see ``_NormContext``),
     or None when its raw samples have no low-rank factor or the mapped rows
-    could be rescaled by ``_features``; ``cache`` keeps the factor of f."""
-    if "factor" not in cache:
-        cache["factor"] = _row_space_coordinates(f.values.reshape(f.n_samples, -1))
-    if cache["factor"] is None:
+    could be rescaled by ``_features``."""
+    if f._factor is None:
         return None
-    coords, q = cache["factor"]
+    coords, q = f._factor
     basis = q.T.reshape((q.shape[1],) + f.values.shape[1:])
     mapped = _feature_map(basis, x_norm, f.geometry)[0].view(float)
     rows = np.matmul(coords[:, None, :], np.linalg.qr(mapped.T, mode="r").T)[:, 0]
@@ -572,25 +589,25 @@ class _NormContext:
     gives the rows' coordinates ``C R^T``, row by row, whose differences have
     the l2 norms of the mapped rows' differences.  The sample norms and the
     floor scale come from them too.  Every other context keeps the exact
-    rows.  ``_cache`` shares the factor between contexts of one f; it never
-    changes a result.
+    rows.  The contexts of one f share its factor (``TimeGridFunction._factor``)
+    and keep its ``dt`` and ``n_samples``, never f itself: no reference cycle.
     """
 
-    def __init__(self, f: TimeGridFunction, x_norm: XNorm, _cache: dict | None = None):
+    def __init__(self, f: TimeGridFunction, x_norm: XNorm):
         geom = f.geometry
         l2 = geom is None or geom.mask is None and (x_norm.kind == "euclid" or x_norm.q == 2.0)
-        rows = _factored_rows(f, x_norm, {} if _cache is None else _cache) if l2 else None
+        rows = _factored_rows(f, x_norm) if l2 else None
         self.rows, self.reduce = _features(f.values, x_norm, geom) if rows is None else (rows, _l2)
-        self.f, self.sample_norms = f, self.reduce(self.rows)
+        self.dt, self.n_samples, self.sample_norms = f.dt, f.n_samples, self.reduce(self.rows)
         self.scale = float(np.max(self.sample_norms)) if len(self.sample_norms) else 0.0
         self._profiles = {}
 
     def lp_norm(self, p: float) -> float:
-        return time_lp(self.sample_norms, p, self.f.dt)
+        return time_lp(self.sample_norms, p, self.dt)
 
     def difference_rows(self, r: int, k: int) -> np.ndarray:
         """Feature rows of D_h^r f at h = k*dt (differences commute with the map)."""
-        return _difference(self.rows, r, k, self.f.dt)
+        return _difference(self.rows, r, k, self.dt)
 
     def _lag_blocks(self, r: int, first: int, last: int):
         """(k0, lags) blocks covering lags first..last, each differencing at
@@ -624,11 +641,11 @@ class _NormContext:
     def _snapped_block(self, r: int, k0: int, lags: int):
         """``_block_sample_norms`` snapped to the rounding floor; raises when
         the last lag leaves fewer than two samples."""
-        _difference_length(self.rows.shape[0], r, k0 + lags - 1, self.f.dt)
+        _difference_length(self.rows.shape[0], r, k0 + lags - 1, self.dt)
         return self._block_sample_norms(r, k0, lags, 32.0 * 2.0**r * _EPS * self.scale)
 
     def _difference_norms(self, r: int, k0: int, lags: int, p: float) -> list:
-        return _time_lp_rows(*self._snapped_block(r, k0, lags), p, self.f.dt)
+        return _time_lp_rows(*self._snapped_block(r, k0, lags), p, self.dt)
 
     def difference_sample_norms(self, r: int, k: int) -> np.ndarray:
         """Per-sample norms of D_h^r f at h = k*dt, snapped to the rounding floor."""
@@ -651,11 +668,11 @@ class _NormContext:
     def seminorm(self, alpha: float, r: int, delta: float, p: float) -> float:
         """sup over admissible h <= delta of h**(-alpha) |D_h^r f|_{L^p(X)}."""
         require_finite("smoothness exponent alpha", alpha, at_least=0)
-        ks = admissible_steps(self.f, r, delta)
+        ks = admissible_steps(self, r, delta)  # reads only dt and n_samples
         if not ks:
             raise EmptyDomainError(
                 f"no admissible step h <= {delta} for order-{r} differences")
-        weights = _lag_weights(self.f.dt, ks, -alpha, f"smoothness exponent alpha = {alpha!r}")
+        weights = _lag_weights(self.dt, ks, -alpha, f"smoothness exponent alpha = {alpha!r}")
         best = 0.0
         for weight, norm in zip(weights, self.lag_profile(r, len(ks), p).tolist()):
             best = max(best, weight * norm)
@@ -667,18 +684,20 @@ class _NormContext:
 
     def sobolev_norm(self, order: int, p: float) -> float:
         """Grid-native W^{k,p}(I;X) norm: L^p norms of divided differences up to k."""
+        if not isinstance(order, numbers.Integral) or order < 0:
+            raise ValueError(f"derivative order k must be an integer >= 0, got {order!r}")
         total = self.lp_norm(p)
         for j in range(1, order + 1):
-            total += self.difference_norm(j, 1, p) / self.f.dt**j
+            total += self.difference_norm(j, 1, p) / self.dt**j
         return total
 
     def holder_seminorm(self, lam: float) -> float:
         """sup_{s != t} |f(t) - f(s)|_X / |t - s|**lam over all sample pairs."""
         require_finite("Hoelder exponent lam", lam, at_least=0)
         best = 0.0
-        for k0, lags in self._lag_blocks(1, 1, self.f.n_samples - 1):
+        for k0, lags in self._lag_blocks(1, 1, self.n_samples - 1):
             top = np.max(self._block_sample_norms(1, k0, lags, -math.inf)[0], axis=1)
-            steps = _lag_weights(self.f.dt, range(k0, k0 + lags), lam,
+            steps = _lag_weights(self.dt, range(k0, k0 + lags), lam,
                                  f"Hoelder exponent lam = {lam!r}")
             best = float(np.fmax.reduce(top / steps, initial=best))  # NaN lags never win
         return best
@@ -845,7 +864,7 @@ def check_delta_equivalence(f, *, r=1, alpha=0.5, delta1=0.125, delta2=0.25,
         raise PreconditionError("need 0 < delta1 <= delta2 <= 1")
     if r < natural_order(alpha):
         raise PreconditionError("difference order must exceed alpha")
-    ctx = _NormContext(f, x_norm)
+    ctx = f.context(x_norm)
     n1 = ctx.nikolskii_norm(alpha, r, delta1, p)
     n2 = ctx.nikolskii_norm(alpha, r, delta2, p)
     c = (3.0**r if constant_factor is None else constant_factor) / delta1**alpha
@@ -875,7 +894,7 @@ def check_step_change(f, *, alpha=0.5, r=2, delta=None, p=math.inf, x_norm=EUCLI
     if delta > cap * (1 + 1e-12) or delta > 1:
         raise PreconditionError(
             f"step cap for difference-order change violated: delta = {delta} > {cap:.6g}")
-    ctx = _NormContext(f, x_norm)
+    ctx = f.context(x_norm)
     n_r = ctx.nikolskii_norm(alpha, r, delta, p)
     n_r0 = ctx.nikolskii_norm(alpha, r0, delta, p)
     c_up = (4.0 * r**2 / ((r0 - alpha) * delta**alpha)) ** (r - r0)
@@ -895,7 +914,7 @@ def check_marchaud(f, *, r=2, p=math.inf, x_norm=EUCLID):
     ks = dyadic_steps(f, 2 * r, f.interval_len)
     if not ks:
         raise PreconditionError("no step h leaves room for the 2rh index set")
-    ctx = _NormContext(f, x_norm)
+    ctx = f.context(x_norm)
     sides = []
     for k in ks:
         h = k * f.dt
@@ -918,8 +937,8 @@ def check_reduction(f, fprime, *, r=1, alpha=0.5, delta=0.25, p=math.inf, x_norm
         raise PreconditionError("reduction needs the sampled derivative")
     if not r > alpha >= 0:
         raise PreconditionError("need r > alpha >= 0")
-    lhs = _NormContext(f, x_norm).seminorm(1 + alpha, r + 1, delta, p)
-    rhs = _NormContext(fprime, x_norm).seminorm(alpha, r, delta, p)
+    lhs = f.context(x_norm).seminorm(1 + alpha, r + 1, delta, p)
+    rhs = fprime.context(x_norm).seminorm(alpha, r, delta, p)
     return InequalityReport(REDUCTION, lhs, rhs, 1.0,
                             {"beta": 1, "r": r, "alpha": alpha, "delta": delta,
                              "p": p, "x": x_norm.label()})
@@ -938,8 +957,8 @@ def check_accession(f, fprime, *, alpha=1.5, r=2, delta=0.125,
         raise PreconditionError("accession needs the sampled derivative")
     if not r > alpha > 1:
         raise PreconditionError("need r > alpha > 1")
-    lhs = _NormContext(fprime, x_norm).nikolskii_norm(alpha - 1, r - 1, delta, p)
-    base = _NormContext(f, x_norm).nikolskii_norm(alpha, r, delta, p)
+    lhs = fprime.context(x_norm).nikolskii_norm(alpha - 1, r - 1, delta, p)
+    base = f.context(x_norm).nikolskii_norm(alpha, r, delta, p)
     c = calibrated * 6.0**r / delta**alpha
     return InequalityReport(ACCESSION, lhs, c * base, c,
                             {"beta": 1, "alpha": alpha, "r": r, "delta": delta,
@@ -964,8 +983,7 @@ def check_interpolation(f, *, alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0,
     b = 0.5
     alpha_b = (1 - b) * alpha1 + b * alpha2
     p_b = 1.0 / ((1 - b) / p1 + b / p2)
-    cache = {}  # the three contexts share one factor of f's raw samples
-    ctx_z, ctx_x, ctx_y = (_NormContext(f, norm, cache) for norm in (L2, W12, WM12))
+    ctx_z, ctx_x, ctx_y = (f.context(norm) for norm in (L2, W12, WM12))
     lhs = ctx_z.seminorm(alpha_b, r, delta, p_b)
     leg_x = ctx_x.seminorm(alpha1, r, delta, p1)
     leg_y = ctx_y.seminorm(alpha2, r, delta, p2)
@@ -985,7 +1003,7 @@ def check_embed_sobolev(f, *, gamma=0.4, k=1, p=math.inf, delta=0.125,
     """
     if not 0 < gamma < 1 or k < 1:
         raise PreconditionError("need k >= 1 and gamma in (0, 1)")
-    ctx = _NormContext(f, x_norm)
+    ctx = f.context(x_norm)
     lhs = ctx.sobolev_norm(k, p)
     alpha = k + gamma
     base = ctx.nikolskii_norm(alpha, k + 1, delta, p)
@@ -1036,7 +1054,7 @@ def check_embed_nikolskii(f, *, alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0,
         delta = cap
     if delta > cap * (1 + 1e-12):
         raise PreconditionError(f"step cap for the embedding violated: {delta} > {cap:.6g}")
-    ctx = _NormContext(f, x_norm)
+    ctx = f.context(x_norm)
     lhs = ctx.nikolskii_norm(alpha_p, natural_order(alpha_p), delta, q)
     base = ctx.nikolskii_norm(alpha, natural_order(alpha), delta, p)
     c = calibrated * _embed_structural_constant(alpha, alpha_p, beta, delta)
@@ -1050,7 +1068,7 @@ def check_holder(f, *, alpha=0.75, p=4.0, delta=0.25, x_norm=EUCLID):
     lam = alpha - 1.0 / p
     if not 0 < alpha < 1 or lam <= 0:
         raise PreconditionError("need alpha in (0,1) with alpha - 1/p > 0")
-    ctx = _NormContext(f, x_norm)
+    ctx = f.context(x_norm)
     lhs = ctx.holder_seminorm(lam)
     base = ctx.nikolskii_norm(alpha, 1, delta, p)
     c = 3.0 / delta**alpha
@@ -1064,7 +1082,7 @@ def check_sobolev_equivalence(f, *, delta1=0.125, delta2=0.5, p=2.0, x_norm=EUCL
     |f|_{d1} <= |f|_{d2} <= (3/d1) |f|_{d1}."""
     if not 0 < delta1 <= delta2 <= 1:
         raise PreconditionError("need 0 < delta1 <= delta2 <= 1")
-    ctx = _NormContext(f, x_norm)
+    ctx = f.context(x_norm)
     n1 = ctx.nikolskii_norm(1.0, 1, delta1, p)
     n2 = ctx.nikolskii_norm(1.0, 1, delta2, p)
     c = 3.0 / delta1

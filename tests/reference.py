@@ -58,13 +58,13 @@ def difference_sample_norms(ctx, r, k):
 
 
 def difference_norm(ctx, r, k, p):
-    return time_lp(difference_sample_norms(ctx, r, k), p, ctx.f.dt)
+    return time_lp(difference_sample_norms(ctx, r, k), p, ctx.dt)
 
 
 def seminorm(ctx, alpha, r, delta, p):
     best = 0.0
-    for k in fs.admissible_steps(ctx.f, r, delta):
-        h = k * ctx.f.dt
+    for k in fs.admissible_steps(ctx, r, delta):
+        h = k * ctx.dt
         best = max(best, h ** (-alpha) * difference_norm(ctx, r, k, p))
     return float(best)
 
@@ -89,9 +89,9 @@ def marchaud_steps(f, r):
 
 def holder_seminorm(ctx, lam):
     best = 0.0
-    for k in range(1, ctx.f.n_samples):
+    for k in range(1, ctx.n_samples):
         diff = ctx.reduce(ctx.rows[k:] - ctx.rows[:-k])
-        best = max(best, np.max(diff) / (k * ctx.f.dt) ** lam)
+        best = max(best, np.max(diff) / (k * ctx.dt) ** lam)
     return float(best)
 
 

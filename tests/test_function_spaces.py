@@ -65,6 +65,11 @@ class TestHigherDifference:
         with pytest.raises(GridMismatchError):
             fs.higher_difference(f, 1, 1.5 * f.dt)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, h):
+        with pytest.raises(GridMismatchError):
+            fs.higher_difference(grid_fn(lambda t: t, n=257), 1, h)
+
     def test_oversized_step_rejected(self):
         f = grid_fn(lambda t: t, n=257)
         with pytest.raises(EmptyDomainError):
@@ -111,6 +116,10 @@ RAMP = fs.TimeGridFunction(np.arange(10.0), 0.0, 0.1)
     (lambda f: fs.admissible_steps(f, -1, 0.5), "difference order r"),
     (lambda f: fs.higher_difference(f, 0, 0.1), "difference order r"),
     (lambda f: fs.higher_difference(f, 1.5, 0.1), "difference order r"),
+    (lambda f: fs.higher_difference(f, 1, math.nan), "step h"),
+    (lambda f: fs.higher_difference(f, 1, math.inf), "step h"),
+    (lambda f: fs.check_embed_sobolev(f, k=1.5), "derivative order k"),
+    (lambda f: fs._NormContext(f, fs.EUCLID).sobolev_norm(-1, 2.0), "derivative order k"),
 ])
 def test_time_norm_parameter_rules(evaluate, name):
     # each rule is checked where its parameter is consumed, and names it

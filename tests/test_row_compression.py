@@ -10,6 +10,7 @@ zero, and rows of full rank or in the power-of-two rescaling range keep the
 exact path bit for bit.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -26,8 +27,9 @@ EPS = np.finfo(float).eps
 
 
 def exact_context(f, x_norm):
+    fresh = dataclasses.replace(f)  # a factor f already holds would bypass the patch
     with mock.patch.object(fs, "_row_space_coordinates", lambda rows: None):
-        return fs._NormContext(f, x_norm)
+        return fs._NormContext(fresh, x_norm)
 
 
 def assert_same_rows(ctx, ref):

@@ -1,10 +1,11 @@
 """Property tests of the factor shared by the interpolation check's contexts.
 
-``check_interpolation`` builds its L^2, W^{1,2} and W^{-1,2} contexts like
-every other check, sharing one factorisation ``C Q^T`` of the raw samples
-through the contexts' private cache; a context built with the shared factor
-equals one built without it, bit for bit.  The reference is one context per
-norm on the exact rows (``_row_space_coordinates`` switched off), the path
+``check_interpolation`` takes its L^2, W^{1,2} and W^{-1,2} contexts from
+the field, like every other check, and they share the field's one
+factorisation ``C Q^T`` of the raw samples; a context built on the shared
+factor equals one built on a fresh copy of the field, bit for bit.  The
+reference is one context per norm on the exact rows of a fresh copy
+(``_row_space_coordinates`` switched off), the path
 taken when the raw samples are zero or not of low rank, the geometry is
 masked, or the rows could reach the power-of-two rescaling of ``_features``.
 Lag profiles and seminorms agree to rounding, a constant-in-time field
@@ -12,6 +13,7 @@ measures exactly zero, the fallback cases give bit-for-bit the reports of
 exact contexts, and a corpus field maps no more than the 8 basis fields.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -30,13 +32,13 @@ PARAMS = dict(verify.CANONICAL_PARAMS[fs.INTERPOLATION], delta=0.5)  # a step on
 
 
 def shared(f):
-    cache = {}
-    return [fs._NormContext(f, norm, cache) for norm in NORMS]
+    return [f.context(norm) for norm in NORMS]
 
 
 def exact(f):
+    fresh = dataclasses.replace(f)  # a factor f already holds would bypass the patch
     with mock.patch.object(fs, "_row_space_coordinates", lambda rows: None):
-        return [fs._NormContext(f, norm) for norm in NORMS]
+        return [fs._NormContext(fresh, norm) for norm in NORMS]
 
 
 def assert_same(a, b):
@@ -83,9 +85,8 @@ def test_shared_contexts_give_the_independent_norms(f, r, alpha, p):
 @settings(max_examples=30, deadline=None)
 @given(f=fields, norm=st.sampled_from(NORMS), first=st.sampled_from(NORMS))
 def test_shared_factor_changes_no_context(f, norm, first):
-    cache = {}
-    fs._NormContext(f, first, cache)  # another norm of f fills the cache
-    ctx, alone = fs._NormContext(f, norm, cache), fs._NormContext(f, norm)
+    f.context(first)  # another norm of f computes the factor
+    ctx, alone = f.context(norm), fs._NormContext(dataclasses.replace(f), norm)
     assert_same(ctx.rows, alone.rows)
     assert_same(ctx.sample_norms, alone.sample_norms)
     assert ctx.scale == alone.scale
@@ -110,7 +111,7 @@ def assert_fallback(f):
         assert_same(ctx.rows, ref.rows)
     got = fs.check_interpolation(f, **PARAMS)
     with mock.patch.object(fs, "_row_space_coordinates", lambda rows: None):
-        want = fs.check_interpolation(f, **PARAMS)
+        want = fs.check_interpolation(dataclasses.replace(f), **PARAMS)
     assert_same(np.array([got.lhs, got.rhs]), np.array([want.lhs, want.rhs]))
 
 
