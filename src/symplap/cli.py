@@ -101,10 +101,9 @@ def run_solve(cfg: dict, out_dir: Path, seed: int | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ps.save_trajectory(traj, traj_path)
     rows = []
-    energies = traj.energies()
     for k, diag in enumerate(traj.diagnostics):
         rows.append([k + 1, diag.newton_iterations, diag.cg_iterations,
-                     repr(float(diag.residual)), repr(float(energies[k + 1]))])
+                     repr(float(diag.residual)), repr(float(diag.energy))])
     _write_csv(out_dir / "diagnostics.csv",
                ["step", "newton_iterations", "cg_iterations", "residual", "energy"], rows)
     print(f"wrote {traj_path} ({traj.n_steps} steps) and diagnostics.csv")

@@ -143,6 +143,17 @@ def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u", *,
 sym_gradient4 = sym_gradient  # a name the benchmark tracer wraps
 
 
+def _row_restriction(made: dict, traj: Trajectory, cyl: SubCylinder, target: str,
+                     x_norm) -> TimeGridFunction:
+    """The restriction that a norm-table row measures, made once per (target, box) in
+    ``made`` and shared by the rows of one call; each row builds its own throwaway
+    ``_NormContext`` on it, so no context outlives its row."""
+    key = (target, x_norm.kind == "lp")
+    if key not in made:
+        made[key] = restrict(traj, cyl, target=target, _box=key[1])
+    return made[key]
+
+
 def estimate_exponent(h_values, norms):
     """Least-squares slope of log(norm) against log(h).
 
@@ -239,9 +250,9 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
         require_finite("smoothness exponent in alphas", a, at_least=0)
     if table is None:
         table = regime_norm_table(traj.model.p, max(alphas))
-    rows = []
+    rows, made = [], {}
     for target, x_norm, time_p, alpha_pred in table:
-        f = restrict(traj, cyl, target=target, _box=x_norm.kind == "lp")
+        f = _row_restriction(made, traj, cyl, target, x_norm)
         r = natural_order(alpha_pred + 1e-12)  # difference order strictly above the prediction
         ks = dyadic_steps(f, r, delta)[1:]  # from 2 dt on
         if len(ks) < 4:
@@ -284,9 +295,9 @@ class InteriorEstimateReport:
 
 
 def _interior_norms(traj: Trajectory, cyl: SubCylinder, alpha: float, delta: float) -> dict:
-    out = {}
+    out, made = {}, {}
     for target, x_norm, time_p, alpha_pred in regime_norm_table(traj.model.p, alpha):
-        f = restrict(traj, cyl, target=target, _box=x_norm.kind == "lp")
+        f = _row_restriction(made, traj, cyl, target, x_norm)
         ctx = _NormContext(f, x_norm)
         label = f"{target}:{x_norm.label()}:p{time_p:g}"
         if alpha_pred == int(alpha_pred):

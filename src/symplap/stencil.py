@@ -16,14 +16,22 @@ def difference(a: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarra
 
     Both arrays are indexed with slice tuples along ``axis``; the two
     wrap-around rows are length-1 slices, so 1-D arrays work as well.  An
-    empty axis (the box of an empty mask) has nothing to difference.
+    empty axis (the box of an empty mask) has nothing to difference.  Along
+    the last axis of C-contiguous arrays the interior is one subtract over
+    the flattened arrays: it pairs the same operands for every interior
+    entry, and the entries it writes across row ends are wrap-around entries,
+    which are overwritten next.
     """
     n, lead = a.shape[axis], (slice(None),) * (axis % a.ndim)
     if n == 0:
         return out
     first, last = lead + (slice(0, 1),), lead + (slice(-1, None),)
-    np.subtract(a[lead + (slice(2, None),)], a[lead + (slice(None, -2),)],
-                out=out[lead + (slice(1, -1),)])
+    if (n > 2 and axis % a.ndim == a.ndim - 1 and a.flags.c_contiguous
+            and out.flags.c_contiguous):
+        np.subtract(a.reshape(-1)[2:], a.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
+    else:
+        np.subtract(a[lead + (slice(2, None),)], a[lead + (slice(None, -2),)],
+                    out=out[lead + (slice(1, -1),)])
     np.subtract(a[lead + (slice(1 % n, 1 % n + 1),)], a[last], out=out[first])
     np.subtract(a[first], a[lead + (slice(-2 % n, -2 % n + 1),)], out=out[last])
     out /= 2.0 * h

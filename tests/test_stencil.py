@@ -51,6 +51,33 @@ def test_difference_of_a_one_dimensional_array():
         assert _bitwise_equal(got, (np.roll(a, -1) - np.roll(a, 1)) / (2.0 * h))
 
 
+def _strided_copy(a):
+    """A non-contiguous array holding the values of ``a``."""
+    out = np.empty(a.shape + (2,))[..., 0]
+    out[...] = a
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=hnp.arrays(np.float64, st.tuples(
+           st.lists(st.integers(1, 3), max_size=2).map(tuple),
+           st.sampled_from([1, 2, 3, 8])).map(lambda s: s[0] + (s[1],)), elements=FLOATS),
+       strided_in=st.booleans(), strided_out=st.booleans(), data=st.data())
+def test_contiguous_difference_equals_the_strided_one(values, strided_in, strided_out, data):
+    # C-contiguous input and output take the flattened subtract along the last
+    # axis; a strided input or output, or another axis, the sliced one
+    h = 2.0 * math.pi / values.shape[-1]
+    axis = data.draw(st.integers(-values.ndim, values.ndim - 1))
+    a = _strided_copy(values) if strided_in else values.copy()
+    out = _strided_copy(np.empty_like(values)) if strided_out else np.empty_like(values)
+    got = stencil.difference(a, axis, h, out)
+    strided = stencil.difference(_strided_copy(values), axis, h, _strided_copy(values))
+    roll = (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+    assert got is out
+    assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(strided).view(np.uint64))
+    assert _bitwise_equal(np.ascontiguousarray(got), roll)
+
+
 @settings(max_examples=50, deadline=None)
 @given(case=stacks((2,)))
 def test_sym_gradient_acts_slice_by_slice(case):

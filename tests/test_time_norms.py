@@ -80,6 +80,9 @@ def test_seminorm_is_absolutely_homogeneous(case, c, delta, alpha, r, p):
 
 @settings(max_examples=40, deadline=None)
 @given(case=functions(), lam=st.floats(0.05, 1.5))
+@example(case=(fs.TimeGridFunction(2.2250738585e-313 * np.arange(1.0, 6.0)[:, None, None, None]
+                                   * np.ones((5, N, N, 2)), 0.0, 0.25, geometry=GEOM), fs.L2),
+         lam=1.0)  # subnormal samples: 24 steps of 5e-324 apart, the relative floor is 0
 def test_holder_seminorm_is_max_over_all_pairs(case, lam):
     f, x_norm = case
     brute = max(fs.spatial_norm(f.values[j] - f.values[i], x_norm, f.geometry)
@@ -89,6 +92,10 @@ def test_holder_seminorm_is_max_over_all_pairs(case, lam):
     # the engine differences feature rows, the brute force differences samples:
     # they agree up to rounding relative to the samples' size
     floor = 64.0 * EPS * ctx.scale * f.dt ** (-lam)
+    # subnormal samples keep only absolute precision: each operation on them
+    # rounds to a multiple of 5e-324, which the relative floor underflows
+    # below; keep 4 such steps per entry of a sample
+    floor = max(floor, 4.0 * f.values[0].size * SUBNORMAL * f.dt ** (-lam))
     assert abs(ctx.holder_seminorm(lam) - brute) <= 1e-12 * brute + floor
 
 
