@@ -8,7 +8,6 @@ import pytest
 
 import symplap.pde_solver as ps
 import symplap.tensor_models as tm
-from symplap.errors import SolverFailureError
 
 MODELS = [tm.ModelParams(p=p, mu=1.0, model=m) for p in (2.0, 3.0, 4.0) for m in ("A1", "A2")]
 DT, STEPS = 5e-3, 4
@@ -49,34 +48,6 @@ def test_recorded_energy_is_the_energy_of_the_snapshot(u0, model):
     want = [ps.energy(u, model, u0.grid) for u in traj.snapshots[1:]]
     assert np.array_equal(bits(recorded), bits(want))
     assert np.array_equal(bits(traj.energies()), bits([ps.energy(u0.data, model, u0.grid)] + want))
-
-
-def test_loaded_trajectory_recomputes_the_same_energies(tmp_path, u0):
-    traj = ps.solve(u0, STEPS * DT, DT, MODELS[3])
-    ps.save_trajectory(traj, tmp_path / "traj.bin")
-    loaded = ps.load_trajectory(tmp_path / "traj.bin")
-    assert loaded.diagnostics == []
-    assert np.array_equal(bits(loaded.energies()), bits(traj.energies()))
-
-
-def test_partial_trajectory_has_one_energy_per_snapshot(monkeypatch, u0):
-    model = MODELS[3]
-    real_step, calls = ps.step, []
-
-    def fails_third(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 3:
-            raise SolverFailureError("forced failure")
-        return real_step(*args, **kwargs)
-
-    monkeypatch.setattr(ps, "step", fails_third)
-    with pytest.raises(SolverFailureError) as failure:
-        ps.solve(u0, STEPS * DT, DT, model)
-    partial = failure.value.partial
-    energies = partial.energies()
-    assert energies.shape == (partial.n_steps + 1,) == (3,)
-    want = [ps.energy(u, model, u0.grid) for u in partial.snapshots]
-    assert np.array_equal(bits(energies), bits(want))
 
 
 def test_energies_of_a_solve_evaluate_only_the_initial_snapshot(monkeypatch, u0):
