@@ -70,13 +70,9 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def _solve_settings(cfg: dict, seed: int):
-    model_tag = cfg.get("model", "A2")
-    try:
-        model = ModelParams(p=float(cfg.get("p", 2.0)), mu=float(cfg.get("mu", 1.0)),
-                            model=model_tag)
-        grid = ps.TorusGrid(int(cfg.get("n", 32)))
-    except ValueError as exc:
-        raise ValidationFailure(str(exc))
+    model = ModelParams(p=float(cfg.get("p", 2.0)), mu=float(cfg.get("mu", 1.0)),
+                        model=cfg.get("model", "A2"))
+    grid = ps.TorusGrid(int(cfg.get("n", 32)))
     dt = float(cfg.get("dt", 1e-3))
     t_final = float(cfg.get("t_final", 0.1))
     ic = cfg.get("ic", "eigenfield")

@@ -46,6 +46,7 @@ def growth_threshold(d: int) -> float:
 
 def gamma0(p, d):
     """Ceiling of the fractional regime: 2p / ((p-2)(d(p-2)+p)); requires p > 2."""
+    require_finite("growth exponent p", p, at_least=2)
     if p <= 2:
         raise ValueError("gamma0 requires p > 2 (the denominator vanishes at p = 2)")
     return 2 * p / ((p - 2) * (d * (p - 2) + p))

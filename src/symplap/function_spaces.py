@@ -133,29 +133,26 @@ def wm1p(q: float) -> XNorm:
 
 _DICTIONARY_SIZE = 32
 _DICTIONARY_SEED = 71991
-_dictionary_cache: dict = {}
 
 
+@functools.cache
 def _test_dictionary(shape, ncomp: int) -> np.ndarray:
     """Fixed dictionary of smooth low-frequency fields used for dual lower bounds."""
-    key = (shape, ncomp)
-    if key not in _dictionary_cache:
-        rng = np.random.default_rng(_DICTIONARY_SEED)
-        n = shape[0]
-        x = np.arange(n) * (2.0 * np.pi / n)
-        mesh = np.meshgrid(*([x] * len(shape)), indexing="ij")
-        fields = np.zeros((_DICTIONARY_SIZE, *shape, ncomp))
-        for m in range(_DICTIONARY_SIZE):
-            for c in range(ncomp):
-                acc = np.zeros(shape)
-                for _ in range(3):
-                    ks = rng.integers(-3, 4, size=len(shape))
-                    amp = rng.normal()
-                    phase = rng.uniform(0, 2 * np.pi)
-                    acc += amp * np.cos(sum(k * xg for k, xg in zip(ks, mesh)) + phase)
-                fields[m, ..., c] = acc
-        _dictionary_cache[key] = fields
-    return _dictionary_cache[key]
+    rng = np.random.default_rng(_DICTIONARY_SEED)
+    n = shape[0]
+    x = np.arange(n) * (2.0 * np.pi / n)
+    mesh = np.meshgrid(*([x] * len(shape)), indexing="ij")
+    fields = np.zeros((_DICTIONARY_SIZE, *shape, ncomp))
+    for m in range(_DICTIONARY_SIZE):
+        for c in range(ncomp):
+            acc = np.zeros(shape)
+            for _ in range(3):
+                ks = rng.integers(-3, 4, size=len(shape))
+                amp = rng.normal()
+                phase = rng.uniform(0, 2 * np.pi)
+                acc += amp * np.cos(sum(k * xg for k, xg in zip(ks, mesh)) + phase)
+            fields[m, ..., c] = acc
+    return fields
 
 
 def _dictionary_functionals(geom: SpaceGeometry, shape, ncomp: int, q: float) -> np.ndarray:
@@ -853,6 +850,22 @@ def _worst_side(ineq_id, sides, constant, params) -> InequalityReport:
     return InequalityReport(ineq_id, lhs, rhs, constant, params)
 
 
+def _step_cap_equivalence(ineq_id, f, alpha, r, delta1, delta2, p, x_norm, factor, params):
+    """The step-cap equivalence |f|_{d1} <= |f|_{d2} <= (factor / d1^alpha) |f|_{d1} of the
+    Nikolskii norm (alpha, r, p) on f's own context in ``x_norm``, for 0 < d1 <= d2 <= 1.
+
+    ``params(n1, n2)`` gives the check's own report parameters from the two norms.
+    """
+    if not 0 < delta1 <= delta2 <= 1:
+        raise PreconditionError("need 0 < delta1 <= delta2 <= 1")
+    ctx = f.context(x_norm)
+    n1 = ctx.nikolskii_norm(alpha, r, delta1, p)
+    n2 = ctx.nikolskii_norm(alpha, r, delta2, p)
+    c = factor / delta1**alpha
+    params = {**params(n1, n2), "delta1": delta1, "delta2": delta2, "p": p, "x": x_norm.label()}
+    return _worst_side(ineq_id, [("monotone", n1, n2), ("cap", n2, c * n1)], c, params)
+
+
 def check_delta_equivalence(f, *, r=1, alpha=0.5, delta1=0.125, delta2=0.25,
                             p=math.inf, x_norm=EUCLID, constant_factor=None):
     """Step-cap equivalence: |f|_{r,d1} <= |f|_{r,d2} <= (3^r/d1^alpha) |f|_{r,d1}.
@@ -860,18 +873,13 @@ def check_delta_equivalence(f, *, r=1, alpha=0.5, delta1=0.125, delta2=0.25,
     The proof also yields the sharper factor (2^r + 1)/d1^alpha; its margin is
     recorded alongside for reference.
     """
-    if not 0 < delta1 <= delta2 <= 1:
-        raise PreconditionError("need 0 < delta1 <= delta2 <= 1")
     if r < natural_order(alpha):
         raise PreconditionError("difference order must exceed alpha")
-    ctx = f.context(x_norm)
-    n1 = ctx.nikolskii_norm(alpha, r, delta1, p)
-    n2 = ctx.nikolskii_norm(alpha, r, delta2, p)
-    c = (3.0**r if constant_factor is None else constant_factor) / delta1**alpha
-    params = {"r": r, "alpha": alpha, "delta1": delta1, "delta2": delta2, "p": p,
-              "x": x_norm.label(),
-              "proof_margin": f"{(2.0**r + 1.0) / delta1**alpha * n1 - n2:.6e}"}
-    return _worst_side(DELTA_EQ, [("monotone", n1, n2), ("cap", n2, c * n1)], c, params)
+    return _step_cap_equivalence(
+        DELTA_EQ, f, alpha, r, delta1, delta2, p, x_norm,
+        3.0**r if constant_factor is None else constant_factor,
+        lambda n1, n2: {"r": r, "alpha": alpha,
+                        "proof_margin": f"{(2.0**r + 1.0) / delta1**alpha * n1 - n2:.6e}"})
 
 
 def _step_change_cap(f, r, r0, alpha):
@@ -1080,14 +1088,8 @@ def check_holder(f, *, alpha=0.75, p=4.0, delta=0.25, x_norm=EUCLID):
 def check_sobolev_equivalence(f, *, delta1=0.125, delta2=0.5, p=2.0, x_norm=EUCLID):
     """First-order step-cap equivalence of the difference-based W^{1,p} norm:
     |f|_{d1} <= |f|_{d2} <= (3/d1) |f|_{d1}."""
-    if not 0 < delta1 <= delta2 <= 1:
-        raise PreconditionError("need 0 < delta1 <= delta2 <= 1")
-    ctx = f.context(x_norm)
-    n1 = ctx.nikolskii_norm(1.0, 1, delta1, p)
-    n2 = ctx.nikolskii_norm(1.0, 1, delta2, p)
-    c = 3.0 / delta1
-    params = {"delta1": delta1, "delta2": delta2, "p": p, "x": x_norm.label()}
-    return _worst_side(SOBOLEV_EQ, [("monotone", n1, n2), ("cap", n2, c * n1)], c, params)
+    return _step_cap_equivalence(SOBOLEV_EQ, f, 1.0, 1, delta1, delta2, p, x_norm, 3.0,
+                                 lambda n1, n2: {})
 
 
 _CHECKS = {

@@ -56,6 +56,7 @@ at hand from the last residual evaluation (:attr:`StepDiagnostics.energy`).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -83,6 +84,8 @@ class TorusGrid:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
         if self.n < 8 or self.n & (self.n - 1):
             raise ValueError("grid size must be a power of two, at least 8")
 
@@ -198,9 +201,14 @@ def inner(u: np.ndarray, v: np.ndarray, grid: TorusGrid) -> float:
     return float(grid.h**2 * np.sum(u * v))
 
 
+def _energy(t: np.ndarray, model: ModelParams, h: float) -> float:
+    """h^2 * sum phi(t) over the strain magnitudes t = |Du|."""
+    return float(h**2 * np.sum(phi(t, model)))
+
+
 def energy(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> float:
     """Discrete dissipated energy h^2 * sum phi(|Du|)."""
-    return float(grid.h**2 * np.sum(phi(_strain(u, grid.h)[1], model)))
+    return _energy(_strain(u, grid.h)[1], model, grid.h)
 
 
 def _symbol_factors(grid: TorusGrid):
@@ -482,7 +490,7 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
         if worst < tol:
             ws.u, ws.trial = u, trial
             diag = StepDiagnostics(newton_iterations=it, residual=worst, cg_iterations=actions,
-                                   energy=float(grid.h**2 * np.sum(phi(t, model))))
+                                   energy=_energy(t, model, grid.h))
             return (u if _work is not None else np.moveaxis(u, 0, -1).copy()), diag
         if it:
             eta = _forcing_term(rnorm / rnorm_prev)
@@ -544,7 +552,7 @@ def _require_finite_data(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> 
     """Raise ``ValueError`` unless the energy and the stress of the state ``u`` are finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is what is checked
         e, t = _strain(u, grid.h)
-        finite = (np.isfinite(np.sum(phi(t, model)))
+        finite = (math.isfinite(_energy(t, model, grid.h))
                   and np.isfinite(_phi_d_over_t(t, model) * e).all())
     if not finite:
         raise ValueError(f"initial data with max |u0| = {np.max(np.abs(u)):.3g} overflow: "
@@ -604,7 +612,8 @@ def initial_condition(tag: str, grid: TorusGrid, seed: int = 0, cutoff: int = 3,
     if tag == "eigenfield":
         data = amplitude * np.stack([np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)], axis=-1)
     elif tag == "random_smooth":
-        if not 1 <= cutoff <= grid.n // 2 - 1:  # modes n/2 feed the kernel of sym_gradient
+        # modes n/2 feed the kernel of sym_gradient
+        if not isinstance(cutoff, numbers.Integral) or not 1 <= cutoff <= grid.n // 2 - 1:
             raise ValueError(f"cutoff must be an integer in [1, n/2 - 1] = [1, {grid.n // 2 - 1}] "
                              f"at n = {grid.n}, got {cutoff!r}")
         rng = np.random.default_rng(seed)
@@ -659,7 +668,8 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory`.
 
     Raises ``TrajectoryFormatError`` when the file size disagrees with its
-    header, when the header's dt is not a finite positive number, when a
+    header, when a header count (n, d, step count) is not an integer, when
+    the header's dt is not a finite positive number, when a
     snapshot holds a non-finite entry, or when the
     ``<path>.meta`` sidecar is missing or lacks the model parameters
     (``model``, ``p``, ``mu``).
@@ -671,7 +681,11 @@ def load_trajectory(path) -> Trajectory:
             raise TrajectoryFormatError(
                 f"{path}: {size} bytes, shorter than the {header_bytes}-byte header")
         header = np.frombuffer(fh.read(header_bytes), dtype="<f8")
-        n, d, dt, steps = int(header[0]), int(header[1]), float(header[2]), int(header[3])
+        n, d, dt, steps = map(float, header)
+        for name, count in (("n", n), ("d", d), ("steps", steps)):
+            if not count.is_integer():
+                raise TrajectoryFormatError(f"{path}: header {name} = {count!r} is not an integer")
+        n, d, steps = int(n), int(d), int(steps)
         require_finite(f"{path}: header dt", dt, error=TrajectoryFormatError)
         expected = header_bytes + 8 * (steps + 1) * n * n * d
         if min(n, d, steps + 1) < 1 or size != expected:

@@ -34,8 +34,8 @@ import numpy as np
 from . import exponent_engine as ee
 from .errors import GeometryError, InsufficientResolutionError, PreconditionError, require_finite
 from . import stencil
-from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, dyadic_steps, lp,
-                              lp_norm, natural_order, w1p, wm1p)
+from .function_spaces import (L2, W12, TimeGridFunction, _lag_weights, _NormContext, dyadic_steps,
+                              lp, lp_norm, natural_order, w1p, wm1p)
 from .function_spaces import raw_seminorm  # noqa: F401  uncalled; the benchmark tracer wraps it
 from .pde_solver import Trajectory, sym_gradient
 from .tensor_models import frob, phi, v_map
@@ -143,15 +143,21 @@ def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u", *,
 sym_gradient4 = sym_gradient  # a name the benchmark tracer wraps
 
 
-def _row_restriction(made: dict, traj: Trajectory, cyl: SubCylinder, target: str,
-                     x_norm) -> TimeGridFunction:
-    """The restriction that a norm-table row measures, made once per (target, box) in
-    ``made`` and shared by the rows of one call; each row builds its own throwaway
-    ``_NormContext`` on it, so no context outlives its row."""
-    key = (target, x_norm.kind == "lp")
-    if key not in made:
-        made[key] = restrict(traj, cyl, target=target, _box=key[1])
-    return made[key]
+def _table_contexts(traj: Trajectory, cyl: SubCylinder, table):
+    """Yield each norm-table row with its restriction f and a throwaway ``_NormContext``.
+
+    Each distinct restriction is made once per call and shared by its rows:
+    the key is (target, box), and only "vmap" rows read pointwise (L^q) use the
+    ball's box, since ``restrict`` keeps every "u" restriction on the full grid.
+    No context outlives its row.
+    """
+    made = {}
+    for row in table:
+        target, x_norm = row[:2]
+        key = (target, target == "vmap" and x_norm.kind == "lp")
+        if key not in made:
+            made[key] = restrict(traj, cyl, target=target, _box=key[1])
+        yield row, made[key], _NormContext(made[key], x_norm)
 
 
 def estimate_exponent(h_values, norms):
@@ -250,21 +256,20 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
         require_finite("smoothness exponent in alphas", a, at_least=0)
     if table is None:
         table = regime_norm_table(traj.model.p, max(alphas))
-    rows, made = [], {}
-    for target, x_norm, time_p, alpha_pred in table:
-        f = _row_restriction(made, traj, cyl, target, x_norm)
+    rows = []
+    for (target, x_norm, time_p, alpha_pred), f, ctx in _table_contexts(traj, cyl, table):
         r = natural_order(alpha_pred + 1e-12)  # difference order strictly above the prediction
         ks = dyadic_steps(f, r, delta)[1:]  # from 2 dt on
         if len(ks) < 4:
             raise InsufficientResolutionError(
                 f"only {len(ks)} dyadic steps fit below delta = {delta}")
-        ctx = _NormContext(f, x_norm)
         h_values = [k * f.dt for k in ks]
         diffs = [ctx.difference_norm(r, k, time_p) for k in ks]
         alpha_hat, r_sq = estimate_exponent(h_values, diffs)
         semis = []
         for a in alphas:
-            semis.append(max(h ** (-a) * d for h, d in zip(h_values, diffs)))
+            weights = _lag_weights(f.dt, ks, -a, f"smoothness exponent alpha = {a!r}")
+            semis.append(max(w * d for w, d in zip(weights, diffs)))
         rows.append(SweepRow(target=target, x_label=x_norm.label(), time_p=time_p,
                              r=r, alpha_grid=alphas, seminorms=semis,
                              h_values=h_values, diff_norms=diffs,
@@ -295,10 +300,9 @@ class InteriorEstimateReport:
 
 
 def _interior_norms(traj: Trajectory, cyl: SubCylinder, alpha: float, delta: float) -> dict:
-    out, made = {}, {}
-    for target, x_norm, time_p, alpha_pred in regime_norm_table(traj.model.p, alpha):
-        f = _row_restriction(made, traj, cyl, target, x_norm)
-        ctx = _NormContext(f, x_norm)
+    out = {}
+    table = regime_norm_table(traj.model.p, alpha)
+    for (target, x_norm, time_p, alpha_pred), _, ctx in _table_contexts(traj, cyl, table):
         label = f"{target}:{x_norm.label()}:p{time_p:g}"
         if alpha_pred == int(alpha_pred):
             # full-derivative row: divided differences up to the predicted order

@@ -24,6 +24,9 @@ def test_gamma0_rejects_p_at_or_below_two():
         ee.gamma0(2.0, 3)
     with pytest.raises(ValueError):
         ee.gamma0(1.5, 2)
+    for p in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="growth exponent p must be a finite number"):
+            ee.gamma0(p, 2)
 
 
 def test_gamma0_threshold_is_one():

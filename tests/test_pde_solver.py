@@ -42,6 +42,8 @@ class TestGrid:
             ps.TorusGrid(12)
         with pytest.raises(ValueError):
             ps.TorusGrid(4)
+        with pytest.raises(ValueError, match="grid size n must be an integer"):
+            ps.TorusGrid(16.0)
         assert ps.TorusGrid(8).h == pytest.approx(math.pi / 4)
 
     def test_field_validation(self, grid32):
@@ -447,7 +449,7 @@ class TestSolve:
 
 
 class TestInitialCondition:
-    @pytest.mark.parametrize("cutoff", [0, -1, 4, 5])
+    @pytest.mark.parametrize("cutoff", [0, -1, 4, 5, 2.5])
     def test_random_smooth_cutoff_outside_the_band_is_rejected(self, cutoff):
         # 0 and -1 would give the zero field; 4 = n/2 and 5 would feed the Nyquist modes
         with pytest.raises(ValueError, match=r"cutoff must be an integer in \[1, n/2 - 1\]"):
@@ -517,6 +519,15 @@ class TestPersistence:
         data[16:24] = np.array([dt], dtype="<f8").tobytes()
         saved.write_bytes(bytes(data))
         with pytest.raises(TrajectoryFormatError, match="header dt must be a finite positive"):
+            ps.load_trajectory(saved)
+
+    @pytest.mark.parametrize("field, offset", [("n", 0), ("d", 8), ("steps", 24)])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 8.5])
+    def test_bad_header_count_rejected(self, saved, field, offset, bad):
+        data = bytearray(saved.read_bytes())
+        data[offset : offset + 8] = np.array([bad], dtype="<f8").tobytes()
+        saved.write_bytes(bytes(data))
+        with pytest.raises(TrajectoryFormatError, match=f"header {field} = .* is not an integer"):
             ps.load_trajectory(saved)
 
     def test_file_is_header_then_snapshot_bytes(self, tmp_path, grid32):

@@ -1,6 +1,7 @@
 """Trajectory restriction, slope estimation, and the two interior checks."""
 
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -155,6 +156,26 @@ class TestSweep:
                                wraps=fs._row_space_coordinates) as spy:
             ra.seminorm_sweep(p3_traj, CYL, alphas=[0.5], delta=0.16)
         assert spy.call_count == 0
+
+    def test_one_restriction_per_distinct_restriction(self, p3_traj):
+        # the "u" rows share one full-grid restriction whatever their norm; "vmap"
+        # rows read pointwise take the ball's box: 2 per table plus the outer cylinder
+        outer = ra.SubCylinder(center=CENTER, r=1.7, time_halfwidth=CYL.halfwidth)
+        with mock.patch.object(ra, "restrict", wraps=ra.restrict) as spy:
+            ra.seminorm_sweep(p3_traj, CYL, alphas=[0.5], delta=0.16)
+            ra.check_seminorm_bounds(p3_traj, CYL, outer, alpha=0.5, delta=0.16)
+        made = Counter((call.args[1], call.kwargs.get("target", "u"), call.kwargs.get("_box", False))
+                       for call in spy.call_args_list)
+        assert made == {(CYL, "u", False): 2, (CYL, "vmap", True): 2, (outer, "u", False): 1}
+
+    def test_sweep_weights_share_the_engine_range_rule(self):
+        # (k dt)**-400 overflows at dt = 1/128: the sweep raises the engine's ValueError
+        grid = ps.TorusGrid(16)
+        traj = ps.solve(ps.initial_condition("random_smooth", grid, seed=8), 2.0, 1 / 128, P3)
+        cyl = ra.SubCylinder(center=CENTER, r=1.2, time_halfwidth=0.6)
+        with pytest.raises(ValueError, match="smoothness exponent"):
+            ra.seminorm_sweep(traj, cyl, alphas=[400.0], delta=0.5,
+                              table=[("u", fs.L2, 2.0, 0.5)])
 
     def test_insufficient_dyadic_resolution(self, p2_traj):
         with pytest.raises(InsufficientResolutionError):

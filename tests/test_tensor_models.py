@@ -234,3 +234,8 @@ class TestEquivalence:
                 assert np.max(lip) <= band["lip_max"]
                 # monotonicity itself: nonnegative pairing everywhere
                 assert np.min(tm.monotone_pairing(pm, qm, params)) >= 0.0
+                # the frozen band is the measured one padded by 1 % on each side
+                measured = tm.measure_assumption_bands(params)
+                for key, frozen in band.items():
+                    pad = 0.99 if key.endswith("_min") else 1.01
+                    assert measured[key] * pad == pytest.approx(frozen, rel=1e-12)
