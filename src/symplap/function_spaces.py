@@ -52,7 +52,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import stencil
 from .errors import EmptyDomainError, GridMismatchError, PreconditionError, require_finite
@@ -184,8 +184,17 @@ def _spectral_rows(values: np.ndarray, geom: SpaceGeometry) -> np.ndarray:
 
 
 def _l2(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[1] == 1:
-        return np.abs(rows[:, 0])  # sqrt(x*x) == |x| unless x*x underflows
+    """Row-wise l2 norm, bit for bit ``np.sqrt(np.sum(np.abs(rows)**2, axis=1))``.
+
+    One column is ``|x|`` (``sqrt(x*x) == |x|`` unless x*x overflows or
+    underflows).  Real rows of 2 to 7 columns go through ``_magnitude``,
+    which sums the column planes in the order ``np.sum`` uses on fewer than
+    eight entries instead of reducing the short axis; every other width, and
+    complex rows, take the ``np.sum`` itself.
+    """
+    width = rows.shape[1]
+    if width == 1 or 1 < width < 8 and rows.dtype == float:
+        return _magnitude(rows, np.empty(rows.shape[0]))
     return np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
 
 
@@ -463,8 +472,11 @@ def _difference_length(n: int, r: int, k: int, dt: float) -> int:
 def _lag_windows(a: np.ndarray, start: int, step: int, lags: int, m: int) -> np.ndarray:
     """Strided view ``out[l, i] = a[start + l*step + i]`` of shape (lags, m, ...).
 
-    Entries past the end of ``a`` read as zero; only then are the samples
-    from ``start`` on copied, with the missing zero samples appended.
+    One ``as_strided`` view of ``a``'s own memory, so it holds the samples
+    themselves and every stencil built on it reads the same numbers as a
+    one-lag slice.  Entries past the end of ``a`` read as zero; only then
+    are the samples from ``start`` on copied, with the missing zero samples
+    appended.
     """
     if lags == 1:
         return a[None, start : start + m]
@@ -472,7 +484,8 @@ def _lag_windows(a: np.ndarray, start: int, step: int, lags: int, m: int) -> np.
     short = (lags - 1) * step + m - a.shape[0]
     if short > 0:
         a = np.concatenate([a, np.zeros((short,) + a.shape[1:], a.dtype)])
-    return np.moveaxis(sliding_window_view(a, m, axis=0)[::step][:lags], -1, 1)
+    return as_strided(a, (lags, m) + a.shape[1:], (step * a.strides[0],) + a.strides,
+                      writeable=False)
 
 
 def _differences(a: np.ndarray, r: int, k0: int, lags: int) -> np.ndarray:
@@ -482,13 +495,22 @@ def _differences(a: np.ndarray, r: int, k0: int, lags: int) -> np.ndarray:
 
     Entry i of lag k is ``w0*a + w1*b + ...`` in that order, whatever the
     block; only its first len(a) - r*k entries are stencils that fit, the
-    rest read zeros past the end of ``a``.
+    rest read zeros past the end of ``a``.  The terms are accumulated in
+    place: ``w1*b`` first, then ``w0*a`` added, which is ``w0*a + w1*b`` bit
+    for bit (addition commutes, and w0 = (-1)**r makes ``w0*a`` exactly
+    ``+-a``), then each later term in turn.  For r = 1 that is the single
+    ``b - a``, which is ``-a + b`` bit for bit.
     """
     m0 = a.shape[0] - r * k0
     weights = _binomial_weights(r)
-    out = weights[0] * a[None, :m0]  # as many axes as the sum, so numpy adds in place
-    for j in range(1, r + 1):
-        out = out + weights[j] * _lag_windows(a, j * k0, j, lags, m0)
+    head = a[None, :m0]
+    if r == 1:
+        return np.subtract(_lag_windows(a, k0, 1, lags, m0), head)
+    out = np.multiply(_lag_windows(a, k0, 1, lags, m0), weights[1])
+    (np.add if weights[0] > 0 else np.subtract)(out, head, out=out)
+    work = np.empty_like(out)
+    for j in range(2, r + 1):
+        out += np.multiply(_lag_windows(a, j * k0, j, lags, m0), weights[j], out=work)
     return out
 
 
@@ -530,9 +552,13 @@ def _time_lp_rows(g: np.ndarray, lengths, p: float, dt: float) -> list:
     """``time_lp`` of each row ``g[i, :lengths[i]]``; entries past a row's
     length must be zero.  The power is taken over the whole block; each row's
     sum is its own pairwise ``np.add.reduce`` (what ``np.sum`` calls), and the
-    root and the exponent are per-row scalar steps, so every value equals the
-    one-row evaluation bit for bit.  Every finite-p time norm passes here, so
-    this is where the time exponent p >= 1 (or inf) is enforced."""
+    weight, the root and the exponent are per-row scalar steps, so every
+    value equals the one-row evaluation bit for bit.  The weight and the root
+    are Python float operations, the same IEEE products and libm ``pow`` as
+    numpy's scalars; ``np.ldexp`` runs only for a non-zero exponent (ldexp by
+    0 is the identity) and, unlike ``math.ldexp``, returns inf on overflow.
+    Every finite-p time norm passes here, so this is where the time exponent
+    p >= 1 (or inf) is enforced."""
     if not p >= 1:
         raise ValueError(f"time exponent p must be >= 1 or inf, got {p!r}")
     top = np.max(g, axis=1)
@@ -540,10 +566,13 @@ def _time_lp_rows(g: np.ndarray, lengths, p: float, dt: float) -> list:
         return top.tolist()
     exp = _unit_exponent(top, p)  # p-th powers of tiny or huge norms
     powers = (np.ldexp(g, -exp[:, None]) if exp.any() else g) ** p
+    root, dt = 1.0 / p, float(dt)
     out = []
     for row, m, e in zip(powers, lengths, exp.tolist()):
-        w = (m - 1) / m * dt
-        out.append(float(np.ldexp((w * np.add.reduce(row[:m])) ** (1.0 / p), e)))
+        base = (m - 1) / m * dt * float(np.add.reduce(row[:m]))
+        # Python would return a complex root of a negative base; numpy keeps nan
+        norm = base ** root if base >= 0.0 else float(np.float64(base) ** root)
+        out.append(float(np.ldexp(norm, e)) if e else norm)
     return out
 
 
@@ -623,13 +652,15 @@ class _NormContext:
         Returns ``(g, m)``: g has shape (lags, m[0]) and row l holds the
         m[l] = n - r*k sample norms of lag k = k0 + l, then zeros; values at
         or below ``floor`` are zero too.  The stencils of ``_differences``
-        are reduced row by row, so each value equals the one-lag evaluation
-        bit for bit.
+        are reduced row by row, and every reduction maps each row on its own,
+        so each value equals the one-lag evaluation bit for bit; the floor is
+        snapped in place in the reduction's fresh output (NaN is never at or
+        below it, so it stays).
         """
         m0 = self.rows.shape[0] - r * k0
         diff = _differences(self.rows, r, k0, lags)
-        vals = self.reduce(diff.reshape(lags * m0, self.rows.shape[1])).reshape(lags, m0)
-        g = np.where(vals <= floor, 0.0, vals)
+        g = self.reduce(diff.reshape(lags * m0, self.rows.shape[1])).reshape(lags, m0)
+        np.copyto(g, 0.0, where=g <= floor)
         tail = r * (lags - 1)  # the tails all lie in the last columns, as a staircase
         if tail:
             g[:, -tail:][np.arange(tail) >= tail - r * np.arange(lags)[:, None]] = 0.0
@@ -670,10 +701,8 @@ class _NormContext:
             raise EmptyDomainError(
                 f"no admissible step h <= {delta} for order-{r} differences")
         weights = _lag_weights(self.dt, ks, -alpha, f"smoothness exponent alpha = {alpha!r}")
-        best = 0.0
-        for weight, norm in zip(weights, self.lag_profile(r, len(ks), p).tolist()):
-            best = max(best, weight * norm)
-        return float(best)
+        weighted = np.multiply(weights, self.lag_profile(r, len(ks), p))
+        return float(np.fmax.reduce(weighted, initial=0.0))  # NaN lags never win
 
     def nikolskii_norm(self, alpha: float, r: int, delta: float, p: float) -> float:
         """Seminorm plus the low-order Bochner norm |f|_{L^p(I;X)}."""

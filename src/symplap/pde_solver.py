@@ -669,7 +669,8 @@ def load_trajectory(path) -> Trajectory:
 
     Raises ``TrajectoryFormatError`` when the file size disagrees with its
     header, when a header count (n, d, step count) is not an integer, when
-    the header's dt is not a finite positive number, when a
+    the header's n is not a ``TorusGrid`` size or its d is not the grid's
+    two components, when the header's dt is not a finite positive number, when a
     snapshot holds a non-finite entry, or when the
     ``<path>.meta`` sidecar is missing or lacks the model parameters
     (``model``, ``p``, ``mu``).
@@ -687,8 +688,15 @@ def load_trajectory(path) -> Trajectory:
                 raise TrajectoryFormatError(f"{path}: header {name} = {count!r} is not an integer")
         n, d, steps = int(n), int(d), int(steps)
         require_finite(f"{path}: header dt", dt, error=TrajectoryFormatError)
+        try:
+            grid = TorusGrid(n)
+        except ValueError as exc:
+            raise TrajectoryFormatError(f"{path}: header n = {n}: {exc}") from None
+        if d != grid.d:
+            raise TrajectoryFormatError(
+                f"{path}: header d = {d}, but a torus snapshot has {grid.d} components")
         expected = header_bytes + 8 * (steps + 1) * n * n * d
-        if min(n, d, steps + 1) < 1 or size != expected:
+        if steps < 0 or size != expected:
             raise TrajectoryFormatError(
                 f"{path}: {size} bytes, but its header (n = {n}, d = {d}, steps = {steps}) "
                 f"needs {expected}")
@@ -710,4 +718,4 @@ def load_trajectory(path) -> Trajectory:
     if missing:
         raise TrajectoryFormatError(f"{path}.meta lacks {', '.join(missing)}")
     model = ModelParams(p=float(meta["p"]), mu=float(meta["mu"]), model=meta["model"])
-    return Trajectory(data, dt, model, TorusGrid(n), [], meta)
+    return Trajectory(data, dt, model, grid, [], meta)

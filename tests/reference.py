@@ -7,6 +7,9 @@ and measured by the one-row discrete L^p norm in time.  ``lq_reduction``
 reduces the short trailing component axis, where the engine sums component
 planes, and ``caccioppoli`` evaluates the ball estimate's densities on the
 full grid, where the analyzer works on the balls' periodic boxes.
+``l2`` is the ``np.sum`` form of the row-wise l2 norm, which the engine
+sums column plane by column plane on narrow real rows, and ``lag_windows``
+the ``sliding_window_view`` form of the strided lag windows.
 ``sweep_steps`` and ``marchaud_steps`` are the loops that chose the dyadic
 steps of the analyzer's sweep and of the Marchaud check before both took
 them from ``function_spaces.dyadic_steps``.  The current evaluations must
@@ -16,6 +19,7 @@ equal all of them bit for bit.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 import symplap.function_spaces as fs
 from symplap import stencil
@@ -40,6 +44,20 @@ def time_lp(g, p, dt):
     w = (m - 1) / m * dt
     exp = unit_exponent(float(np.max(g)), p)
     return float(np.ldexp((w * np.sum(np.ldexp(g, -exp) ** p)) ** (1.0 / p), exp))
+
+
+def l2(rows):
+    return np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+
+
+def lag_windows(a, start, step, lags, m):
+    if lags == 1:
+        return a[None, start : start + m]
+    a = a[start:]
+    short = (lags - 1) * step + m - a.shape[0]
+    if short > 0:
+        a = np.concatenate([a, np.zeros((short,) + a.shape[1:], a.dtype)])
+    return np.moveaxis(sliding_window_view(a, m, axis=0)[::step][:lags], -1, 1)
 
 
 def difference(a, r, k):

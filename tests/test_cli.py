@@ -313,6 +313,17 @@ time_halfwidth = 0.35
         cfg = write_config(tmp_path / "a.ini", "[analyze]\ntrajectory = /nonexistent.bin\n")
         assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
 
+    @pytest.mark.parametrize("n, d", [(12, 2), (8, 3)])
+    def test_trajectory_grid_outside_the_torus_is_validation_error(self, tmp_path, solved,
+                                                                   capsys, n, d):
+        header = np.array([n, d, 0.01, 1], dtype="<f8").tobytes()
+        solved.write_bytes(header + np.zeros(2 * n * n * d, dtype="<f8").tobytes())
+        cfg = write_config(tmp_path / "a.ini", f"[analyze]\ntrajectory = {solved}\n")
+        out = tmp_path / "an"
+        assert run(["analyze", "--config", cfg, "--out", out]) == 1
+        assert f"validation error: {solved}: header " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validation_error_writes_nothing(self, tmp_path, solved):
         # a ball radius without interior margin fails before the sweep and any output
         cfg = write_config(tmp_path / "a.ini", f"""

@@ -9,7 +9,10 @@ with component blocks [2, 4] included; and the dictionary max-abs.  Data
 are random, constant or affine in time (exact zeros through the snapping
 floor) and may be scaled by 2^600 or 2^-600 (the ``_unit_exponent`` path).
 The block constants are shrunk in some examples, so one profile spans many
-blocks with a partial last one.
+blocks with a partial last one.  The kernels underneath are pinned on their
+own: the plane-summed l2 of narrow rows, the strided lag windows and the
+per-row time norm, whose Python-float root must still give inf, not raise,
+when the rescaled norm overflows.
 """
 
 import contextlib
@@ -33,6 +36,10 @@ KINDS = ["scalar", "rows", "spectral", "row space", "lq", "masked w1q", "diction
 
 
 def bits(x):
+    """uint64 view of floats; complex entries through their real view."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        x = np.ascontiguousarray(x).view(float)
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
@@ -191,3 +198,81 @@ def test_one_lag_difference_is_the_stencil(case, data, r):
     k = data.draw(st.integers(1, k_max))
     got = fs.higher_difference(f, r, k * f.dt).values
     assert np.array_equal(bits(got), bits(reference.difference(f.values, r, k)))
+
+
+@st.composite
+def row_blocks(draw):
+    """(m, width) rows, real or complex, with signed zeros and subnormals,
+    scaled by 2^600 or 2^-600 and laid out contiguously or as a column slice."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, width = draw(st.integers(0, 40)), draw(st.integers(0, 9))
+    parts = 2 if draw(st.booleans()) else 1
+    entries = rng.standard_normal((parts, m, width))
+    special = rng.random(entries.shape)
+    entries[special < 0.1] = 0.0
+    entries[(0.1 <= special) & (special < 0.2)] = -0.0
+    entries[(0.2 <= special) & (special < 0.3)] *= 2.0**-1060  # subnormal
+    entries *= 2.0 ** draw(st.sampled_from([0, 600, -600]))
+    rows = entries[0] + 1j * entries[1] if parts == 2 else entries[0]
+    if draw(st.booleans()):
+        wide = np.zeros((m, width + 3), rows.dtype)
+        wide[:, 1 : width + 1] = rows
+        rows = wide[:, 1 : width + 1]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=row_blocks())
+def test_l2_is_the_sum_of_squares_bit_for_bit(rows):
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = fs._l2(rows), reference.l2(rows)
+        square = np.abs(rows[:, 0]) ** 2 if rows.shape[1] == 1 else None
+    if rows.shape[1] != 1:
+        assert np.array_equal(bits(got), bits(want))
+        return
+    # one column is |x|, which is sqrt(x*x) wherever x*x neither overflows nor underflows
+    assert np.array_equal(bits(got), bits(np.abs(rows[:, 0])))
+    normal = (rows[:, 0] == 0.0) | ((square >= np.finfo(float).tiny) & (square < math.inf))
+    assert np.array_equal(bits(got[normal]), bits(want[normal]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), trailing=st.sampled_from(
+    [(), (1,), (3,), (2, 2)]), complex_rows=st.booleans(), sliced=st.booleans(), data=st.data())
+def test_lag_windows_are_the_sliding_windows(seed, n, trailing, complex_rows, sliced, data):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, *trailing)) + (1j * rng.standard_normal((n, *trailing))
+                                               if complex_rows else 0.0)
+    if sliced:
+        a = np.concatenate([a, a], axis=0)[::2]  # strided along time
+    start = data.draw(st.integers(0, n - 1))
+    m = data.draw(st.integers(1, n - start))
+    step, lags = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    got = fs._lag_windows(a, start, step, lags, m)
+    want = reference.lag_windows(a, start, step, lags, m)
+    assert got.shape == want.shape == (lags, m, *trailing)
+    assert np.array_equal(bits(got), bits(want))
+    if lags > 1:
+        assert not got.flags.writeable
+
+
+def test_lag_windows_pad_a_zero_tail():
+    a = np.arange(1.0, 7.0)
+    got = fs._lag_windows(a, 2, 2, 3, 3)  # lag 2 reads two samples past the end
+    assert np.array_equal(got, [[3.0, 4.0, 5.0], [5.0, 6.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.array_equal(bits(got), bits(reference.lag_windows(a, 2, 2, 3, 3)))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_time_lp_rows_overflow_to_inf(p):
+    """Norms near the float maximum are rescaled by 2^-1024 for their powers;
+    the root of a sum of several of them, scaled back, leaves the float range
+    and must read inf (``np.ldexp``), not raise (``math.ldexp`` would)."""
+    top = np.finfo(float).max
+    g = np.array([[top] * 5, [top, top, 0.0, 0.0, 0.0], [top / 4, 0.0, 0.0, 0.0, 0.0]])
+    with np.errstate(over="ignore"):
+        got = fs._time_lp_rows(g, [5, 2, 1], p, 1.0)
+        want = [reference.time_lp(row[:m], p, 1.0) for row, m in zip(g, [5, 2, 1])]
+    assert got[0] == math.inf
+    assert np.array_equal(bits(got), bits(want))
+    assert all(type(value) is float for value in got)

@@ -530,6 +530,18 @@ class TestPersistence:
         with pytest.raises(TrajectoryFormatError, match=f"header {field} = .* is not an integer"):
             ps.load_trajectory(saved)
 
+    @pytest.mark.parametrize("n, d, match", [(12, 2, "header n = 12: grid size must be a power"),
+                                             (8, 3, "header d = 3, but a torus snapshot has 2"),
+                                             (8, 1, "header d = 1, but a torus snapshot has 2")])
+    def test_header_grid_outside_the_torus_rejected(self, saved, n, d, match):
+        # sizes agree with the header, so only the grid rule can reject the file
+        steps = 2
+        header = np.array([n, d, 5e-3, steps], dtype="<f8").tobytes()
+        saved.write_bytes(header + np.zeros((steps + 1) * n * n * d, dtype="<f8").tobytes())
+        with pytest.raises(TrajectoryFormatError, match=match) as err:
+            ps.load_trajectory(saved)
+        assert str(err.value).startswith(f"{saved}: ")
+
     def test_file_is_header_then_snapshot_bytes(self, tmp_path, grid32):
         traj = ps.solve(ps.initial_condition("random_smooth", grid32, seed=5), 0.01, 5e-3, P3)
         path = tmp_path / "t.bin"
