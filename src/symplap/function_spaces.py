@@ -248,9 +248,11 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     * W^{-1,q'} otherwise: the dictionary functionals, max-abs (lower bound);
     * L^q, W^{1,q}, q != 2: masked values (and masked gradient), masked l^q.
 
-    A masked gradient is taken on the mask's periodic box
-    (``stencil.periodic_box``, halo 1), which equals the full-grid gradient
-    on the mask bit for bit.
+    Every L^q and W^{1,q} row is gathered on a mask, the all-true one when
+    the geometry has none, in C order, and its gradient is taken on the
+    mask's periodic box (``stencil.periodic_box``, halo 1; the whole grid for
+    the all-true mask), which equals the full-grid gradient on the mask bit
+    for bit.
 
     Rows whose squares or q-th powers would leave the normal range are brought
     to unit size by an exact power of two (complex rows through their real
@@ -290,20 +292,16 @@ def _feature_map(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
         mat = _dictionary_functionals(geom, shape, flat.shape[-1], norm.q)
         return flat.reshape(m, -1) @ mat.T, _amax
     comps = [int(np.prod(values.shape[1 + geom.ndim :]))]
-    axes = range(1, 1 + geom.ndim)
-    if geom.mask is None:
-        fields = [values]
-        if norm.kind == "w1p":
-            fields.append(stencil.gradient(values, geom.h, axes))
-    else:
-        fields = [values[:, geom.mask]]
-        if norm.kind == "w1p":
-            box = np.ix_(*stencil.periodic_box(geom.mask, 1))
-            grad = stencil.gradient(values[(slice(None),) + box], geom.h, axes)
-            fields.append(grad[:, geom.mask[box]])
+    mask = np.ones(values.shape[1 : 1 + geom.ndim], bool) if geom.mask is None else geom.mask
+    fields = [values[:, mask]]
     if norm.kind == "w1p":
+        box = np.ix_(*stencil.periodic_box(mask, 1))
+        grad = stencil.gradient(values[(slice(None),) + box], geom.h, range(1, 1 + geom.ndim))
+        fields.append(grad[:, mask[box]])
         comps.append(comps[0] * geom.ndim)
-    rows = np.concatenate([f.reshape(m, -1) for f in fields], axis=1)
+    # a boolean gather of samples without a component axis comes out in F
+    # order; C-ordered rows keep every row sum pairwise
+    rows = np.concatenate([np.ascontiguousarray(f).reshape(m, -1) for f in fields], axis=1)
     if norm.q == 2.0:
         return math.sqrt(geom.cell_measure()) * rows, _l2
     return rows, _lq_reduction(rows.shape[1] // sum(comps), comps, norm.q, geom.cell_measure())
@@ -458,6 +456,13 @@ def _lag_weights(dt: float, ks, power: float, what: str) -> list:
     raise ValueError(f"{what} takes the lag weight (k dt)**{power!r} out of the float range")
 
 
+def _weighted_sup(dt: float, ks, alpha: float, norms) -> float:
+    """``max_k (k dt)**-alpha * norms[k]`` over the lags ``ks``, as a float, 0.0 for
+    no lag; NaN lags never win.  The weights follow :func:`_lag_weights`."""
+    weights = _lag_weights(dt, ks, -alpha, f"smoothness exponent alpha = {alpha!r}")
+    return float(np.fmax.reduce(np.multiply(weights, norms), initial=0.0))
+
+
 def _difference_length(n: int, r: int, k: int, dt: float) -> int:
     """Samples n - r*k left by an order-r difference at step k*dt; raises below two
     and for an order r that is not an integer >= 1."""
@@ -541,10 +546,16 @@ def time_lp(sample_norms: np.ndarray, p: float, dt: float) -> float:
     The weight (m-1)/m * dt is monotone in m, so restricting or shifting the
     index set can only decrease the norm -- the property the difference
     calculus needs -- while constants keep their exact measure-weighted value.
+    Raises ``ValueError`` naming the first sample norm that is negative or NaN,
+    and naming ``dt`` unless it is a finite positive number.
     """
+    require_finite("time step dt", dt)
     g = np.asarray(sample_norms, dtype=float)
     if g.shape[0] == 0:
         raise EmptyDomainError("empty index set in time norm")
+    bad = g[~(g >= 0.0)]
+    if bad.size:
+        raise ValueError(f"sample norms must be numbers >= 0, got {float(bad[0])!r}")
     return _time_lp_rows(g[None], [g.shape[0]], p, dt)[0]
 
 
@@ -569,9 +580,7 @@ def _time_lp_rows(g: np.ndarray, lengths, p: float, dt: float) -> list:
     root, dt = 1.0 / p, float(dt)
     out = []
     for row, m, e in zip(powers, lengths, exp.tolist()):
-        base = (m - 1) / m * dt * float(np.add.reduce(row[:m]))
-        # Python would return a complex root of a negative base; numpy keeps nan
-        norm = base ** root if base >= 0.0 else float(np.float64(base) ** root)
+        norm = ((m - 1) / m * dt * float(np.add.reduce(row[:m]))) ** root
         out.append(float(np.ldexp(norm, e)) if e else norm)
     return out
 
@@ -700,9 +709,7 @@ class _NormContext:
         if not ks:
             raise EmptyDomainError(
                 f"no admissible step h <= {delta} for order-{r} differences")
-        weights = _lag_weights(self.dt, ks, -alpha, f"smoothness exponent alpha = {alpha!r}")
-        weighted = np.multiply(weights, self.lag_profile(r, len(ks), p))
-        return float(np.fmax.reduce(weighted, initial=0.0))  # NaN lags never win
+        return _weighted_sup(self.dt, ks, alpha, self.lag_profile(r, len(ks), p))
 
     def nikolskii_norm(self, alpha: float, r: int, delta: float, p: float) -> float:
         """Seminorm plus the low-order Bochner norm |f|_{L^p(I;X)}."""
@@ -1017,6 +1024,9 @@ def check_interpolation(f, *, alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0,
         raise PreconditionError("interpolation needs spatial snapshots")
     if r <= max(alpha1, alpha2):
         raise PreconditionError("need r > max(alpha1, alpha2)")
+    for name, value in (("p1", p1), ("p2", p2)):
+        if not value >= 1:
+            raise PreconditionError(f"{name} must be >= 1 or inf, got {value!r}")
     b = 0.5
     alpha_b = (1 - b) * alpha1 + b * alpha2
     p_b = 1.0 / ((1 - b) / p1 + b / p2)

@@ -16,8 +16,9 @@ Hessian of the energy, and the linearized systems are symmetric positive
 definite.  They are solved by the module's own preconditioned conjugate
 gradients (:func:`cg`; Saad, *Iterative Methods for Sparse Linear Systems*,
 2nd ed., Alg. 9.1) from x0 = 0, stopping once ``|r| < max(rtol |b|, atol)``,
-with a constant-coefficient spectral preconditioner inverted mode by mode on
-the half spectrum of ``rfft2``.
+preconditioned by the exact inverse of the constant-coefficient Hessian
+``v/dt - gbar div D v`` (gbar the mean of ``phi'(|Du|)/|Du|``), inverted
+mode by mode on the half spectrum of ``rfft2``.
 
 Inexact Newton.  The Newton systems are solved only as far as the nonlinear
 iteration needs: the k-th to ``eta_k |r_k|``, with the Eisenstat-Walker
@@ -164,12 +165,17 @@ def _plane_norm(e: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     return np.sqrt(_plane_contraction(e, e, out, work), out=out)
 
 
+def _strain_planes(u: np.ndarray, h: float, state: np.ndarray, work: np.ndarray):
+    """``(e, t)``: the planes ``e = state[:3]`` of the symmetrized gradient of the
+    planar ``u`` and their norm ``t = state[3]``, with ``work`` one plane of scratch."""
+    _sym_gradient_planes(u, h, state[0::3], state[1:3])
+    return state[:3], _plane_norm(state[:3], state[3], work)
+
+
 def _strain(u: np.ndarray, h: float):
-    """The planes ``e`` (3, ...) of the symmetrized gradient of the (..., n, n, 2)
-    field ``u`` and their norm ``|e|``, as fresh arrays."""
+    """:func:`_strain_planes` of the (..., n, n, 2) field ``u``, as fresh arrays."""
     buf = np.empty((5,) + u.shape[:-1])
-    _sym_gradient_planes(np.moveaxis(u, -1, 0), h, buf[0::3], buf[1:3])
-    return buf[:3], _plane_norm(buf[:3], buf[3], buf[4])
+    return _strain_planes(np.moveaxis(u, -1, 0), h, buf[:4], buf[4])
 
 
 def sym_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -221,17 +227,19 @@ def _symbol_factors(grid: TorusGrid):
 
 
 def _spectral_preconditioner(symbol, dt: float, gbar: float):
-    """Inverse of v -> v + dt*gbar*(-div D v) computed mode by mode, on planar
-    (2, n, n) fields, from the factors ``symbol`` of :func:`_symbol_factors`.
+    """Inverse of the constant-coefficient Hessian v -> v/dt - gbar div D v,
+    computed mode by mode, on planar (2, n, n) fields, from the factors
+    ``symbol`` of :func:`_symbol_factors`.
 
     Centered differences act diagonally in Fourier space with the real symbol
-    s_j = sin(k_j h)/h.  The per-mode 2x2 block a I + c s s^T, with
-    c = dt*gbar/2 and a = 1 + c|s|^2, has the closed-form inverse
-    I/a - w s s^T with w = c/(a (a + c|s|^2)); its three distinct entries are
-    computed once, when the preconditioner is built.  The block is even in k,
-    so it maps real fields to real fields and acts on the half spectrum of
-    ``rfft2``.  For the linear model (constant coefficient) this
-    preconditioner is the exact inverse, so CG converges in one iteration.
+    s_j = sin(k_j h)/h.  dt times the operator has the per-mode 2x2 block
+    a I + c s s^T, with c = dt*gbar/2 and a = 1 + c|s|^2, whose closed-form
+    inverse is I/a - w s s^T with w = c/(a (a + c|s|^2)); its three distinct
+    entries are computed once, when the preconditioner is built, and each
+    apply multiplies the transformed-back field by dt.  The block is even in
+    k, so it maps real fields to real fields and acts on the half spectrum of
+    ``rfft2``.  For the linear model (constant coefficient) this is the
+    exact inverse of the Newton operator, so CG converges in one iteration.
     """
     s1, s2, s1sq, s2sq, ssq = symbol
     n = s1.shape[0]
@@ -253,7 +261,9 @@ def _spectral_preconditioner(symbol, dt: float, gbar: float):
         vhat[1] *= m22  # m12 v1 + m22 v2 in place: the products commute bit for bit
         vhat[1] += m12 * vhat[0]
         vhat[0] = first
-        return np.fft.irfft2(vhat, s=(n, n))
+        z = np.fft.irfft2(vhat, s=(n, n))
+        z *= dt
+        return z
 
     return apply
 
@@ -393,10 +403,8 @@ def _residual(u, u_prev, dt: float, model: ModelParams, h: float, ws: _Workspace
     g = phi'(|Du|)/|Du| and the residual ``(u - u_prev)/dt - div(g Du)``.
     All but the fresh ``g`` are views of ``ws``.  Entry by entry the bits of
     :func:`sym_gradient`, ``tensor_models.stress`` and :func:`divergence`."""
-    state, f, work = ws.state, ws.flux, ws.work
-    _sym_gradient_planes(u, h, state[0::3], state[1:3])
-    e, t = state[:3], state[3]
-    _plane_norm(e, t, work[0])
+    f, work = ws.flux, ws.work
+    e, t = _strain_planes(u, h, ws.state, work[0])
     g = _phi_d_over_t(t, model)
     np.multiply(e, g, out=f[:3])
     _divergence_planes(f[0:2], f[1:3], h, ws.r, work)
@@ -468,13 +476,6 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     key = (dt, float(np.mean(g)))
     if ws.blocks is None or ws.blocks[0] != key:
         ws.blocks = key, _spectral_preconditioner(ws.symbol, *key)
-    apply_m = ws.blocks[1]
-
-    def precond(v):
-        z = apply_m(v)
-        z *= dt
-        return z
-
     actions = 0
 
     def matvec(v):  # reads the current g and c2
@@ -496,7 +497,7 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
             eta = _forcing_term(rnorm / rnorm_prev)
         rnorm_prev = rnorm
         c2 = _rank_one_coefficient(t, model)
-        delta, info = cg(matvec, -r, precond=precond,
+        delta, info = cg(matvec, -r, precond=ws.blocks[1],
                          atol=max(1e-14 * (1.0 + rsup), eta * rnorm), _work=ws.cg)
         if info != 0:
             raise SolverFailureError("linear solver stalled inside Newton iteration",

@@ -34,7 +34,7 @@ import numpy as np
 from . import exponent_engine as ee
 from .errors import GeometryError, InsufficientResolutionError, PreconditionError, require_finite
 from . import stencil
-from .function_spaces import (L2, W12, TimeGridFunction, _lag_weights, _NormContext, dyadic_steps,
+from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, _weighted_sup, dyadic_steps,
                               lp, lp_norm, natural_order, w1p, wm1p)
 from .function_spaces import raw_seminorm  # noqa: F401  uncalled; the benchmark tracer wraps it
 from .pde_solver import Trajectory, sym_gradient
@@ -55,6 +55,8 @@ class SubCylinder:
     time_halfwidth: float | None = None
 
     def __post_init__(self):
+        if len(self.center) != 3:
+            raise GeometryError(f"cylinder center {self.center!r} is not three coordinates (x1, x2, t)")
         if not all(math.isfinite(c) for c in self.center):
             raise GeometryError(f"cylinder center {tuple(map(float, self.center))} is not finite")
         # the ball mask and the default halfwidth see only r**2
@@ -266,10 +268,7 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
         h_values = [k * f.dt for k in ks]
         diffs = [ctx.difference_norm(r, k, time_p) for k in ks]
         alpha_hat, r_sq = estimate_exponent(h_values, diffs)
-        semis = []
-        for a in alphas:
-            weights = _lag_weights(f.dt, ks, -a, f"smoothness exponent alpha = {a!r}")
-            semis.append(max(w * d for w, d in zip(weights, diffs)))
+        semis = [_weighted_sup(f.dt, ks, a, diffs) for a in alphas]
         rows.append(SweepRow(target=target, x_label=x_norm.label(), time_p=time_p,
                              r=r, alpha_grid=alphas, seminorms=semis,
                              h_values=h_values, diff_norms=diffs,

@@ -80,13 +80,9 @@ def phi(t, params: ModelParams):
 
 
 def phi_d(t, params: ModelParams):
-    """First derivative; phi'(0) = 0."""
+    """First derivative ``(phi'(t)/t) * t``; phi'(0) = 0."""
     t = _check_nonneg(t)
-    p, mu = params.p, params.mu
-    if params.model == "A1":
-        out = (mu + t ** (p - 2.0)) * t
-    else:
-        out = (mu + t**2) ** ((p - 2.0) / 2.0) * t
+    out = _phi_d_over_t(t, params) * t
     return out if out.ndim else float(out)
 
 
@@ -107,7 +103,8 @@ def phi_dd(t, params: ModelParams):
 
 
 def _phi_d_over_t(t, params: ModelParams):
-    """phi'(t)/t with its analytic value phi''(0) at t = 0."""
+    """phi'(t)/t with its analytic value phi''(0) at t = 0: the one home of the
+    model branch of phi', which :func:`phi_d` multiplies back by t."""
     t = np.asarray(t, dtype=float)
     p, mu = params.p, params.mu
     if params.model == "A1":

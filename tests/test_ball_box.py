@@ -1,8 +1,9 @@
 """Property tests of the analyzer's work on the periodic box of a ball.
 
 Spatial derivatives of the ball estimate, of the sweep's square-root-field
-rows and of masked ``W^{1,q}`` rows are taken on the box that
-``stencil.periodic_box`` gathers around a mask, and component magnitudes of
+rows and of every ``W^{1,q}`` row are taken on the box that
+``stencil.periodic_box`` gathers around a mask (an unmasked geometry is the
+all-true mask, whose box is the whole grid), and component magnitudes of
 ``L^q`` rows are summed plane by plane.  Each must equal its full-grid or
 trailing-axis reference (``tests/reference.py``) bit for bit, across the
 periodic seams too, and must move with a trajectory rolled by whole grid
@@ -183,6 +184,41 @@ def test_masked_sobolev_rows_equal_full_grid_gradient(long_traj):
     grad = stencil.gradient(values, geom.h, (1, 2))
     expect = np.concatenate([values[:, mask].reshape(8, -1), grad[:, mask].reshape(8, -1)], axis=1)
     assert _bitwise_equal(rows, expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["lp", "w1p"]), q=st.sampled_from([1.5, 2.0, 3.0, math.inf]),
+       sides=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+       comps=st.sampled_from([(2,), (3,), (2, 2)]), m=st.integers(1, 3),
+       scale=st.sampled_from([0, 700, -700]), seed=st.integers(0, 2**32 - 1))
+def test_unmasked_rows_are_the_all_true_mask(kind, q, sides, comps, m, scale, seed):
+    # an unmasked geometry maps its rows as the all-true mask does, also where
+    # the rows are rescaled by a power of two
+    rng = np.random.default_rng(seed)
+    shape = (m, *sides, *comps)
+    values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape) * 2.0**scale
+    geom = fs.SpaceGeometry(h=TWO_PI / 16, ndim=len(sides))
+    full = dataclasses.replace(geom, mask=np.ones(tuple(sides), bool))
+    norm = fs.XNorm(kind, q)
+    assert _bitwise_equal(fs.xnorms_over_time(values, norm, geom),
+                          fs.xnorms_over_time(values, norm, full))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sides=st.lists(st.integers(3, 12), min_size=1, max_size=2),
+       comps=st.sampled_from([(), (1,)]), m=st.integers(2, 3), dense=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_masked_scalar_rows_are_reduced_in_c_order(sides, comps, m, dense, seed):
+    # a boolean gather of samples without a component axis comes out in F
+    # order, where np.sum adds a row's entries one after another; the rows
+    # are C-ordered instead, so their sums are pairwise, as on an unmasked grid
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(m, *sides, *comps))
+    mask = rng.random(tuple(sides)) < dense
+    mask.flat[0] = True
+    geom = fs.SpaceGeometry(h=TWO_PI / 16, ndim=len(sides), mask=mask)
+    rows = math.sqrt(geom.cell_measure()) * np.ascontiguousarray(values[:, mask]).reshape(m, -1)
+    assert _bitwise_equal(fs.xnorms_over_time(values, fs.L2, geom), reference.l2(rows))
 
 
 @settings(max_examples=30, deadline=None)

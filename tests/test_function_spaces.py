@@ -148,6 +148,29 @@ def test_large_exponents_inside_the_float_range_still_measure():
     assert math.isfinite(fs.holder_seminorm(RAMP, 300))
 
 
+@pytest.mark.parametrize("norms, p, bad", [
+    ([-1.0, -2.0], 3.0, "-1.0"),
+    ([-1.0, -2.0], INF, "-1.0"),
+    ([math.nan, 1.0], 2.0, "nan"),
+    ([1.0, 2.0, -0.5], 1.0, "-0.5"),
+    ([0.0, -INF], 2.0, "-inf"),
+])
+def test_time_lp_rejects_negative_or_nan_sample_norms(norms, p, bad):
+    with pytest.raises(ValueError, match=f"^sample norms must be numbers >= 0, got {bad}$"):
+        fs.time_lp(norms, p, 1.0)
+
+
+@pytest.mark.parametrize("dt", [-1.0, 0.0, math.nan, INF])
+def test_time_lp_rejects_a_time_step_that_is_not_finite_positive(dt):
+    with pytest.raises(ValueError, match="^time step dt must be a finite positive number"):
+        fs.time_lp([1.0, 2.0], 2.0, dt)
+
+
+def test_time_lp_accepts_signed_zero_and_infinite_sample_norms():
+    assert fs.time_lp([-0.0, 0.0], 3.0, 1.0) == 0.0
+    assert fs.time_lp([1.0, INF], 2.0, 1.0) == INF
+
+
 class TestSeminorm:
     def test_constant_seminorm_zero(self):
         f = grid_fn(lambda t: np.full_like(t, 4.0))
@@ -390,6 +413,16 @@ class TestInequalities:
     def test_interpolation_needs_spatial_snapshots(self):
         with pytest.raises(PreconditionError):
             fs.check_inequality(fs.INTERPOLATION, self.sin4)
+
+    @pytest.mark.parametrize("name, value", [("p1", 0.0), ("p2", 0.0), ("p1", 0.5),
+                                             ("p2", math.nan), ("p1", -INF)])
+    def test_interpolation_exponents_are_named(self, name, value):
+        # each exponent is named itself, before the derived p_b is formed
+        f = fs.TimeGridFunction(np.zeros((4, 8, 8, 2)), 0.0, 0.1,
+                                geometry=fs.SpaceGeometry(h=2.0 * math.pi / 8))
+        with pytest.raises(PreconditionError, match=f"^{name} must be >= 1 or inf, got {value!r}$"):
+            fs.check_inequality(fs.INTERPOLATION, f, **{name: value})
+        assert fs.check_inequality(fs.INTERPOLATION, f, p1=INF, p2=1.0).passed
 
     def test_report_slack_semantics(self):
         rep = fs.InequalityReport("DELTA_EQ", lhs=1.0 + 5e-13, rhs=1.0, constant_used=1.0)

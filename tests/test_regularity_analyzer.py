@@ -87,6 +87,11 @@ class TestRestrict:
         with pytest.raises(GeometryError, match="center .* is not finite"):
             ra.SubCylinder(center=center, r=0.5)
 
+    @pytest.mark.parametrize("center", [(1.0, 1.0), (1.0, 1.0, 0.5, 0.5), ()])
+    def test_center_that_is_not_three_coordinates_is_rejected(self, center):
+        with pytest.raises(GeometryError, match=r"center .* is not three coordinates \(x1, x2, t\)"):
+            ra.SubCylinder(center=center, r=0.5)
+
     def test_vmap_target_applied_pointwise(self, p3_traj):
         f = ra.restrict(p3_traj, CYL, target="vmap")
         k = 5

@@ -1,14 +1,15 @@
 """Property tests of the solver's kernels against their reference forms.
 
 The spectral preconditioner on ``rfft2`` is the exact inverse of the p = 2
-Newton operator and agrees with the full-spectrum ``fft2`` form it replaced;
-``sym`` and the Hessian action with hoisted coefficients reproduce their
-direct formulas bit for bit, and the solver's own preconditioned CG returns
-what ``scipy.sparse.linalg.cg`` returns, bit for bit, with and without the
-solver's workspace.  The solver step's kernels on planar (2, n, n) vectors
-and plane-stored symmetric fields -- gradient, norm, contraction,
-divergence, residual, Hessian action, energy and the stacked
-preconditioner -- give the bits of the (2, 2) forms they replaced.
+Newton operator ``v/dt - gbar div D v`` and agrees with the full-spectrum
+``fft2`` form it replaced; ``sym`` and the Hessian action with hoisted
+coefficients reproduce their direct formulas bit for bit, and the solver's
+own preconditioned CG returns what ``scipy.sparse.linalg.cg`` returns, bit
+for bit, with and without the solver's workspace.  The solver step's
+kernels on planar (2, n, n) vectors and plane-stored symmetric fields --
+gradient, norm, contraction, divergence, residual, Hessian action, energy
+and the stacked preconditioner -- give the bits of the (2, 2) forms they
+replaced.
 """
 
 import numpy as np
@@ -45,12 +46,13 @@ def preconditioner(grid, dt, gbar):
 
 
 def linear_operator(v, grid, dt, gbar):
-    """v + dt*gbar*(-div D v): the Newton operator of the p = 2 step, scaled by dt."""
-    return v - dt * gbar * ps.divergence(ps.sym_gradient(v, grid), grid)
+    """v/dt - gbar div D v: the Newton operator of the p = 2 step."""
+    return v / dt - gbar * ps.divergence(ps.sym_gradient(v, grid), grid)
 
 
 def fft2_preconditioner(grid, dt, gbar):
-    """The full-spectrum form of the preconditioner, solving each mode's block directly."""
+    """The full-spectrum form of the preconditioner, solving each mode's block of dt
+    times the operator directly, then multiplying by dt."""
     s = stencil.symbol(grid.n, grid.h)
     s1, s2 = s[:, None], s[None, :]
     c = 0.5 * dt * gbar
@@ -64,7 +66,9 @@ def fft2_preconditioner(grid, dt, gbar):
         out = np.empty_like(vhat)
         out[..., 0] = (vhat[..., 0] - factor * s1) / a
         out[..., 1] = (vhat[..., 1] - factor * s2) / a
-        return np.real(np.fft.ifft2(out, axes=(0, 1)))
+        z = np.real(np.fft.ifft2(out, axes=(0, 1)))
+        z *= dt
+        return z
 
     return apply
 
@@ -295,7 +299,8 @@ def test_plane_residual_and_hessian_action_match_the_full_tensor_forms(
 
 
 def axes_preconditioner(grid, dt, gbar):
-    """The preconditioner transforming the (n, n, 2) field with ``axes=(0, 1)``."""
+    """The preconditioner transforming the (n, n, 2) field with ``axes=(0, 1)``, then
+    multiplying by dt."""
     s = stencil.symbol(grid.n, grid.h)
     s1, s2 = s[:, None], s[None, : grid.n // 2 + 1]
     c = 0.5 * dt * gbar
@@ -309,7 +314,9 @@ def axes_preconditioner(grid, dt, gbar):
         out = np.empty_like(vhat)
         out[..., 0] = m11 * vhat[..., 0] + m12 * vhat[..., 1]
         out[..., 1] = m12 * vhat[..., 0] + m22 * vhat[..., 1]
-        return np.fft.irfft2(out, s=(grid.n, grid.n), axes=(0, 1))
+        z = np.fft.irfft2(out, s=(grid.n, grid.n), axes=(0, 1))
+        z *= dt
+        return z
 
     return apply
 
