@@ -110,18 +110,19 @@ def run_exponents(cfg: dict, out_dir: Path, seed: int) -> int:
     p_values = _floats(cfg.get("p_values", "2, 2.5, 3, 4"))
     d_values = _floats(cfg.get("d_values", "2, 3"))
     targets = _floats(cfg.get("targets", "0.4"))
-    if not d_values:  # each p is checked by ee.classify, once per dimension
+    # ee.classify checks each (p, d) pair, so neither list may be empty
+    if not p_values:
+        raise ValidationFailure("p_values lists no growth exponent")
+    if not d_values:
         raise ValidationFailure("d_values lists no dimension")
-    _require(d_values, lambda d: d >= 1 and d.is_integer(), "dimension {} is not an integer >= 1")
     _require(targets, lambda t: t > 0, "target exponent {} is not positive")
-    d_values = [int(d) for d in d_values]
     rows = []
     for p in p_values:
         for d in d_values:
             regime = ee.classify(p, d)
             g0 = repr(ee.gamma0(p, d)) if p > 2 else "inf"
             g1 = ee.gamma1(p, d)
-            cols = [repr(p), d, regime.value, g0, repr(g1)]
+            cols = [repr(p), int(d), regime.value, g0, repr(g1)]
             for target in targets:
                 try:
                     cols.append(ee.iterate(p, d, 0.0, target).n_steps)

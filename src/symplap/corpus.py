@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .function_spaces import SpaceGeometry, TimeGridFunction
+from .function_spaces import TimeGridFunction
+from .pde_solver import TorusGrid, initial_condition
 
 
 @dataclass
@@ -31,7 +32,6 @@ class CorpusFunction:
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     fprime: Callable[[np.ndarray], np.ndarray] | None
-    kind: str
 
     @property
     def differentiable(self) -> bool:
@@ -56,7 +56,6 @@ def _sinusoid(rng) -> CorpusFunction:
         name=f"sin_k{k}_a{amp:.2f}",
         f=lambda t, amp=amp, w=w, phase=phase: amp * np.sin(w * t + phase),
         fprime=lambda t, amp=amp, w=w, phase=phase: amp * w * np.cos(w * t + phase),
-        kind="sinusoid",
     )
 
 
@@ -68,7 +67,6 @@ def _polynomial(rng) -> CorpusFunction:
         name=f"poly_deg{deg}",
         f=lambda t, c=np.poly1d(coeffs): c(t),
         fprime=lambda t, c=np.poly1d(dcoeffs): c(t),
-        kind="polynomial",
     )
 
 
@@ -80,7 +78,6 @@ def _kink(rng) -> CorpusFunction:
         name=f"kink_b{beta:g}_t{t0:.3f}",
         f=lambda t, amp=amp, t0=t0, beta=beta: amp * np.abs(t - t0) ** beta,
         fprime=None,
-        kind="kink",
     )
 
 
@@ -104,7 +101,7 @@ def _lacunary(rng) -> CorpusFunction:
             acc -= a**j * 2.0 * math.pi * b**j * np.sin(2.0 * math.pi * b**j * t + ph)
         return acc
 
-    return CorpusFunction(name=f"lacunary_a{a:.2f}_b{b}", f=f, fprime=fprime, kind="lacunary")
+    return CorpusFunction(name=f"lacunary_a{a:.2f}_b{b}", f=f, fprime=fprime)
 
 
 _FAMILIES = (_sinusoid, _polynomial, _kink, _lacunary)
@@ -120,30 +117,24 @@ def build_corpus(size: int = 100, seed: int = 1234) -> list[CorpusFunction]:
     return out
 
 
-# Two fixed smooth vector modes used to lift a scalar profile to a
-# divergence-pattern-rich spatial trajectory for the interpolation check.
-def _spatial_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.arange(n) * (2.0 * math.pi / n)
-    x1, x2 = np.meshgrid(x, x, indexing="ij")
-    v1 = np.stack([np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)], axis=-1)
-    v2 = np.stack([np.cos(2 * x1), np.sin(x2) * np.sin(x1)], axis=-1)
-    return v1, v2
-
-
 LIFT_GRID = 8  # points per axis of the torus grid the interpolation check runs on
 
 
 def lift_to_field(entry: CorpusFunction, n_samples: int) -> TimeGridFunction:
-    """Spatial trajectory f(t) V1(x) + f(1-t) V2(x) on a LIFT_GRID^2 torus grid.
+    """Spatial trajectory f(t) V1(x) + f(1-t) V2(x) on the ``TorusGrid(LIFT_GRID)``.
 
-    The time-reversed copy as second coefficient keeps the construction
-    deterministic without extra corpus bookkeeping while making the three
-    interpolation legs genuinely different.
+    V1 is the grid's divergence-free ``eigenfield`` initial condition and V2 a
+    second fixed smooth mode, so the lifted field is rich in divergence
+    patterns.  The time-reversed copy as second coefficient keeps the
+    construction deterministic without extra corpus bookkeeping while making
+    the three interpolation legs genuinely different.
     """
     t = np.linspace(0.0, 1.0, n_samples)
     c1 = entry.f(t)
     c2 = entry.f(1.0 - t)
-    v1, v2 = _spatial_modes(LIFT_GRID)
+    grid = TorusGrid(LIFT_GRID)
+    x1, x2 = grid.coordinates()
+    v1 = initial_condition("eigenfield", grid).data
+    v2 = np.stack([np.cos(2 * x1), np.sin(x2) * np.sin(x1)], axis=-1)
     values = c1[:, None, None, None] * v1[None] + c2[:, None, None, None] * v2[None]
-    geom = SpaceGeometry(h=2.0 * math.pi / LIFT_GRID, ndim=2)
-    return TimeGridFunction(values, t0=0.0, dt=t[1] - t[0], geometry=geom)
+    return TimeGridFunction(values, t0=0.0, dt=t[1] - t[0], geometry=grid.geometry())

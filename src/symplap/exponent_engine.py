@@ -44,9 +44,17 @@ def growth_threshold(d: int) -> float:
     return 2.0 + 2.0 / math.sqrt(d + 1)
 
 
+def _check_p_d(p, d) -> None:
+    """Raise ``ValueError`` unless the growth exponent p is a finite number >= 2
+    and the dimension d an integral value >= 1."""
+    require_finite("growth exponent p", p, at_least=2)
+    if not (d >= 1 and float(d).is_integer()):
+        raise ValueError(f"dimension d must be an integral value >= 1, got {d!r}")
+
+
 def gamma0(p, d):
     """Ceiling of the fractional regime: 2p / ((p-2)(d(p-2)+p)); requires p > 2."""
-    require_finite("growth exponent p", p, at_least=2)
+    _check_p_d(p, d)
     if p <= 2:
         raise ValueError("gamma0 requires p > 2 (the denominator vanishes at p = 2)")
     return 2 * p / ((p - 2) * (d * (p - 2) + p))
@@ -54,7 +62,7 @@ def gamma0(p, d):
 
 def gamma1(p, d):
     """Crossing ceiling 2/p + p/(d(p-2)+2p); defined for all p >= 2."""
-    require_finite("growth exponent p", p, at_least=2)
+    _check_p_d(p, d)
     return 2 / p + p / (d * (p - 2) + 2 * p)
 
 
@@ -65,7 +73,7 @@ def recurrence_coefficients(p, d):
     p > 2 we have A in (0,1) and B > 0, so the sequence contracts onto
     B/(1-A) = gamma0.  In every case A + B = gamma1.
     """
-    require_finite("growth exponent p", p, at_least=2)
+    _check_p_d(p, d)
     if p == 2:
         return p - 1, (p - 1) / 2  # (1, 1/2) in the caller's own arithmetic
     denom = d * (p - 2) + 2 * p
@@ -79,7 +87,7 @@ def classify(p, d) -> Regime:
     ``p >= 2 + 2/sqrt(d+1)`` but rational in (p, d), hence exact for exact
     inputs.  The boundary itself belongs to the Fractional regime.
     """
-    require_finite("growth exponent p", p, at_least=2)
+    _check_p_d(p, d)
     if p == 2:
         return Regime.HEAT
     return Regime.FRACTIONAL if gamma0(p, d) <= 1 else Regime.FULL_DERIVATIVE
@@ -109,7 +117,6 @@ class IterationTrace:
     n_steps: int
     crossed_one: bool
     cap: float | None = None
-    regime: Regime = Regime.FRACTIONAL
     alpha0: float = 0.0
     _gamma1: float = field(default=0.0, repr=False)
 
@@ -159,7 +166,6 @@ def iterate(p, d, alpha0, target) -> IterationTrace:
     top = ceiling(p, d)
     if target >= top:
         raise UnreachableTargetError(f"target {target} is at/above the regime ceiling {top}")
-    regime = classify(p, d)
     A, B = recurrence_coefficients(p, d)
     g1 = gamma1(p, d)
     limit = math.inf if p == 2 else gamma0(p, d)
@@ -167,7 +173,7 @@ def iterate(p, d, alpha0, target) -> IterationTrace:
     return IterationTrace(alphas=[float(a) for a in alphas], A=float(A), B=float(B),
                           limit=float(limit), target=float(target), n_steps=n_steps,
                           crossed_one=crossed, cap=None if cap is None else float(cap),
-                          regime=regime, alpha0=float(alpha0), _gamma1=float(g1))
+                          alpha0=float(alpha0), _gamma1=float(g1))
 
 
 def closed_form_alpha(p, d, n, alpha0=0.0):
@@ -217,7 +223,7 @@ def interp_params(theta, p, d) -> InterpParams:
     """
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
-    require_finite("growth exponent p", p, at_least=2)
+    _check_p_d(p, d)
     alpha_coeff = (2 + (p - 2) * theta / 2) / p
     alpha_const = theta / 2
     p0 = 2 * p / (theta * (p - 2) + 2)

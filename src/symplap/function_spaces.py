@@ -66,10 +66,11 @@ from .tensor_models import _plane_dot
 class SpaceGeometry:
     """Uniform periodic sampling of the spatial domain.
 
-    ``h`` is the grid spacing (equal in every axis), ``ndim`` the number of
+    ``h`` is the grid spacing (equal in every axis), ``ndim`` >= 1 the number of
     spatial axes (they follow the time axis in a TimeGridFunction's value
     array; component axes trail).  ``mask`` optionally restricts norms to a
-    subset of grid nodes, e.g. a ball.
+    subset of grid nodes, e.g. a ball: a boolean array with ``ndim`` axes,
+    of the samples' spatial shape.
     """
 
     h: float
@@ -78,6 +79,12 @@ class SpaceGeometry:
 
     def __post_init__(self):
         require_finite("grid spacing h", self.h)
+        if not isinstance(self.ndim, numbers.Integral) or self.ndim < 1:
+            raise ValueError(f"ndim must be an integer >= 1, got {self.ndim!r}")
+        if self.mask is not None and (getattr(self.mask, "dtype", None) != bool
+                                      or self.mask.ndim != self.ndim):
+            raise ValueError(f"mask must be a boolean array with ndim = {self.ndim} axes, "
+                             f"got {np.asarray(self.mask).dtype} of shape {np.shape(self.mask)}")
 
     def cell_measure(self) -> float:
         return self.h ** self.ndim
@@ -277,15 +284,29 @@ def _unit_exponent(top, q: float) -> np.ndarray:
     return np.where(scale, np.frexp(top)[1], 0)
 
 
+def _check_spatial_shape(shape: tuple, geom: SpaceGeometry) -> None:
+    """Raise ``ValueError`` naming both shapes unless samples of ``shape`` (time
+    axis first) have ``geom.ndim`` spatial axes, of the mask's shape if any."""
+    spatial = shape[1 : 1 + geom.ndim]
+    if len(spatial) < geom.ndim:
+        raise ValueError(f"samples of shape {shape} have fewer than ndim = {geom.ndim} "
+                         "spatial axes after the time axis")
+    if geom.mask is not None and geom.mask.shape != spatial:
+        raise ValueError(f"mask of shape {geom.mask.shape} does not match the spatial "
+                         f"shape {spatial} of samples of shape {shape}")
+
+
 def _feature_map(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     # in C order, the rows do not depend on the layout of the samples, and
     # complex rows have the contiguous last axis their real view needs
     values = np.ascontiguousarray(values, dtype=float)
     m = values.shape[0]
+    if geom is not None:
+        _check_spatial_shape(values.shape, geom)
     if geom is None or norm.kind == "euclid":
         return values.reshape(m, -1), _l2
     if norm.kind == "wm1p":
-        if norm.q == 2.0 and geom.mask is None:
+        if not norm.is_lower_bound(geom):
             return _spectral_rows(values, geom), _l2
         shape = values.shape[1 : 1 + geom.ndim]
         flat = values.reshape((m,) + shape + (-1,))
@@ -380,10 +401,10 @@ class TimeGridFunction:
     """Uniform time samples of a state-space-valued function.
 
     ``values`` carries time along axis 0; trailing axes are the state (spatial
-    axes first when ``geometry`` is set, then components).  Every sample must
-    be finite.  ``values`` is a read-only view of the caller's array, not a
-    copy: the caller must not write to that array.  f is frozen and owns its
-    time-norm state, the row-space factor of its samples and one
+    axes first when ``geometry`` is set, then components).  Every sample and
+    ``t0`` must be finite.  ``values`` is a read-only view of the caller's
+    array, not a copy: the caller must not write to that array.  f is frozen
+    and owns its time-norm state, the row-space factor of its samples and one
     ``_NormContext`` per X-norm (:meth:`context`); ``dataclasses.replace``
     gives a function with fresh ones.
     """
@@ -399,6 +420,8 @@ class TimeGridFunction:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         require_finite("time step dt", self.dt)
+        if not math.isfinite(self.t0):
+            raise ValueError(f"start time t0 must be a finite number, got {self.t0!r}")
         if not np.isfinite(self.values).all():
             raise ValueError("time-grid values must be finite")
         if self.n_samples < 2:
@@ -922,6 +945,18 @@ def _step_change_cap(f, r, r0, alpha):
     return f.interval_len / (r * 2.0 ** (math.floor(1.0 / (2.0 * (r0 - alpha))) + 2))
 
 
+def _capped_delta(delta, cap, what: str) -> float:
+    """The step cap ``delta`` of a check whose proof needs delta <= ``cap``:
+    ``min(cap, 1)`` when None; raises ``PreconditionError`` naming ``what`` when
+    delta exceeds ``cap * (1 + 1e-12)`` or 1, the bound of ``SeminormSpec``."""
+    cap = min(cap, 1.0)
+    if delta is None:
+        return cap
+    if delta > cap * (1 + 1e-12) or delta > 1:
+        raise PreconditionError(f"step cap for {what} violated: delta = {delta} > {cap:.6g}")
+    return delta
+
+
 def check_step_change(f, *, alpha=0.5, r=2, delta=None, p=math.inf, x_norm=EUCLID):
     """Difference-order change at fixed delta.
 
@@ -932,12 +967,7 @@ def check_step_change(f, *, alpha=0.5, r=2, delta=None, p=math.inf, x_norm=EUCLI
     r0 = natural_order(alpha)
     if r < r0:
         raise PreconditionError("r must be at least the natural order")
-    cap = _step_change_cap(f, r, r0, alpha)
-    if delta is None:
-        delta = min(cap, 1.0)
-    if delta > cap * (1 + 1e-12) or delta > 1:
-        raise PreconditionError(
-            f"step cap for difference-order change violated: delta = {delta} > {cap:.6g}")
+    delta = _capped_delta(delta, _step_change_cap(f, r, r0, alpha), "difference-order change")
     ctx = f.context(x_norm)
     n_r = ctx.nikolskii_norm(alpha, r, delta, p)
     n_r0 = ctx.nikolskii_norm(alpha, r0, delta, p)
@@ -1083,7 +1113,7 @@ def _embed_delta_cap(f, alpha, alpha_p, beta):
         c_tilde = (gap + 2) / frac_ap
     else:
         c_tilde = (gap + 2) / (frac_ap * (alpha - math.floor(alpha)))
-    return min(f.interval_len / 2.0 ** (math.floor(c_tilde / beta) + 3), 1.0)
+    return f.interval_len / 2.0 ** (math.floor(c_tilde / beta) + 3)
 
 
 def check_embed_nikolskii(f, *, alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0,
@@ -1096,11 +1126,7 @@ def check_embed_nikolskii(f, *, alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0,
     beta = alpha - 1.0 / p - (alpha_p - 1.0 / q)
     if beta <= 0 or alpha < alpha_p:
         raise PreconditionError("embedding needs alpha >= alpha' and beta > 0")
-    cap = _embed_delta_cap(f, alpha, alpha_p, beta)
-    if delta is None:
-        delta = cap
-    if delta > cap * (1 + 1e-12):
-        raise PreconditionError(f"step cap for the embedding violated: {delta} > {cap:.6g}")
+    delta = _capped_delta(delta, _embed_delta_cap(f, alpha, alpha_p, beta), "the embedding")
     ctx = f.context(x_norm)
     lhs = ctx.nikolskii_norm(alpha_p, natural_order(alpha_p), delta, q)
     base = ctx.nikolskii_norm(alpha, natural_order(alpha), delta, p)

@@ -115,11 +115,28 @@ class SpatialField:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        n = self.grid.n
-        if self.data.shape != (n, n, self.grid.d):
-            raise ValueError(f"field shape {self.data.shape} does not match grid {(n, n, self.grid.d)}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("field entries must be finite")
+        _check_state("field", self.data, self.grid)
+
+
+def _check_state(name: str, u, grid: TorusGrid) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``u`` is a finite (n, n, 2) state of ``grid``."""
+    shape = (grid.n, grid.n, grid.d)
+    if np.shape(u) != shape:
+        raise ValueError(f"{name} shape {np.shape(u)} does not match grid {shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"{name} entries must be finite")
+
+
+def _check_axes(u, grid: TorusGrid, box: bool = False) -> None:
+    """Raise ``ValueError`` unless the field ``u`` ends in the grid's (n, n, 2) axes,
+    or, with ``box``, in the (a, b, 2) axes, a, b <= n, of one of its periodic
+    boxes (:func:`stencil.periodic_box`), on which the analyzer differences."""
+    n, tail = grid.n, np.shape(u)[-3:]
+    if not (len(tail) == 3 and tail[2] == grid.d
+            and (max(tail[:2]) <= n if box else tail[:2] == (n, n))):
+        axes = "(a, b, 2) with a, b <= n" if box else "(n, n, 2)"
+        raise ValueError(f"u of shape {np.shape(u)} does not end in the axes {axes} "
+                         f"of the grid, n = {n}")
 
 
 def _sym_gradient_planes(u: np.ndarray, h: float, d1: np.ndarray, d2: np.ndarray) -> None:
@@ -179,7 +196,13 @@ def _strain(u: np.ndarray, h: float):
 
 
 def sym_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Symmetrized gradient (d_j u_i + d_i u_j)/2: (..., n, n, 2) -> (..., n, n, 2, 2)."""
+    """Symmetrized gradient (d_j u_i + d_i u_j)/2: (..., n, n, 2) -> (..., n, n, 2, 2).
+
+    The spatial axes may also be those of a periodic box of the grid, (a, b)
+    with a, b <= n: the result then equals the full-grid one at every point
+    whose neighbours lie in the box (:func:`stencil.periodic_box`).
+    """
+    _check_axes(u, grid, box=True)
     out = np.empty(u.shape + (2,))
     # the entries (11, 12, 21, 22) as planes; the (2, 1) entry serves as
     # scratch, so a stack needs nothing beyond its result
@@ -213,7 +236,8 @@ def _energy(t: np.ndarray, model: ModelParams, h: float) -> float:
 
 
 def energy(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> float:
-    """Discrete dissipated energy h^2 * sum phi(|Du|)."""
+    """Discrete dissipated energy h^2 * sum phi(|Du|) of the (..., n, n, 2) field ``u``."""
+    _check_axes(u, grid)
     return _energy(_strain(u, grid.h)[1], model, grid.h)
 
 
@@ -448,7 +472,8 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     update by halving, at most 12 times, while the residual fails to
     decrease; raises SolverFailureError (with the residual history attached)
     if the tolerance is not met within ``MAX_NEWTON`` iterations.  Returns
-    (u_next, StepDiagnostics), u_next a fresh (n, n, 2) array.
+    (u_next, StepDiagnostics), u_next a fresh (n, n, 2) array.  ``u_prev`` and
+    ``guess`` must be finite (n, n, 2) states of ``grid`` (``ValueError``).
 
     The preconditioner is built from the mean of ``g = phi'(|Du|)/|Du|`` at
     the guess.  The accepted trial's residual, Du, |Du| and g serve the next
@@ -459,14 +484,17 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     ``_work``, private to :func:`solve`, is the :class:`_Workspace` that its
     steps share.  The step then starts from the planar states the caller put
     in its ``u_prev`` and ``u`` (:meth:`_Workspace.load`,
-    :meth:`_Workspace.advance`) and does not read ``u_prev`` or ``guess``;
-    it returns the planar result, the workspace's ``u``, which the next step
-    on the workspace overwrites.  It reuses the workspace's preconditioner
+    :meth:`_Workspace.advance`) and neither reads nor checks ``u_prev`` or
+    ``guess``; it returns the planar result, the workspace's ``u``, which the
+    next step on the workspace overwrites.  It reuses the workspace's preconditioner
     when ``(dt, gbar)`` is that of its last build.
     """
     require_finite("dt", dt, error=TimeStepError)
     ws = _work
     if ws is None:
+        _check_state("u_prev", u_prev, grid)
+        if guess is not None:
+            _check_state("guess", guess, grid)
         ws = _Workspace(grid)
         ws.load(u_prev, guess)
     tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(ws.u_prev))))

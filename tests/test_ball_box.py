@@ -155,6 +155,14 @@ def test_non_finite_centre_raises(short_traj, center):
         ra.restrict(short_traj, ra.SubCylinder(center=(*center, 0.02), r=0.1))
 
 
+@pytest.mark.parametrize("center", [(1.0, 1.0, 1.0), (1.0,), (), 1.0])
+def test_centre_that_is_not_two_coordinates_raises(short_traj, center):
+    # one home for the ball centre: _ball_mask, which restrict reaches through
+    # the three-coordinate SubCylinder
+    with pytest.raises(GeometryError, match=r"^ball center .* is not two finite coordinates \(x1, x2\)$"):
+        ra.check_caccioppoli(short_traj, center, 0.85, 1.7)
+
+
 @st.composite
 def feature_rows(draw, comps):
     """Rows of random magnitudes and mantissas, with a drawn share of exact zeros."""

@@ -208,6 +208,14 @@ targets = 0.4
         assert not out.exists()
         assert "validation error: d_values" in capsys.readouterr().err
 
+    def test_empty_growth_exponent_list_writes_nothing(self, tmp_path, capsys):
+        # with no growth exponent no (p, d) pair would reach the dimension check
+        cfg = write_config(tmp_path / "e.ini", "[exponents]\np_values =\nd_values = 2.5\n")
+        out = tmp_path / "o"
+        assert run(["exponents", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert "validation error: p_values" in capsys.readouterr().err
+
     def test_target_the_iteration_settles_below_is_unreachable(self, tmp_path):
         cfg = write_config(tmp_path / "e.ini", "[exponents]\np_values = 3.159424712356178\n"
                            "d_values = 2\ntargets = 0.9, 0.9948364583415449\n")

@@ -1,6 +1,7 @@
 """Closed-form exponent algebra: values, identities, regimes, iteration traces."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,19 @@ def test_non_finite_growth_exponent_rejected(p):
             call(p, 2)
     with pytest.raises(ValueError, match="^growth exponent p"):
         ee.iterate(p, 2, 0.0, 0.4)
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.5, Fraction(5, 2), math.nan, math.inf])
+def test_dimension_that_is_not_an_integral_value_at_least_one_is_rejected(d):
+    # the rule lives next to the growth-exponent rule, in every function that
+    # reads d; the CLI's exponent sweep keeps no copy of it
+    calls = [ee.gamma0, ee.gamma1, ee.recurrence_coefficients, ee.classify, ee.ceiling,
+             lambda p, d: ee.interp_params(0.5, p, d), lambda p, d: ee.iterate(p, d, 0.0, 0.4)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^dimension d must be an integral value >= 1, "
+                                             f"got {re.escape(repr(d))}$"):
+            call(3.0, d)
+    assert ee.classify(3.0, 2.0) is ee.classify(3.0, 2) is ee.classify(3.0, Fraction(2))
 
 
 def test_steps_to_matches_constructor():

@@ -97,6 +97,50 @@ class TestNonFiniteParameters:
         with pytest.raises(ValueError, match="^time-grid values must be finite"):
             fs.TimeGridFunction(np.full((4, 3, 3, 2), bad), 0.0, 0.1)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_start_time(self, t0):
+        with pytest.raises(ValueError, match="^start time t0 must be a finite number"):
+            fs.TimeGridFunction(np.zeros(4), t0, 0.1)
+
+
+class TestGeometryAgainstSamples:
+    H = 2 * math.pi / 8
+
+    @pytest.mark.parametrize("ndim", [0, -1, 2.5, 2.0])
+    def test_ndim_is_an_integer_at_least_one(self, ndim):
+        # ndim = 0 or -1 once scaled every norm by a wrong cell measure h**ndim
+        with pytest.raises(ValueError, match=f"^ndim must be an integer >= 1, got {ndim!r}$"):
+            fs.SpaceGeometry(self.H, ndim)
+
+    @pytest.mark.parametrize("mask", [np.ones((8, 8), int), np.ones((8, 8)), [[True] * 8] * 8,
+                                      np.ones(64, bool), np.ones((8, 8, 2), bool)])
+    def test_mask_is_a_boolean_array_of_the_geometry_ndim(self, mask):
+        # an integer 0/1 mask would be read as fancy indices, not as a selection
+        with pytest.raises(ValueError, match=r"^mask must be a boolean array with ndim = 2 axes"):
+            fs.SpaceGeometry(self.H, 2, mask)
+
+    @pytest.mark.parametrize("shape, mask, match", [
+        ((3, 8), None, r"^samples of shape \(3, 8\) have fewer than ndim = 2 spatial axes"),
+        ((3,), None, r"^samples of shape \(3,\) have fewer than ndim = 2 spatial axes"),
+        ((3, 8, 8, 2), np.ones((4, 4), bool),
+         r"^mask of shape \(4, 4\) does not match the spatial shape \(8, 8\) of samples "
+         r"of shape \(3, 8, 8, 2\)$"),
+        ((3, 8, 16), np.ones((8, 8), bool), r"^mask of shape \(8, 8\) does not match"),
+    ])
+    def test_norms_check_the_samples_against_the_geometry(self, shape, mask, match):
+        values = np.random.default_rng(6).normal(size=shape)
+        for norm in (fs.EUCLID, fs.L2, fs.W12, fs.WM12, fs.lp(3.0), fs.w1p(3.0), fs.wm1p(1.5)):
+            with pytest.raises(ValueError, match=match):
+                fs.xnorms_over_time(values, norm, fs.SpaceGeometry(self.H, 2, mask))
+
+    def test_factored_rows_check_the_samples_too(self):
+        # rank-one rows of 16 columns factor, so the context maps only the basis
+        rows = np.outer(np.linspace(1.0, 2.0, 12), np.arange(16.0))
+        f = fs.TimeGridFunction(rows, 0.0, 0.1, fs.SpaceGeometry(self.H, 2))
+        assert f._factor is not None
+        with pytest.raises(ValueError, match=r"^samples of shape \(1, 16\) have fewer than ndim = 2"):
+            f.context(fs.L2)
+
 
 RAMP = fs.TimeGridFunction(np.arange(10.0), 0.0, 0.1)
 
@@ -440,6 +484,61 @@ class TestInequalities:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             fs.check_inequality("NOT_AN_ID", self.sin4)
+
+
+_T = np.linspace(0.0, 1.0, 1025)
+_SIN = fs.TimeGridFunction(np.sin(4 * math.pi * _T), 0.0, _T[1] - _T[0])
+_SIN_PRIME = fs.TimeGridFunction(4 * math.pi * np.cos(4 * math.pi * _T), 0.0, _T[1] - _T[0])
+_FIELD = lift_to_field(build_corpus(1, 1234)[0], 65)
+
+
+@pytest.mark.parametrize("ineq_id, f, fprime, params, match", [
+    (fs.DELTA_EQ, _SIN, None, {"delta1": 0.5, "delta2": 0.25}, r"need 0 < delta1 <= delta2 <= 1"),
+    (fs.SOBOLEV_EQ, _SIN, None, {"delta2": 2.0}, r"need 0 < delta1 <= delta2 <= 1"),
+    (fs.DELTA_EQ, _SIN, None, {"r": 1, "alpha": 1.5}, "difference order must exceed alpha"),
+    (fs.STEP_CHANGE, _SIN, None, {"alpha": 1.5, "r": 1}, "r must be at least the natural order"),
+    (fs.STEP_CHANGE, _SIN, None, {"delta": 0.5},
+     "step cap for difference-order change violated: delta = 0.5 > 0.0625"),
+    (fs.MARCHAUD, fs.TimeGridFunction(np.arange(5.0), 0.0, 0.25), None, {"r": 2},
+     "no step h leaves room for the 2rh index set"),
+    (fs.REDUCTION, _SIN, None, {}, "reduction needs the sampled derivative"),
+    (fs.REDUCTION, _SIN, _SIN_PRIME, {"r": 1, "alpha": 1.0}, r"need r > alpha >= 0"),
+    (fs.ACCESSION, _SIN, None, {}, "accession needs the sampled derivative"),
+    (fs.ACCESSION, _SIN, _SIN_PRIME, {"alpha": 0.5}, r"need r > alpha > 1"),
+    (fs.INTERPOLATION, _SIN, None, {}, "interpolation needs spatial snapshots"),
+    (fs.INTERPOLATION, _FIELD, None, {"r": 1}, r"need r > max\(alpha1, alpha2\)"),
+    (fs.EMBED_SOBOLEV, _SIN, None, {"gamma": 1.0}, r"need k >= 1 and gamma in \(0, 1\)"),
+    (fs.EMBED_SOBOLEV, _SIN, None, {"k": 0}, r"need k >= 1 and gamma in \(0, 1\)"),
+    (fs.EMBED_NIK, _SIN, None, {"alpha": 0.25, "alpha_p": 0.75},
+     "embedding needs alpha >= alpha' and beta > 0"),
+    (fs.EMBED_NIK, _SIN, None, {"p": 2.0, "q": 4.0, "alpha": 0.5, "alpha_p": 0.5},
+     "embedding needs alpha >= alpha' and beta > 0"),
+    (fs.EMBED_NIK, _SIN, None, {"delta": 0.5}, "step cap for the embedding violated: delta = 0.5 > "),
+    (fs.EMBED_NIK, _SIN, None, {"delta": 1.5, "alpha": 1.0, "alpha_p": 0.25},
+     "step cap for the embedding violated: delta = 1.5 > 0.015625"),
+    (fs.HOLDER, _SIN, None, {"alpha": 1.0}, r"need alpha in \(0,1\) with alpha - 1/p > 0"),
+    (fs.HOLDER, _SIN, None, {"alpha": 0.25, "p": 4.0}, r"need alpha in \(0,1\) with alpha - 1/p > 0"),
+])
+def test_each_check_refuses_outside_its_hypotheses(ineq_id, f, fprime, params, match):
+    with pytest.raises(PreconditionError, match=match):
+        fs.check_inequality(ineq_id, f, fprime, **params)
+
+
+@pytest.mark.parametrize("alpha, alpha_p, q, delta, constant", [
+    # integer alpha: lead (gap + 2)^2 / frac_ap^3, cap exponent floor((gap + 2) / frac_ap / beta) + 3
+    (1.0, 0.25, 4.0, 2.0**-6, (max(2.75**2 / 0.75**3, 1 / 0.75) * 6.0 / (0.75**2 * 2.0**-12)) ** 2.75),
+    (2.0, 0.75, 2.0, 2.0**-10, (max(3.25**2 / 0.25**3, 1 / 1.25) * 36.0 / 2.0**-30) ** 3.25),
+    # zero gap alpha = alpha': constant one; cap exponent floor(2 / (0.5 * 0.5) / 1) + 3
+    (0.5, 0.5, 1.0, 2.0**-11, 1.0),
+])
+def test_embedding_constant_and_default_step_cap_are_the_displayed_formulas(
+        alpha, alpha_p, q, delta, constant):
+    t = np.linspace(0.0, 1.0, 2049)  # the zero-gap cap is one step of this grid
+    f = fs.TimeGridFunction(np.sin(4 * math.pi * t), 0.0, t[1] - t[0])
+    rep = fs.check_inequality(fs.EMBED_NIK, f, alpha=alpha, alpha_p=alpha_p, p=INF, q=q)
+    assert rep.params["delta"] == delta
+    assert rep.constant_used == pytest.approx(constant, rel=1e-13)
+    assert rep.passed
 
 
 class TestInequalitySweeps:

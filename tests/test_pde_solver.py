@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -51,6 +52,37 @@ class TestGrid:
             ps.SpatialField(np.zeros((16, 16, 2)), grid32)
         with pytest.raises(ValueError):
             ps.SpatialField(np.full((32, 32, 2), np.nan), grid32)
+
+
+class TestEntryPointShapes:
+    GRID = ps.TorusGrid(8)
+    U = ps.initial_condition("eigenfield", GRID).data
+
+    @pytest.mark.parametrize("u_prev, guess, match", [
+        (np.zeros((8, 8, 3)), None, r"^u_prev shape \(8, 8, 3\) does not match grid \(8, 8, 2\)$"),
+        (np.zeros((2, 8, 8, 2)), None, r"^u_prev shape \(2, 8, 8, 2\) does not match grid"),
+        (U, ps.initial_condition("eigenfield", ps.TorusGrid(16)).data,
+         r"^guess shape \(16, 16, 2\) does not match grid \(8, 8, 2\)$"),
+        (np.where(U > 0.5, np.nan, U), None, "^u_prev entries must be finite$"),
+        (U, np.where(U > 0.5, np.inf, U), "^guess entries must be finite$"),
+    ])
+    def test_lone_step_checks_its_states(self, u_prev, guess, match):
+        with pytest.raises(ValueError, match=match):
+            ps.step(u_prev, 1e-2, P3, self.GRID, guess)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 2), (8, 8, 3), (8, 8), (8, 16, 2)])
+    def test_sym_gradient_and_energy_check_the_grid_axes(self, shape):
+        with pytest.raises(ValueError, match=rf"^u of shape {re.escape(str(shape))} does not end in"):
+            ps.sym_gradient(np.zeros(shape), self.GRID)
+        with pytest.raises(ValueError, match=rf"^u of shape {re.escape(str(shape))} does not end in"):
+            ps.energy(np.zeros(shape), P3, self.GRID)
+
+    def test_sym_gradient_takes_a_box_and_energy_does_not(self):
+        # the analyzer differences periodic boxes of the grid (stencil.periodic_box)
+        box = self.U[np.ix_(range(2, 7), range(0, 3))]
+        assert ps.sym_gradient(np.stack([box, box]), self.GRID).shape == (2, 5, 3, 2, 2)
+        with pytest.raises(ValueError, match=r"^u of shape \(5, 3, 2\) does not end in the axes \(n, n, 2\)"):
+            ps.energy(box, P3, self.GRID)
 
 
 class TestDiscreteCalculus:

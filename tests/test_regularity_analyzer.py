@@ -128,6 +128,18 @@ class TestEstimateExponent:
         with pytest.raises(InsufficientResolutionError):
             ra.estimate_exponent([0.1, 0.2, 0.4], [1, 2, 3])
 
+    @pytest.mark.parametrize("h, norms", [([0.1, 0.2, 0.4, 0.8, 1.6], [1, 2, 3, 4]),
+                                          ([0.1, 0.2, 0.4, 0.8], [1, 2, 3, 4, 5])])
+    def test_unequal_lengths_rejected(self, h, norms):
+        with pytest.raises(ValueError, match=r"^h_values of shape .* and norms of shape .* "
+                                             "must be two lists of equal length"):
+            ra.estimate_exponent(h, norms)
+
+    @pytest.mark.parametrize("bad", [-0.4, 0.0, math.nan, math.inf])
+    def test_steps_that_are_not_finite_positive_rejected(self, bad):
+        with pytest.raises(ValueError, match="^h_values must be finite positive steps"):
+            ra.estimate_exponent([0.1, 0.2, bad, 0.8], [1.0, 2.0, 3.0, 4.0])
+
 
 class TestSweep:
     def test_stationary_trajectory_all_zero(self, zero_traj):
