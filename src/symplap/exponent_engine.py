@@ -41,13 +41,15 @@ class Regime(enum.Enum):
 
 def growth_threshold(d: int) -> float:
     """The critical growth exponent 2 + 2/sqrt(d+1) separating the regimes."""
+    _check_p_d(None, d)
     return 2.0 + 2.0 / math.sqrt(d + 1)
 
 
 def _check_p_d(p, d) -> None:
     """Raise ``ValueError`` unless the growth exponent p is a finite number >= 2
-    and the dimension d an integral value >= 1."""
-    require_finite("growth exponent p", p, at_least=2)
+    (p None: a formula of d alone) and the dimension d an integral value >= 1."""
+    if p is not None:
+        require_finite("growth exponent p", p, at_least=2)
     if not (d >= 1 and float(d).is_integer()):
         raise ValueError(f"dimension d must be an integral value >= 1, got {d!r}")
 
@@ -237,6 +239,7 @@ def interp_params(theta, p, d) -> InterpParams:
 
 def closing_theta(p, d):
     """The weight theta = 2p/(d(p-2)+2p) that makes q0 close at p."""
+    _check_p_d(p, d)
     return 2 * p / (d * (p - 2) + 2 * p)
 
 
@@ -271,4 +274,5 @@ def alternate_leg_gains(p, d) -> bool:
     embedding bound 2 + 4/d, and for d >= 3 it is no better than the regime
     threshold 2 + 2/sqrt(d+1).
     """
+    _check_p_d(p, d)
     return p <= 2 + 4 / (d + 1)

@@ -127,16 +127,19 @@ def _check_state(name: str, u, grid: TorusGrid) -> None:
         raise ValueError(f"{name} entries must be finite")
 
 
-def _check_axes(u, grid: TorusGrid, box: bool = False) -> None:
-    """Raise ``ValueError`` unless the field ``u`` ends in the grid's (n, n, 2) axes,
-    or, with ``box``, in the (a, b, 2) axes, a, b <= n, of one of its periodic
-    boxes (:func:`stencil.periodic_box`), on which the analyzer differences."""
-    n, tail = grid.n, np.shape(u)[-3:]
-    if not (len(tail) == 3 and tail[2] == grid.d
+def _check_axes(u, grid: TorusGrid, box: bool = False, tensor: bool = False,
+                name: str = "u") -> None:
+    """Raise ``ValueError`` naming ``name`` unless the field ``u`` ends in the grid's
+    (n, n, 2) axes, or (n, n, 2, 2) with ``tensor``, or, with ``box``, in the
+    (a, b, 2) axes, a, b <= n, of one of its periodic boxes
+    (:func:`stencil.periodic_box`), on which the analyzer differences."""
+    n, comps = grid.n, (grid.d,) * (2 if tensor else 1)
+    tail = np.shape(u)[-2 - len(comps):]
+    if not (len(tail) == 2 + len(comps) and tail[2:] == comps
             and (max(tail[:2]) <= n if box else tail[:2] == (n, n))):
-        axes = "(a, b, 2) with a, b <= n" if box else "(n, n, 2)"
-        raise ValueError(f"u of shape {np.shape(u)} does not end in the axes {axes} "
-                         f"of the grid, n = {n}")
+        axes = f"({'a, b' if box else 'n, n'}, {', '.join(map(str, comps))})"
+        raise ValueError(f"{name} of shape {np.shape(u)} does not end in the axes {axes}"
+                         f"{' with a, b <= n' if box else ''} of the grid, n = {n}")
 
 
 def _sym_gradient_planes(u: np.ndarray, h: float, d1: np.ndarray, d2: np.ndarray) -> None:
@@ -218,6 +221,7 @@ def divergence(t_field: np.ndarray, grid: TorusGrid) -> np.ndarray:
     Accepts leading axes, (..., n, n, 2, 2) -> (..., n, n, 2); exactly minus
     the adjoint of ``sym_gradient`` (periodic centered differences telescope).
     """
+    _check_axes(t_field, grid, tensor=True, name="t_field")
     out = np.empty(t_field.shape[:-1])
     rows = np.moveaxis(t_field, (-2, -1), (0, 1))  # rows[i, j] = T_ij
     _divergence_planes(rows[:, 0], rows[:, 1], grid.h, np.moveaxis(out, -1, 0),
@@ -226,7 +230,12 @@ def divergence(t_field: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def inner(u: np.ndarray, v: np.ndarray, grid: TorusGrid) -> float:
-    """Grid inner product h^2 sum over points and components."""
+    """Grid inner product h^2 sum over points and components of two (..., n, n, 2)
+    fields of one shape."""
+    _check_axes(u, grid)
+    _check_axes(v, grid, name="v")
+    if np.shape(u) != np.shape(v):
+        raise ValueError(f"u of shape {np.shape(u)} and v of shape {np.shape(v)} differ")
     return float(grid.h**2 * np.sum(u * v))
 
 

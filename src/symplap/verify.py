@@ -5,11 +5,21 @@ hypotheses hold on the unit-interval corpus grid (step caps, positivity of the
 embedding gap, derivative availability); derivative-based checks simply skip
 corpus entries without a tabulated derivative.  Calibrated constants come from
 :mod:`symplap.baselines`; ``calibrate_constants`` re-measures them.
+
+``run_matrix`` and ``calibrate_constants`` (and so ``symplap
+verify-inequalities``) spread the corpus entries over the CPUs the process may
+use, on ``fork`` workers: one per CPU at one BLAS thread, and in general one
+per as many CPUs as each worker's BLAS takes threads.  Where ``fork`` is
+unavailable, or there is room for only one worker, they run serially.  Each
+entry runs the same code on the same inputs either way, so the outputs do not
+depend on the worker count.  ``taskset`` limits it: ``taskset -c 0 symplap
+verify-inequalities ...`` runs serially.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from . import baselines
@@ -69,13 +79,72 @@ def _entry_reports(entry: CorpusFunction, n_samples: int, ids, params_of):
         yield ineq_id, fs.check_inequality(ineq_id, arg, fprime, **params_of(ineq_id))
 
 
+#: the per-entry function of the pool that forked this worker (set in the worker)
+_forked_work = None
+
+
+def _adopt(work) -> None:
+    global _forked_work
+    _forked_work = work
+
+
+def _run_forked(index: int) -> list:
+    return _forked_work(index)
+
+
+def _blas_threads(cpus: int) -> int:
+    """The threads OpenBLAS starts with: the first positive count among its
+    environment variables, else one per usable CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+def _map_entries(corpus: list[CorpusFunction], n_samples: int, ids, params_of) -> list:
+    """``list(_entry_reports(entry, ...))`` for each entry, in corpus order.
+
+    The entries run on ``fork`` workers, one per ``b`` CPUs that the process
+    may use (``os.sched_getaffinity``, else ``os.cpu_count``), where ``b`` is
+    the thread count of each worker's BLAS, and at most one per entry; with
+    fewer than two workers they run here.  A worker keeps its BLAS thread
+    count, since the INTERPOLATION rows depend on it, so more workers than
+    CPUs / ``b`` would oversubscribe the CPUs.  The workers inherit the
+    corpus and ``params_of`` through the fork, so neither is pickled: a task
+    is an entry index and its result that entry's list.  The results come
+    back in corpus order, so the first error in that order reaches the caller
+    with the serial loop's type and message.  The workers are joined before
+    this returns or raises.
+    """
+    def work(index: int) -> list:
+        return list(_entry_reports(corpus[index], n_samples, ids, params_of))
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(corpus), cpus // _blas_threads(cpus))
+    if workers >= 2:
+        # imported here: about 25 ms that a serial call never needs
+        import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a daemonic worker of another pool may not start processes
+        if "fork" in mp.get_all_start_methods() and not mp.current_process().daemon:
+            pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
+                                       initializer=_adopt, initargs=(work,))
+            try:
+                return list(pool.map(_run_forked, range(len(corpus))))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [work(index) for index in range(len(corpus))]
+
+
 def run_matrix(corpus: list[CorpusFunction], n_samples: int = 1025,
                ids=fs.INEQUALITY_IDS, corrupt: bool = False) -> MatrixResult:
     """Evaluate every applicable (check, function) pair of the corpus."""
     rows, skipped = [], []
-    for entry in corpus:
-        for ineq_id, rep in _entry_reports(entry, n_samples, ids,
-                                           lambda i: _params_for(i, corrupt)):
+    reports = _map_entries(corpus, n_samples, ids, lambda i: _params_for(i, corrupt))
+    for entry, entry_reports in zip(corpus, reports):
+        for ineq_id, rep in entry_reports:
             if rep is None:
                 skipped.append((entry.name, ineq_id, "no tabulated derivative"))
             else:
@@ -92,9 +161,9 @@ def calibrate_constants(size: int = 100, seed: int = 1234, n_samples: int = 1025
     by ``headroom``.  The result is meant to be frozen into ``baselines``.
     """
     worst = dict.fromkeys(_CALIBRATED, 0.0)
-    for entry in build_corpus(size, seed):
-        for ineq_id, rep in _entry_reports(entry, n_samples, _CALIBRATED,
-                                           lambda i: dict(CANONICAL_PARAMS[i], calibrated=1.0)):
+    for entry_reports in _map_entries(build_corpus(size, seed), n_samples, _CALIBRATED,
+                                      lambda i: dict(CANONICAL_PARAMS[i], calibrated=1.0)):
+        for ineq_id, rep in entry_reports:
             if rep is not None and rep.rhs > 0:
                 worst[ineq_id] = max(worst[ineq_id], rep.lhs / rep.rhs)
     return {i: val * headroom for i, val in worst.items()}

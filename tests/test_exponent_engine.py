@@ -159,6 +159,20 @@ def test_dimension_that_is_not_an_integral_value_at_least_one_is_rejected(d):
     assert ee.classify(3.0, 2.0) is ee.classify(3.0, 2) is ee.classify(3.0, Fraction(2))
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (ee.growth_threshold, (-1,), "dimension d must be an integral value >= 1, got -1"),
+    (ee.growth_threshold, (-2,), "dimension d must be an integral value >= 1, got -2"),
+    (ee.closing_theta, (1.0, 2), "growth exponent p must be a finite number >= 2, got 1.0"),
+    (ee.closing_theta, (3.0, 0), "dimension d must be an integral value >= 1, got 0"),
+    (ee.alternate_leg_gains, (3.0, 2.5), "dimension d must be an integral value >= 1, got 2.5"),
+])
+def test_closed_forms_check_p_and_d_like_the_iteration(call, args, message):
+    # these once raised a bare ZeroDivisionError or "math domain error", or
+    # returned a value (closing_theta(3.0, 0) gave 1.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
+
+
 def test_steps_to_matches_constructor():
     tr = ee.iterate(3, 3, 0.0, 0.9)
     assert tr.steps_to(0.9) == tr.n_steps

@@ -84,6 +84,22 @@ class TestEntryPointShapes:
         with pytest.raises(ValueError, match=r"^u of shape \(5, 3, 2\) does not end in the axes \(n, n, 2\)"):
             ps.energy(box, P3, self.GRID)
 
+    @pytest.mark.parametrize("shape", [(16, 16, 2, 2), (8, 8, 3, 3), (8, 8, 2), (8, 8, 2, 3)])
+    def test_divergence_checks_the_grid_axes(self, shape):
+        # a 16-grid field once returned a 16-grid result with the 8-grid's h
+        with pytest.raises(ValueError, match=rf"^t_field of shape {re.escape(str(shape))} "
+                                             r"does not end in the axes \(n, n, 2, 2\)"):
+            ps.divergence(np.zeros(shape), self.GRID)
+
+    @pytest.mark.parametrize("u_shape, v_shape, match", [
+        ((8, 8, 2), (16, 16, 2), r"^v of shape \(16, 16, 2\) does not end in the axes \(n, n, 2\)"),
+        ((8, 8, 3), (8, 8, 3), r"^u of shape \(8, 8, 3\) does not end in the axes \(n, n, 2\)"),
+        ((8, 8, 2), (2, 8, 8, 2), r"^u of shape \(8, 8, 2\) and v of shape \(2, 8, 8, 2\) differ$"),
+    ])
+    def test_inner_checks_both_fields(self, u_shape, v_shape, match):
+        with pytest.raises(ValueError, match=match):
+            ps.inner(np.zeros(u_shape), np.zeros(v_shape), self.GRID)
+
 
 class TestDiscreteCalculus:
     def test_constant_field_has_zero_gradient(self, grid32):

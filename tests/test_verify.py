@@ -1,10 +1,19 @@
-"""Constant calibration of the check matrix."""
+"""Constant calibration of the check matrix, and its spread over forked workers."""
 
+import multiprocessing
+
+import numpy as np
 import pytest
 
+import symplap.function_spaces as fs
+import symplap.verify as vf
 from symplap import baselines
 from symplap.corpus import build_corpus
+from symplap.errors import EmptyDomainError
 from symplap.verify import calibrate_constants, run_matrix
+
+FORK = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                          reason="the matrix runs serially without fork")
 
 
 def test_calibrate_constants_small_corpus_within_frozen():
@@ -20,3 +29,100 @@ def test_frozen_constants_hold_on_held_out_corpora(seed):
     # regression contract, so every seed of this fixed range must pass
     result = run_matrix(build_corpus(100, seed))
     assert not result.failures
+
+
+def _serial_matrix(corpus, n_samples, corrupt):
+    """The plain per-entry loop: (rows, skipped) as run_matrix lays them out."""
+    rows, skipped = [], []
+    for entry in corpus:
+        for ineq_id, rep in vf._entry_reports(entry, n_samples, fs.INEQUALITY_IDS,
+                                              lambda i: vf._params_for(i, corrupt)):
+            if rep is None:
+                skipped.append((entry.name, ineq_id, "no tabulated derivative"))
+            else:
+                rows.append((entry.name, rep))
+    return rows, skipped
+
+
+def _bits(rows):
+    return np.array([[rep.lhs, rep.rhs, rep.constant_used] for _, rep in rows]).view(np.uint64)
+
+
+def _cpus(monkeypatch, count, blas_threads=1):
+    """Let the matrix see ``count`` usable CPUs and ``blas_threads`` BLAS threads
+    per process, and count the entries it runs in this process (a forked
+    worker counts in its own copy)."""
+    monkeypatch.setattr(vf.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
+    in_process = []
+    entry_reports = vf._entry_reports
+
+    def counted(entry, *args):
+        in_process.append(entry.name)
+        return entry_reports(entry, *args)
+
+    monkeypatch.setattr(vf, "_entry_reports", counted)
+    return in_process
+
+
+# two sinusoids, two polynomials, two kinks (no derivative) and two lacunary series
+SMALL = build_corpus(8, 1234)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("cpus, blas_threads, forked", [
+    pytest.param(2, 1, True, marks=FORK),
+    (1, 1, False),
+    (2, 2, False),  # two workers would need four CPUs
+])
+def test_matrix_equals_the_per_entry_loop_bit_for_bit(corrupt, cpus, blas_threads, forked,
+                                                      monkeypatch):
+    rows, skipped = _serial_matrix(SMALL, 257, corrupt)
+    assert skipped and any(not rep.passed for _, rep in rows) == corrupt
+    in_process = _cpus(monkeypatch, cpus, blas_threads)
+    result = run_matrix(SMALL, n_samples=257, corrupt=corrupt)
+    assert in_process == ([] if forked else [e.name for e in SMALL])
+    assert [(name, rep.inequality_id) for name, rep in result.rows] == \
+        [(name, rep.inequality_id) for name, rep in rows]
+    assert result.skipped == skipped
+    assert np.array_equal(_bits(result.rows), _bits(rows))
+
+
+@FORK
+def test_forked_calibration_equals_the_serial_one(monkeypatch):
+    in_process = _cpus(monkeypatch, 1)
+    one = calibrate_constants(size=6, n_samples=257)
+    assert len(in_process) == 6
+    in_process = _cpus(monkeypatch, 2)
+    two = calibrate_constants(size=6, n_samples=257)
+    assert in_process == []
+    assert list(one) == list(two)
+    assert np.array_equal(np.array(list(one.values())).view(np.uint64),
+                          np.array(list(two.values())).view(np.uint64))
+
+
+@FORK
+def test_a_worker_error_reaches_the_caller_as_the_serial_one(monkeypatch):
+    corpus = build_corpus(4, 1234)
+    with pytest.raises(EmptyDomainError) as serial:
+        _serial_matrix(corpus, 9, False)
+    in_process = _cpus(monkeypatch, 2)
+    run_matrix(corpus[:2], n_samples=257)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(EmptyDomainError) as forked:
+        run_matrix(corpus, n_samples=9)
+    assert str(forked.value) == str(serial.value)
+    assert multiprocessing.active_children() == []
+    assert in_process == []
+
+
+def _matrix_rows(entries: int) -> list:
+    return [(name, rep.inequality_id) for name, rep in run_matrix(SMALL[:entries], 257).rows]
+
+
+@FORK
+def test_a_worker_of_another_pool_runs_the_matrix_serially(monkeypatch):
+    # a daemonic process may not start processes of its own
+    _cpus(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(_matrix_rows, (4,)) == _matrix_rows(4)
