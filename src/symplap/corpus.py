@@ -127,14 +127,14 @@ def lift_to_field(entry: CorpusFunction, n_samples: int) -> TimeGridFunction:
     second fixed smooth mode, so the lifted field is rich in divergence
     patterns.  The time-reversed copy as second coefficient keeps the
     construction deterministic without extra corpus bookkeeping while making
-    the three interpolation legs genuinely different.
+    the three interpolation legs genuinely different.  The field keeps this
+    rank-2 factor (``TimeGridFunction.separable``), so its l2 norm contexts
+    map only V1 and V2.
     """
     t = np.linspace(0.0, 1.0, n_samples)
-    c1 = entry.f(t)
-    c2 = entry.f(1.0 - t)
     grid = TorusGrid(LIFT_GRID)
     x1, x2 = grid.coordinates()
     v1 = initial_condition("eigenfield", grid).data
     v2 = np.stack([np.cos(2 * x1), np.sin(x2) * np.sin(x1)], axis=-1)
-    values = c1[:, None, None, None] * v1[None] + c2[:, None, None, None] * v2[None]
-    return TimeGridFunction(values, t0=0.0, dt=t[1] - t[0], geometry=grid.geometry())
+    return TimeGridFunction.separable([entry.f(t), entry.f(1.0 - t)], [v1, v2], t0=0.0,
+                                      dt=t[1] - t[0], geometry=grid.geometry())

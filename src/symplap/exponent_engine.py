@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import UnreachableTargetError, UnsupportedDimensionError, require_finite
@@ -179,8 +180,11 @@ def iterate(p, d, alpha0, target) -> IterationTrace:
 
 
 def closed_form_alpha(p, d, n, alpha0=0.0):
-    """n-th formal iterate alpha0*A^n + B*(1-A^n)/(1-A) (geometric closed form)."""
+    """n-th formal iterate alpha0*A^n + B*(1-A^n)/(1-A) (geometric closed form),
+    for a step count n that is an integer >= 0."""
     A, B = recurrence_coefficients(p, d)
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"step count n must be an integer >= 0, got {n!r}")
     if p == 2:
         return alpha0 + n * B
     return alpha0 * A**n + B * (1 - A**n) / (1 - A)
@@ -256,12 +260,16 @@ def holder_range(d: int):
 
 def holder_upper_formula(d: int) -> float:
     """(3 + 2d + sqrt(8d+9)) / (d+1): the upper endpoint in closed form."""
+    _check_p_d(None, d)
     return (3.0 + 2.0 * d + math.sqrt(8.0 * d + 9.0)) / (d + 1.0)
 
 
 def sobolev_embedding_exponent(d: int) -> float:
-    """Critical Sobolev exponent 2d/(d-2) for d >= 3; inf marks 'any finite' at d = 2."""
-    if d == 2:
+    """Critical Sobolev exponent 2d/(d-2) for d >= 3; inf marks 'any finite' at
+    d = 2 and at d = 1, where W^{1,2} embeds into every L^q with q < inf (at
+    d = 1 into L^inf too)."""
+    _check_p_d(None, d)
+    if d <= 2:
         return math.inf
     return 2.0 * d / (d - 2.0)
 

@@ -38,10 +38,12 @@ remainder report raw values.  It differences whole blocks of lags at once and
 keeps the difference norms of lags 1..K per (r, p) (``lag_profile``); every
 value equals the one-lag evaluation bit for bit.
 
-A context whose norm is the l2 norm of rows linear in all samples factors
-low-rank raw samples once and differences the coordinates of the mapped rows
-instead of the rows, which moves results only at rounding level; every other
-context keeps the exact rows (``_NormContext``).
+A function built by ``TimeGridFunction.separable`` keeps the factor of its
+samples, sum_j c_j(t) V_j; its contexts whose norm is the l2 norm of linear
+rows map only the modes V_j and difference the coordinates of the mapped rows
+instead of the rows, which moves results only at rounding level.  A function
+built from samples, and every other context, keeps the exact rows
+(``_NormContext``).
 """
 
 from __future__ import annotations
@@ -339,59 +341,6 @@ def xnorms_over_time(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None
     return reduce(rows)
 
 
-_SKETCH_COLUMNS = 8
-_SKETCH_SEED = 53
-_ROW_SPACE_TOL = 1e-14
-_RESIDUAL_CHUNK = 64  # rows per residual slice; one m x M temporary is 3.1 MB on lifted fields
-
-
-def _row_space_coordinates(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(rows @ Q, Q)``: the coordinates of real rows in an orthonormal basis
-    Q of their numerical row space, or None when the rows are zero, not of
-    low rank, or have entries whose squares could leave the normal range
-    (the residual test would be void there).
-
-    A randomized range finder (Halko, Martinsson and Tropp, SIAM Review 53,
-    2011) applied on the right: a thin QR of ``rows.T @ Omega``, Omega a
-    fixed-seed Gaussian block of ``_SKETCH_COLUMNS`` columns, spans the
-    candidate space; the singular vectors of the rows inside it, truncated at
-    ``_ROW_SPACE_TOL`` of the largest singular value, give Q.  The projection
-    is kept only when the explicit residual |rows - rows Q Q^T|_F is at most
-    ``_ROW_SPACE_TOL * |rows|_F``.  A Q that kept fewer than
-    ``_SKETCH_COLUMNS`` directions and fails this test can sit at rounding
-    level off the row space; it is refined once by one subspace iteration,
-    a thin QR of ``rows.T @ rows Q``, and tested again.
-
-    Each row is multiplied on its own, so identical rows get identical
-    coordinates and their differences stay exactly zero.
-    """
-    m, n = rows.shape
-    if n <= _SKETCH_COLUMNS:
-        return None
-    top = float(np.max(np.abs(rows)))
-    if not 0.0 < top < math.inf or _unit_exponent(top, 2.0):
-        return None
-    total = float(np.linalg.norm(rows))
-    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((m, _SKETCH_COLUMNS))
-    candidates = rows.T @ omega
-    for _ in range(2):
-        q = np.linalg.qr(candidates)[0]
-        _, sing, vt = np.linalg.svd(rows @ q, full_matrices=False)
-        q = q @ vt[sing > _ROW_SPACE_TOL * sing[0]].T
-        # row by row: one blocked product may round identical rows differently
-        coords = np.matmul(rows[:, None, :], q)[:, 0]
-        resid = 0.0
-        for i in range(0, m, _RESIDUAL_CHUNK):
-            block = rows[i : i + _RESIDUAL_CHUNK] - coords[i : i + _RESIDUAL_CHUNK] @ q.T
-            resid += float(np.sum(block**2))
-        if math.sqrt(resid) <= _ROW_SPACE_TOL * total:
-            return coords, q
-        if not 0 < q.shape[1] < _SKETCH_COLUMNS:
-            return None  # every sketch direction kept: the rows are not of low rank
-        candidates = rows.T @ coords  # one subspace iteration on the kept directions
-    return None
-
-
 # ---------------------------------------------------------------------------
 # time-grid functions and differences
 
@@ -404,9 +353,10 @@ class TimeGridFunction:
     axes first when ``geometry`` is set, then components).  Every sample and
     ``t0`` must be finite.  ``values`` is a read-only view of the caller's
     array, not a copy: the caller must not write to that array.  f is frozen
-    and owns its time-norm state, the row-space factor of its samples and one
-    ``_NormContext`` per X-norm (:meth:`context`); ``dataclasses.replace``
-    gives a function with fresh ones.
+    and owns its time-norm state: one ``_NormContext`` per X-norm
+    (:meth:`context`), and the factor of its samples when :meth:`separable`
+    built it.  ``dataclasses.replace`` gives a function with fresh contexts
+    and no factor, whatever its samples.
     """
 
     values: np.ndarray
@@ -414,6 +364,7 @@ class TimeGridFunction:
     dt: float = 1.0
     geometry: SpaceGeometry | None = None
     _contexts: dict = field(default_factory=dict, init=False, repr=False)
+    _separable: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).view()
@@ -435,9 +386,30 @@ class TimeGridFunction:
     def interval_len(self) -> float:
         return (self.n_samples - 1) * self.dt
 
-    @functools.cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return _row_space_coordinates(self.values.reshape(self.n_samples, -1))
+    @classmethod
+    def separable(cls, coeffs, modes, t0: float = 0.0, dt: float = 1.0,
+                  geometry: SpaceGeometry | None = None) -> TimeGridFunction:
+        """The function with samples ``f(t_i) = sum_j coeffs[j][i] * modes[j]``.
+
+        It keeps a copy of its factor ``(coeffs, modes)``, so its l2 norm
+        contexts map only the k modes (``_NormContext``).  ``coeffs`` has
+        shape (k, n_samples) and ``modes`` holds the k states along axis 0,
+        k >= 1; other shapes raise ``ValueError``.  The terms are elementwise
+        products summed in order j = 0, 1, ...: no BLAS product runs, and the
+        samples are bit for bit those of the same arithmetic written out.
+        """
+        coeffs, modes = np.array(coeffs, dtype=float), np.array(modes, dtype=float)
+        if coeffs.ndim != 2 or not len(coeffs):
+            raise ValueError(f"coeffs must have shape (k, n_samples) with k >= 1, "
+                             f"got shape {coeffs.shape}")
+        if modes.shape[:1] != coeffs.shape[:1]:
+            raise ValueError(f"modes must hold k = {len(coeffs)} states along axis 0, "
+                             f"got shape {modes.shape}")
+        values = functools.reduce(np.add, (c.reshape(c.shape + (1,) * mode.ndim) * mode
+                                           for c, mode in zip(coeffs, modes)))
+        f = cls(values, t0, dt, geometry)
+        object.__setattr__(f, "_separable", (coeffs, modes))
+        return f
 
     def context(self, x_norm: XNorm) -> _NormContext:
         """The one ``_NormContext`` of f in ``x_norm``, built on first use and kept."""
@@ -608,21 +580,25 @@ def _time_lp_rows(g: np.ndarray, lengths, p: float, dt: float) -> list:
     return out
 
 
-def _factored_rows(f: TimeGridFunction, x_norm: XNorm) -> np.ndarray | None:
-    """Coordinates ``C R^T`` of the l2 feature rows of f (see ``_NormContext``),
-    or None when its raw samples have no low-rank factor or the mapped rows
-    could be rescaled by ``_features``."""
-    if f._factor is None:
+def _factored_rows(f: TimeGridFunction, x_norm: XNorm) -> tuple | None:
+    """``(rows, _l2)``, ``rows`` the coordinates ``C R^T`` of the feature rows
+    of a separable f (see ``_NormContext``), or None when f has no factor, X
+    does not reduce by l2, or the mapped rows could be rescaled by
+    ``_features``."""
+    if f._separable is None:
         return None
-    coords, q = f._factor
-    basis = q.T.reshape((q.shape[1],) + f.values.shape[1:])
-    mapped = _feature_map(basis, x_norm, f.geometry)[0].view(float)
-    rows = np.matmul(coords[:, None, :], np.linalg.qr(mapped.T, mode="r").T)[:, 0]
-    # the largest mapped entry lies in [scale / sqrt(M), scale]; a factor 2
-    # each way covers the rounding of the coordinates
-    scale = float(np.max(_l2(rows)))
-    bounds = [0.5 * scale / math.sqrt(mapped.shape[1]), 2.0 * scale]
-    return None if bounds[0] == 0.0 or _unit_exponent(bounds, 2.0).any() else rows
+    coeffs, modes = f._separable
+    mapped, reduce = _feature_map(modes, x_norm, f.geometry)
+    if reduce is not _l2:
+        return None
+    mapped = mapped.view(float)
+    rows = np.matmul(coeffs.T[:, None, :], np.linalg.qr(mapped.T, mode="r").T)[:, 0]
+    # the largest mapped entry lies in [top / sqrt(M), sqrt(k) * top], top the
+    # largest coordinate; a factor 2 each way covers the rounding of the
+    # coordinates, and no square is taken before the bounds are checked
+    top = float(np.max(np.abs(rows), initial=0.0))
+    bounds = [0.5 * top / math.sqrt(mapped.shape[1]), 2.0 * math.sqrt(rows.shape[1]) * top]
+    return None if bounds[0] == 0.0 or _unit_exponent(bounds, 2.0).any() else (rows, _l2)
 
 
 _EPS = np.finfo(float).eps
@@ -640,22 +616,17 @@ class _NormContext:
     analytically vanishing differences (affine data under second
     differences, constants) measure as zero.
 
-    One rule for the rows: when X reduces by l2 rows linear in all samples
-    (no mask; Euclidean, L^2, W^{1,2}, spectral W^{-1,2}) and the raw samples
-    factor as ``C Q^T`` (``_row_space_coordinates``), only the k <= 8 basis
-    fields ``Q^T`` go through the feature map L; a thin QR ``(L Q)^T = U R``
-    gives the rows' coordinates ``C R^T``, row by row, whose differences have
-    the l2 norms of the mapped rows' differences.  The sample norms and the
-    floor scale come from them too.  Every other context keeps the exact
-    rows.  The contexts of one f share its factor (``TimeGridFunction._factor``)
-    and keep its ``dt`` and ``n_samples``, never f itself: no reference cycle.
+    One rule for the rows: when f was built by ``TimeGridFunction.separable``
+    as ``C V`` and the feature map L of X returns l2 rows, only the k modes V
+    go through L; a thin QR ``(L V)^T = U R`` gives the rows' coordinates
+    ``C R^T``, row by row, whose differences have the l2 norms of the mapped
+    rows' differences.  The sample norms and the floor scale come from them
+    too.  Every other context keeps the exact rows.  The contexts keep f's
+    ``dt`` and ``n_samples``, never f itself: no reference cycle.
     """
 
     def __init__(self, f: TimeGridFunction, x_norm: XNorm):
-        geom = f.geometry
-        l2 = geom is None or geom.mask is None and (x_norm.kind == "euclid" or x_norm.q == 2.0)
-        rows = _factored_rows(f, x_norm) if l2 else None
-        self.rows, self.reduce = _features(f.values, x_norm, geom) if rows is None else (rows, _l2)
+        self.rows, self.reduce = _factored_rows(f, x_norm) or _features(f.values, x_norm, f.geometry)
         self.dt, self.n_samples, self.sample_norms = f.dt, f.n_samples, self.reduce(self.rows)
         self.scale = float(np.max(self.sample_norms)) if len(self.sample_norms) else 0.0
         self._profiles = {}

@@ -8,11 +8,10 @@ corpus entries without a tabulated derivative.  Calibrated constants come from
 
 ``run_matrix`` and ``calibrate_constants`` (and so ``symplap
 verify-inequalities``) spread the corpus entries over the CPUs the process may
-use, on ``fork`` workers: one per CPU at one BLAS thread, and in general one
-per as many CPUs as each worker's BLAS takes threads.  Where ``fork`` is
-unavailable, or there is room for only one worker, they run serially.  Each
-entry runs the same code on the same inputs either way, so the outputs do not
-depend on the worker count.  ``taskset`` limits it: ``taskset -c 0 symplap
+use, on ``fork`` workers, one per CPU.  Where ``fork`` is unavailable, or
+there is only one CPU, they run serially.  Each entry runs the same code on
+the same inputs either way, so the outputs depend neither on the worker count
+nor on the BLAS thread count.  ``taskset`` limits it: ``taskset -c 0 symplap
 verify-inequalities ...`` runs serially.
 """
 
@@ -92,36 +91,25 @@ def _run_forked(index: int) -> list:
     return _forked_work(index)
 
 
-def _blas_threads(cpus: int) -> int:
-    """The threads OpenBLAS starts with: the first positive count among its
-    environment variables, else one per usable CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
-
-
 def _map_entries(corpus: list[CorpusFunction], n_samples: int, ids, params_of) -> list:
     """``list(_entry_reports(entry, ...))`` for each entry, in corpus order.
 
-    The entries run on ``fork`` workers, one per ``b`` CPUs that the process
-    may use (``os.sched_getaffinity``, else ``os.cpu_count``), where ``b`` is
-    the thread count of each worker's BLAS, and at most one per entry; with
-    fewer than two workers they run here.  A worker keeps its BLAS thread
-    count, since the INTERPOLATION rows depend on it, so more workers than
-    CPUs / ``b`` would oversubscribe the CPUs.  The workers inherit the
-    corpus and ``params_of`` through the fork, so neither is pickled: a task
-    is an entry index and its result that entry's list.  The results come
-    back in corpus order, so the first error in that order reaches the caller
-    with the serial loop's type and message.  The workers are joined before
-    this returns or raises.
+    The entries run on ``fork`` workers, one per CPU that the process may use
+    (``os.sched_getaffinity``, else ``os.cpu_count``) and at most one per
+    entry; with fewer than two workers they run here.  A worker keeps the
+    caller's BLAS thread count; no output depends on it, and the BLAS calls
+    of an entry are too small to keep a second thread busy.  The workers
+    inherit the corpus and ``params_of`` through the fork, so neither is
+    pickled: a task is an entry index and its result that entry's list.  The
+    results come back in corpus order, so the first error in that order
+    reaches the caller with the serial loop's type and message.  The workers
+    are joined before this returns or raises.
     """
     def work(index: int) -> list:
         return list(_entry_reports(corpus[index], n_samples, ids, params_of))
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(len(corpus), cpus // _blas_threads(cpus))
+    workers = min(len(corpus), cpus)
     if workers >= 2:
         # imported here: about 25 ms that a serial call never needs
         import multiprocessing as mp

@@ -165,10 +165,18 @@ def test_dimension_that_is_not_an_integral_value_at_least_one_is_rejected(d):
     (ee.closing_theta, (1.0, 2), "growth exponent p must be a finite number >= 2, got 1.0"),
     (ee.closing_theta, (3.0, 0), "dimension d must be an integral value >= 1, got 0"),
     (ee.alternate_leg_gains, (3.0, 2.5), "dimension d must be an integral value >= 1, got 2.5"),
+    (ee.holder_upper_formula, (-1,), "dimension d must be an integral value >= 1, got -1"),
+    (ee.holder_upper_formula, (-2,), "dimension d must be an integral value >= 1, got -2"),
+    (ee.sobolev_embedding_exponent, (2.5,), "dimension d must be an integral value >= 1, got 2.5"),
+    (ee.sobolev_embedding_exponent, (0,), "dimension d must be an integral value >= 1, got 0"),
+    (ee.closed_form_alpha, (3.0, 2, -1), "step count n must be an integer >= 0, got -1"),
+    (ee.closed_form_alpha, (3.0, 2, 2.5), "step count n must be an integer >= 0, got 2.5"),
+    (ee.closed_form_alpha, (2.0, 2, 2.0), "step count n must be an integer >= 0, got 2.0"),
 ])
 def test_closed_forms_check_p_and_d_like_the_iteration(call, args, message):
     # these once raised a bare ZeroDivisionError or "math domain error", or
-    # returned a value (closing_theta(3.0, 0) gave 1.0)
+    # returned a value (closing_theta(3.0, 0) gave 1.0,
+    # sobolev_embedding_exponent(2.5) 10.0, closed_form_alpha(3.0, 2, -1) -0.316)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(*args)
 
@@ -243,6 +251,9 @@ def test_holder_upper_formula_consistency():
 def test_sobolev_embedding_exponent():
     assert ee.sobolev_embedding_exponent(3) == pytest.approx(6.0)
     assert math.isinf(ee.sobolev_embedding_exponent(2))
+    # at d = 1, too, W^{1,2} reaches every finite exponent (2d/(d-2) once gave -2.0)
+    assert math.isinf(ee.sobolev_embedding_exponent(1))
+    assert ee.sobolev_embedding_exponent(4.0) == 4.0
 
 
 def test_alternate_leg_gain_bound():

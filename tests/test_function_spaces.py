@@ -134,10 +134,10 @@ class TestGeometryAgainstSamples:
                 fs.xnorms_over_time(values, norm, fs.SpaceGeometry(self.H, 2, mask))
 
     def test_factored_rows_check_the_samples_too(self):
-        # rank-one rows of 16 columns factor, so the context maps only the basis
-        rows = np.outer(np.linspace(1.0, 2.0, 12), np.arange(16.0))
-        f = fs.TimeGridFunction(rows, 0.0, 0.1, fs.SpaceGeometry(self.H, 2))
-        assert f._factor is not None
+        # a separable function's context maps only its modes
+        f = fs.TimeGridFunction.separable([np.linspace(1.0, 2.0, 12)], [np.arange(16.0)], 0.0, 0.1,
+                                          fs.SpaceGeometry(self.H, 2))
+        assert f._separable is not None
         with pytest.raises(ValueError, match=r"^samples of shape \(1, 16\) have fewer than ndim = 2"):
             f.context(fs.L2)
 

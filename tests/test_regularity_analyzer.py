@@ -167,12 +167,17 @@ class TestSweep:
             for s_small, s_big in zip(rs.seminorms, rb.seminorms):
                 assert s_small <= s_big * (1 + 1e-10)
 
-    def test_masked_contexts_make_no_low_rank_attempt(self, p3_traj):
-        # every restriction lives on a ball: its contexts keep the exact rows
-        with mock.patch.object(fs, "_row_space_coordinates",
-                               wraps=fs._row_space_coordinates) as spy:
+    def test_restrictions_keep_the_exact_rows(self, p3_traj):
+        # every restriction is built from its samples, so no context factors
+        factors, factored_rows = [], fs._factored_rows
+
+        def spy(f, x_norm):
+            factors.append(f._separable)
+            return factored_rows(f, x_norm)
+
+        with mock.patch.object(fs, "_factored_rows", spy):
             ra.seminorm_sweep(p3_traj, CYL, alphas=[0.5], delta=0.16)
-        assert spy.call_count == 0
+        assert factors and factors == [None] * len(factors)
 
     def test_one_restriction_per_distinct_restriction(self, p3_traj):
         # the "u" rows share one full-grid restriction whatever their norm; "vmap"

@@ -1,6 +1,11 @@
 """Constant calibration of the check matrix, and its spread over forked workers."""
 
+import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +55,7 @@ def _bits(rows):
 
 def _cpus(monkeypatch, count, blas_threads=1):
     """Let the matrix see ``count`` usable CPUs and ``blas_threads`` BLAS threads
-    per process, and count the entries it runs in this process (a forked
+    in the environment, and count the entries it runs in this process (a forked
     worker counts in its own copy)."""
     monkeypatch.setattr(vf.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
@@ -73,7 +78,7 @@ SMALL = build_corpus(8, 1234)
 @pytest.mark.parametrize("cpus, blas_threads, forked", [
     pytest.param(2, 1, True, marks=FORK),
     (1, 1, False),
-    (2, 2, False),  # two workers would need four CPUs
+    pytest.param(2, 2, True, marks=FORK),  # the BLAS thread count leaves the workers alone
 ])
 def test_matrix_equals_the_per_entry_loop_bit_for_bit(corrupt, cpus, blas_threads, forked,
                                                       monkeypatch):
@@ -126,3 +131,36 @@ def test_a_worker_of_another_pool_runs_the_matrix_serially(monkeypatch):
     _cpus(monkeypatch, 2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply(_matrix_rows, (4,)) == _matrix_rows(4)
+
+
+
+_INTERPOLATION_REPORTS = """
+import json
+import symplap.function_spaces as fs
+from symplap import verify
+from symplap.corpus import build_corpus
+reports = [rep for entry in build_corpus(4, 1234)
+           for _, rep in verify._entry_reports(entry, 1025, [fs.INTERPOLATION],
+                                               lambda i: verify._params_for(i, False))]
+print(json.dumps([[rep.lhs, rep.rhs] for rep in reports]))
+"""
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="two BLAS threads need two usable CPUs")
+def test_interpolation_reports_do_not_depend_on_the_blas_thread_count():
+    # a randomized row-space finder once ran a 1025 x 128 by 1025 x 8 product
+    # in threaded BLAS, and 3 of these 4 lifted fields moved at two threads
+    src = str(Path(fs.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _INTERPOLATION_REPORTS], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        reports.append(np.array(json.loads(out)))
+    assert reports[0].shape == (4, 2)
+    assert np.array_equal(reports[0].view(np.uint64), reports[1].view(np.uint64))
