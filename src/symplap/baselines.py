@@ -32,7 +32,9 @@ TENSOR_BANDS = {
 
 # Multiplicative constants of the calibrated inequality checks (the explicit
 # structural factors are applied verbatim on top of these), measured over the
-# 100-function corpus (seed 1234, 1025 samples) and padded by 5%.
+# 100-function corpus (seed 1234, 1025 samples) and padded by 5%
+# (``CALIBRATION_HEADROOM``, which ``verify.calibrate_constants`` applies).
+CALIBRATION_HEADROOM = 1.05
 INEQUALITY_CONSTANTS = {
     "ACCESSION": 0.0025883872037866765,
     "INTERPOLATION": 1.1344288971454894,

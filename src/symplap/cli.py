@@ -3,11 +3,11 @@
 Experiments are described by INI-style config files (one section per
 subcommand) so runs are diffable and archivable; outputs are CSV and
 two-column plot-data files with fixed headers.  The CLI parses the config
-and checks only what the library does not: syntax, list shapes, the
-trajectory path, the finite ``delta`` of ``analyze`` and its radii (before
-the sweep).  Every other parameter rule lives in the library function that
-consumes the parameter.  All checks run before any file is written, and
-identical config plus seed yields byte-identical outputs.
+and checks only what the library does not: the config syntax, list shapes,
+the trajectory path, the finite ``delta`` of ``analyze``, and its radii
+before the sweep.  Every other parameter rule lives in the library function
+that consumes the parameter.  All checks run before any file is written,
+and identical config plus seed yields byte-identical outputs.
 
 Exit codes: 0 success, 1 validation error, 2 computation failure,
 3 assertion failure (an inequality or frozen-baseline violation).
@@ -56,12 +56,6 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def _require(values: list[float], ok, message: str) -> None:
-    for v in values:
-        if not ok(v):
-            raise ValidationFailure(message.format(f"{v:g}"))
-
-
 def _write_csv(path: Path, header: list, rows: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -69,29 +63,22 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
-def _solve_settings(cfg: dict, seed: int):
+def run_solve(cfg: dict, out_dir: Path, seed: int | None) -> int:
+    seed = 0 if seed is None else seed
     model = ModelParams(p=float(cfg.get("p", 2.0)), mu=float(cfg.get("mu", 1.0)),
                         model=cfg.get("model", "A2"))
     grid = ps.TorusGrid(int(cfg.get("n", 32)))
     dt = float(cfg.get("dt", 1e-3))
     t_final = float(cfg.get("t_final", 0.1))
     ic = cfg.get("ic", "eigenfield")
-    cutoff = int(cfg.get("cutoff", 3))
-    amplitude = float(cfg.get("amplitude", 1.0))
-    u0 = ps.initial_condition(ic, grid, seed=seed, cutoff=cutoff, amplitude=amplitude)
-    return model, grid, u0, dt, t_final, ic
-
-
-def run_solve(cfg: dict, out_dir: Path, seed: int | None) -> int:
-    seed = 0 if seed is None else seed
-    model, grid, u0, dt, t_final, ic = _solve_settings(cfg, seed)
+    u0 = ps.initial_condition(ic, grid, seed=seed, cutoff=int(cfg.get("cutoff", 3)),
+                              amplitude=float(cfg.get("amplitude", 1.0)))
     traj_path = out_dir / "trajectory.bin"
     try:  # solve checks u0 before its first step; --out is made only after that
         traj = ps.solve(u0, t_final, dt, model, meta={"ic": ic, "seed": seed})
-    except SolverFailureError as exc:
-        if getattr(exc, "partial", None) is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            ps.save_trajectory(exc.partial, traj_path)
+    except SolverFailureError as exc:  # solve attaches the steps before the failure
+        out_dir.mkdir(parents=True, exist_ok=True)
+        ps.save_trajectory(exc.partial, traj_path)
         print(f"solver failure at step {exc.step_index}: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -110,12 +97,12 @@ def run_exponents(cfg: dict, out_dir: Path, seed: int) -> int:
     p_values = _floats(cfg.get("p_values", "2, 2.5, 3, 4"))
     d_values = _floats(cfg.get("d_values", "2, 3"))
     targets = _floats(cfg.get("targets", "0.4"))
-    # ee.classify checks each (p, d) pair, so neither list may be empty
+    # ee.classify checks each (p, d) pair and ee.iterate each target at each
+    # pair, so neither list may be empty
     if not p_values:
         raise ValidationFailure("p_values lists no growth exponent")
     if not d_values:
         raise ValidationFailure("d_values lists no dimension")
-    _require(targets, lambda t: t > 0, "target exponent {} is not positive")
     rows = []
     for p in p_values:
         for d in d_values:
@@ -140,8 +127,6 @@ def run_verify(cfg: dict, out_dir: Path, seed: int | None) -> int:
     size = int(cfg.get("corpus_size", 100))
     n_samples = int(cfg.get("samples", 1025))
     corrupt = cfg.get("corrupt_constants", "false").lower() in ("1", "true", "yes")
-    if size < 0 or n_samples < 3:
-        raise ValidationFailure("corpus_size must be >= 0 and samples >= 3")
     # the frozen calibration constants belong to the canonical corpus seed
     corpus = build_corpus(size, 1234 if seed is None else seed)
     result = vf.run_matrix(corpus, n_samples=n_samples, corrupt=corrupt)

@@ -18,6 +18,7 @@ difference steps stay on-grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -25,6 +26,15 @@ import numpy as np
 
 from .function_spaces import TimeGridFunction
 from .pde_solver import TorusGrid, initial_condition
+
+
+def _unit_grid(n_samples: int):
+    """The ``n_samples`` equispaced points of [0, 1] and their step ``t[1] - t[0]``;
+    raises ``ValueError`` unless ``n_samples`` is an integer >= 2."""
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
+        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    t = np.linspace(0.0, 1.0, n_samples)
+    return t, t[1] - t[0]
 
 
 @dataclass
@@ -38,8 +48,8 @@ class CorpusFunction:
         return self.fprime is not None
 
     def sample(self, n_samples: int) -> TimeGridFunction:
-        t = np.linspace(0.0, 1.0, n_samples)
-        return TimeGridFunction(self.f(t), t0=0.0, dt=t[1] - t[0])
+        t, dt = _unit_grid(n_samples)
+        return TimeGridFunction(self.f(t), t0=0.0, dt=dt)
 
     def sample_derivative(self, n_samples: int) -> TimeGridFunction | None:
         if self.fprime is None:
@@ -108,7 +118,10 @@ _FAMILIES = (_sinusoid, _polynomial, _kink, _lacunary)
 
 
 def build_corpus(size: int = 100, seed: int = 1234) -> list[CorpusFunction]:
-    """Deterministic corpus cycling through the four families."""
+    """Deterministic corpus cycling through the four families; ``size`` must be
+    an integer >= 0 (``ValueError``)."""
+    if not isinstance(size, numbers.Integral) or size < 0:
+        raise ValueError(f"corpus size must be an integer >= 0, got {size!r}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(size):
@@ -131,10 +144,10 @@ def lift_to_field(entry: CorpusFunction, n_samples: int) -> TimeGridFunction:
     rank-2 factor (``TimeGridFunction.separable``), so its l2 norm contexts
     map only V1 and V2.
     """
-    t = np.linspace(0.0, 1.0, n_samples)
+    t, dt = _unit_grid(n_samples)
     grid = TorusGrid(LIFT_GRID)
     x1, x2 = grid.coordinates()
     v1 = initial_condition("eigenfield", grid).data
     v2 = np.stack([np.cos(2 * x1), np.sin(x2) * np.sin(x1)], axis=-1)
     return TimeGridFunction.separable([entry.f(t), entry.f(1.0 - t)], [v1, v2], t0=0.0,
-                                      dt=t[1] - t[0], geometry=grid.geometry())
+                                      dt=dt, geometry=grid.geometry())

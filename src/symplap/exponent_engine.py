@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import UnreachableTargetError, UnsupportedDimensionError, require_finite
 
@@ -110,6 +110,8 @@ class IterationTrace:
     produced; once the formal step would exceed one, the achievable exponents
     form an open interval whose endpoint is never claimed (``cap``).
     ``limit`` is gamma0, the fixed point B/(1-A) of the recurrence (inf at p = 2).
+    ``p``, ``d`` and ``alpha0`` are the caller's values, in the caller's
+    arithmetic.
     """
 
     alphas: list
@@ -119,18 +121,19 @@ class IterationTrace:
     target: float
     n_steps: int
     crossed_one: bool
+    p: float
+    d: int
+    alpha0: float
     cap: float | None = None
-    alpha0: float = 0.0
-    _gamma1: float = field(default=0.0, repr=False)
 
     def steps_to(self, target) -> int:
-        """Step count N(target) for another target under the same (A, B, alpha0)."""
-        _, n, _, _ = _run_iteration(self.A, self.B, self.alpha0, target, self._gamma1)
-        return n
+        """Step count N(target) of :func:`iterate` from the same (p, d, alpha0);
+        raises wherever :func:`iterate` raises."""
+        return iterate(self.p, self.d, self.alpha0, target).n_steps
 
 
 def _run_iteration(A, B, alpha0, target, g1):
-    """Shared recurrence loop; returns (alphas, n_steps, crossed, cap).
+    """The recurrence loop of :func:`iterate`; returns (alphas, n_steps, crossed, cap).
 
     Every step either raises alpha or ends the loop, so it terminates: a step
     that no longer raises alpha means the float recurrence has settled below
@@ -165,18 +168,18 @@ def iterate(p, d, alpha0, target) -> IterationTrace:
     gamma0 that the float recurrence settles below.
     """
     if not 0 <= alpha0 < target:
-        raise ValueError("need 0 <= alpha0 < target")
+        raise ValueError(f"need 0 <= alpha0 < target, got alpha0 = {alpha0!r} "
+                         f"and target = {target!r}")
     top = ceiling(p, d)
     if target >= top:
         raise UnreachableTargetError(f"target {target} is at/above the regime ceiling {top}")
     A, B = recurrence_coefficients(p, d)
-    g1 = gamma1(p, d)
     limit = math.inf if p == 2 else gamma0(p, d)
-    alphas, n_steps, crossed, cap = _run_iteration(A, B, alpha0, target, g1)
+    alphas, n_steps, crossed, cap = _run_iteration(A, B, alpha0, target, gamma1(p, d))
     return IterationTrace(alphas=[float(a) for a in alphas], A=float(A), B=float(B),
                           limit=float(limit), target=float(target), n_steps=n_steps,
-                          crossed_one=crossed, cap=None if cap is None else float(cap),
-                          alpha0=float(alpha0), _gamma1=float(g1))
+                          crossed_one=crossed, p=p, d=d, alpha0=alpha0,
+                          cap=None if cap is None else float(cap))
 
 
 def closed_form_alpha(p, d, n, alpha0=0.0):

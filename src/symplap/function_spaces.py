@@ -634,10 +634,6 @@ class _NormContext:
     def lp_norm(self, p: float) -> float:
         return time_lp(self.sample_norms, p, self.dt)
 
-    def difference_rows(self, r: int, k: int) -> np.ndarray:
-        """Feature rows of D_h^r f at h = k*dt (differences commute with the map)."""
-        return _difference(self.rows, r, k, self.dt)
-
     def _lag_blocks(self, r: int, first: int, last: int):
         """(k0, lags) blocks covering lags first..last, each differencing at
         most ``_LAG_BLOCK_ELEMENTS`` entries and ``_LAG_BLOCK_LAGS`` lags."""
@@ -963,8 +959,9 @@ def check_marchaud(f, *, r=2, p=math.inf, x_norm=EUCLID):
     sides = []
     for k in ks:
         h = k * f.dt
-        d_2h = ctx.difference_rows(r, 2 * k)
-        d_h = ctx.difference_rows(r, k)[: len(d_2h)]
+        # feature rows of the differences: differences commute with the map
+        d_2h = _difference(ctx.rows, r, 2 * k, f.dt)
+        d_h = _difference(ctx.rows, r, k, f.dt)[: len(d_2h)]
         lhs = time_lp(ctx.reduce(d_h - 2.0 ** (-r) * d_2h), p, f.dt)
         rhs = (r / 2.0) * ctx.difference_norm(r + 1, k, p)
         sides.append((f"h={h:g}", lhs, rhs))
@@ -1144,11 +1141,17 @@ _CHECKS = {
 _NEEDS_DERIVATIVE = {REDUCTION, ACCESSION}
 
 
+def _checker(ineq_id: str):
+    """The check of ``ineq_id``; ``ValueError`` for an unknown id."""
+    if ineq_id not in _CHECKS:
+        raise ValueError(f"unknown inequality id {ineq_id!r}")
+    return _CHECKS[ineq_id]
+
+
 def check_inequality(ineq_id: str, f: TimeGridFunction, fprime: TimeGridFunction | None = None,
                      **params) -> InequalityReport:
     """Evaluate one structural inequality on f; see the per-id checkers."""
-    if ineq_id not in _CHECKS:
-        raise ValueError(f"unknown inequality id {ineq_id!r}")
+    check = _checker(ineq_id)
     if ineq_id in _NEEDS_DERIVATIVE:
-        return _CHECKS[ineq_id](f, fprime, **params)
-    return _CHECKS[ineq_id](f, **params)
+        return check(f, fprime, **params)
+    return check(f, **params)

@@ -40,7 +40,7 @@ CANONICAL_PARAMS = {
     fs.SOBOLEV_EQ: dict(delta1=1 / 8, delta2=1 / 2, p=2.0),
 }
 
-_CALIBRATED = (fs.ACCESSION, fs.INTERPOLATION, fs.EMBED_SOBOLEV, fs.EMBED_NIK)
+_CALIBRATED = tuple(baselines.INEQUALITY_CONSTANTS)
 
 
 @dataclass
@@ -128,7 +128,10 @@ def _map_entries(corpus: list[CorpusFunction], n_samples: int, ids, params_of) -
 
 def run_matrix(corpus: list[CorpusFunction], n_samples: int = 1025,
                ids=fs.INEQUALITY_IDS, corrupt: bool = False) -> MatrixResult:
-    """Evaluate every applicable (check, function) pair of the corpus."""
+    """Evaluate every applicable (check, function) pair of the corpus; an
+    unknown id raises ``check_inequality``'s ``ValueError`` before any entry runs."""
+    for ineq_id in ids:
+        fs._checker(ineq_id)
     rows, skipped = [], []
     reports = _map_entries(corpus, n_samples, ids, lambda i: _params_for(i, corrupt))
     for entry, entry_reports in zip(corpus, reports):
@@ -140,18 +143,22 @@ def run_matrix(corpus: list[CorpusFunction], n_samples: int = 1025,
     return MatrixResult(rows=rows, skipped=skipped)
 
 
-def calibrate_constants(size: int = 100, seed: int = 1234, n_samples: int = 1025,
-                        headroom: float = 1.05) -> dict:
+def calibrate_constants(size: int = 100, seed: int = 1234, n_samples: int = 1025) -> dict:
     """Re-measure the existential constants of the calibrated checks.
 
     Runs each calibrated check with its constant forced to one and records the
-    max realized lhs/rhs ratio over the corpus (ignoring 0/0 entries), padded
-    by ``headroom``.  The result is meant to be frozen into ``baselines``.
+    max realized lhs/rhs ratio over the corpus (ignoring entries with rhs 0),
+    padded by ``baselines.CALIBRATION_HEADROOM``.  The result is meant to be
+    frozen into ``baselines``.  Raises ``ValueError`` naming each check for
+    which no entry gave a positive rhs: it measured nothing to freeze.
     """
-    worst = dict.fromkeys(_CALIBRATED, 0.0)
+    worst = {}
     for entry_reports in _map_entries(build_corpus(size, seed), n_samples, _CALIBRATED,
                                       lambda i: dict(CANONICAL_PARAMS[i], calibrated=1.0)):
         for ineq_id, rep in entry_reports:
             if rep is not None and rep.rhs > 0:
-                worst[ineq_id] = max(worst[ineq_id], rep.lhs / rep.rhs)
-    return {i: val * headroom for i, val in worst.items()}
+                worst[ineq_id] = max(worst.get(ineq_id, 0.0), rep.lhs / rep.rhs)
+    unmeasured = [i for i in _CALIBRATED if i not in worst]
+    if unmeasured:
+        raise ValueError(f"no corpus entry gave a positive rhs for {', '.join(unmeasured)}")
+    return {i: worst[i] * baselines.CALIBRATION_HEADROOM for i in _CALIBRATED}

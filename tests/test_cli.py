@@ -199,6 +199,14 @@ targets = 0.4
         assert run(["exponents", "--config", cfg, "--out", out]) == 1
         assert not out.exists()
 
+    def test_negative_target_fails_with_the_library_message(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "e.ini", "[exponents]\np_values = 3\ntargets = -0.5\n")
+        out = tmp_path / "o"
+        assert run(["exponents", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert ("validation error: need 0 <= alpha0 < target, got alpha0 = 0.0 and target = -0.5"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("p_values", ["3", "1.0"])
     def test_empty_dimension_list_writes_nothing(self, tmp_path, capsys, p_values):
         # with no dimension no (p, d) pair would reach the growth-exponent check
@@ -277,6 +285,18 @@ corrupt_constants = true
         for row in rows:
             for col in ("lhs", "rhs", "constant_used", "margin"):
                 float(row[col])
+
+    @pytest.mark.parametrize("size, samples, message", [
+        (-1, 257, "corpus size must be an integer >= 0, got -1"),
+        (4, 1, "n_samples must be an integer >= 2, got 1")])
+    def test_corpus_rules_fail_with_the_library_message(self, tmp_path, capsys, size, samples,
+                                                        message):
+        cfg = write_config(tmp_path / "v.ini",
+                           f"[verify]\ncorpus_size = {size}\nsamples = {samples}\n")
+        out = tmp_path / "out"
+        assert run(["verify-inequalities", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        assert f"validation error: {message}" in capsys.readouterr().err
 
     def test_too_few_samples_writes_nothing(self, tmp_path):
         cfg = write_config(tmp_path / "v.ini", "[verify]\ncorpus_size = 4\nsamples = 5\n")

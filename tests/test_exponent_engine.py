@@ -187,6 +187,43 @@ def test_steps_to_matches_constructor():
     assert tr.steps_to(0.2) <= tr.n_steps
 
 
+def _fractions(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(st.floats(2.0, 6.0), _fractions(2, 6)), d=st.sampled_from([1, 2, 3]),
+       data=st.data())
+def test_steps_to_is_iterate(p, d, data):
+    # steps_to(t) is iterate(p, d, alpha0, t).n_steps, or raises the same type,
+    # in the caller's arithmetic: Fraction input stays exact
+    top = ee.ceiling(p, d)
+    alpha0 = top * data.draw(st.one_of(st.just(0), _fractions(0, Fraction(9, 10)),
+                                       st.floats(0.0, 0.9)))
+    trace = ee.iterate(p, d, alpha0, (alpha0 + top) / 2)
+    unit = st.one_of(_fractions(0, 1), st.floats(0.0, 1.0))
+    target = data.draw(st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, -1.0, alpha0, top]),
+        unit.map(lambda u: alpha0 - u),              # at or below alpha0
+        unit.map(lambda u: alpha0 + u * (top - alpha0)),
+        unit.map(lambda u: top + u),                 # at or above the ceiling
+        st.floats(-2.0, 3.0)))
+    try:
+        want = ee.iterate(p, d, alpha0, target).n_steps
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            trace.steps_to(target)
+        assert type(got.value) is type(exc)
+    else:
+        assert trace.steps_to(target) == want
+
+
+def test_iterate_names_alpha0_and_target():
+    with pytest.raises(ValueError, match=r"^need 0 <= alpha0 < target, got alpha0 = 0.0 "
+                                         r"and target = nan$"):
+        ee.iterate(2.5, 2, 0.0, math.nan)
+
+
 def test_interp_params_no_gain_at_theta_zero():
     p = 3.0
     ip = ee.interp_params(0.0, p, 3)

@@ -447,6 +447,24 @@ class TestSolve:
         scale = 1.0 + np.max(np.abs(u0_data))
         assert np.max(np.abs(means - means[0])) < 1e-10 * scale
 
+    @settings(max_examples=25, deadline=None)
+    @given(model=st.sampled_from(["A1", "A2"]), p=st.floats(2.0, 6.0), mu=st.floats(0.01, 1.0),
+           log_dt=st.floats(-3.0, 0.0), n=st.sampled_from([8, 16, 32]),
+           ic=st.sampled_from(["eigenfield", "random_smooth", "kink"]),
+           log_amplitude=st.floats(-2.5, 1.0), seed=st.integers(0, 2**16))
+    def test_energy_and_means_move_within_the_newton_tolerance(self, model, p, mu, log_dt, n,
+                                                                ic, log_amplitude, seed):
+        # the README's bounds per accepted step, tol = TOL_FACTOR (1 + |u_k|_inf):
+        # E(u_{k+1}) - E(u_k) <= dt tol^2 / 4, and each component's grid mean
+        # moves by at most dt tol
+        grid, dt = ps.TorusGrid(n), 10.0**log_dt
+        u0 = ps.initial_condition(ic, grid, seed=seed, amplitude=10.0**log_amplitude)
+        traj = ps.solve(u0, 20 * dt, dt, tm.ModelParams(p=p, mu=mu, model=model))
+        tol = ps.TOL_FACTOR * (1.0 + np.max(np.abs(traj.snapshots[:-1]), axis=(1, 2, 3)))
+        assert np.all(np.diff(traj.energies()) <= dt * tol**2 / 4)
+        means = np.mean(traj.snapshots, axis=(1, 2))
+        assert np.all(np.abs(np.diff(means, axis=0)) <= dt * tol[:, None])
+
     def test_vanishing_forcing_along_trajectory(self, grid32):
         # divided-difference residual of the evolution law stays below the
         # Newton tolerance in L^2 at every accepted step

@@ -1,4 +1,5 @@
-"""Constant calibration of the check matrix, and its spread over forked workers."""
+"""Constant calibration of the check matrix, its corpus and id inputs, and its spread
+over forked workers."""
 
 import json
 import multiprocessing
@@ -13,7 +14,7 @@ import pytest
 import symplap.function_spaces as fs
 import symplap.verify as vf
 from symplap import baselines
-from symplap.corpus import build_corpus
+from symplap.corpus import build_corpus, lift_to_field
 from symplap.errors import EmptyDomainError
 from symplap.verify import calibrate_constants, run_matrix
 
@@ -26,6 +27,41 @@ def test_calibrate_constants_small_corpus_within_frozen():
     assert set(measured) == {"ACCESSION", "INTERPOLATION", "EMBED_SOBOLEV", "EMBED_NIK"}
     for name, value in measured.items():
         assert 0.0 < value <= baselines.INEQUALITY_CONSTANTS[name], name
+
+
+def test_calibration_of_no_entry_names_every_check():
+    # an empty corpus measures no ratio; frozen, a constant of 0.0 would fail every row
+    with pytest.raises(ValueError, match="no corpus entry gave a positive rhs") as exc:
+        calibrate_constants(size=0)
+    for name in baselines.INEQUALITY_CONSTANTS:
+        assert name in str(exc.value)
+
+
+def test_an_unknown_id_fails_before_any_entry_runs(monkeypatch):
+    def no_entries(*args):
+        raise AssertionError("the corpus entries ran")
+
+    monkeypatch.setattr(vf, "_map_entries", no_entries)
+    for ids in (["NOPE"], [fs.DELTA_EQ, "NOPE"]):
+        with pytest.raises(ValueError, match="^unknown inequality id 'NOPE'$"):
+            run_matrix(build_corpus(2, 1234), 257, ids=ids)
+
+
+@pytest.mark.parametrize("size", [-1, 2.0])
+def test_corpus_size_is_an_integer_of_at_least_zero(size):
+    with pytest.raises(ValueError, match=f"^corpus size must be an integer >= 0, got {size}$"):
+        build_corpus(size)
+    assert build_corpus(0) == []
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, 2.0])
+def test_unit_grid_needs_two_samples(n_samples):
+    entry = build_corpus(1, 1234)[0]
+    message = f"^n_samples must be an integer >= 2, got {n_samples}$"
+    for call in (entry.sample, entry.sample_derivative, lambda n: lift_to_field(entry, n),
+                 lambda n: run_matrix([entry], n_samples=n)):
+        with pytest.raises(ValueError, match=message):
+            call(n_samples)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
