@@ -31,7 +31,9 @@ every difference norm -- seminorms, the Hoelder sup, the Marchaud remainder,
 divided differences -- differences feature rows instead of recomputing
 gradients, FFTs or dictionary pairings per step.  Time norms have one
 evaluator, ``_NormContext``; a ``TimeGridFunction`` owns one per X-norm, which
-all its checks share (the one-shot wrappers build a throwaway one).
+all its checks share (the one-shot wrappers build a throwaway one).  The
+Bochner norm ``lp_norm`` needs no difference rows: it streams the sample
+norms of ``xnorms_over_time``, which maps and reduces blocks of samples.
 Its difference norms, W^{k,p} divided differences included, snap values below
 the binomial-stencil rounding floor to zero; the Hoelder sup and the Marchaud
 remainder report raw values.  It differences whole blocks of lags at once and
@@ -268,12 +270,22 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     view), which ``reduce`` undoes; all other rows are returned as mapped.
     """
     rows, reduce = _feature_map(values, norm, geom)
-    top = float(max(rows.view(float).max(), -rows.view(float).min())) if rows.size else 0.0
-    exp = int(_unit_exponent(top, norm.q))
-    if exp:
-        rows = np.ldexp(rows.view(float), -exp).view(rows.dtype)
-        return rows, lambda r: np.ldexp(reduce(r), exp)
-    return rows, reduce
+    return _scaled(rows, reduce, int(_unit_exponent(_row_top(rows), norm.q)))
+
+
+def _row_top(rows: np.ndarray) -> float:
+    """Largest absolute entry of ``rows`` (complex rows through their real
+    view), NaN if any entry is NaN, 0.0 for no entry."""
+    real = rows.view(float)
+    return float(max(real.max(), -real.min())) if rows.size else 0.0
+
+
+def _scaled(rows: np.ndarray, reduce, exp: int):
+    """``(rows, reduce)`` with the rows brought down by the exact power 2**exp,
+    which the returned reduction undoes; as given for exp = 0."""
+    if not exp:
+        return rows, reduce
+    return np.ldexp(rows.view(float), -exp).view(rows.dtype), lambda r: np.ldexp(reduce(r), exp)
 
 
 def _unit_exponent(top, q: float) -> np.ndarray:
@@ -331,14 +343,45 @@ def _feature_map(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
 
 
 def spatial_norm(snapshot: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) -> float:
-    """State-space norm of a single snapshot (no time axis)."""
+    """State-space norm of a single snapshot (no time axis); a NaN or infinite
+    entry raises ``ValueError``, as in :func:`xnorms_over_time`."""
     return float(xnorms_over_time(np.asarray(snapshot, dtype=float)[None], norm, geom)[0])
 
 
 def xnorms_over_time(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) -> np.ndarray:
-    """Vector of state-space norms, one per time sample (axis 0)."""
-    rows, reduce = _features(values, norm, geom)
-    return reduce(rows)
+    """Vector of state-space norms, one per time sample (axis 0); empty for no sample.
+
+    The samples are mapped and reduced in blocks of at most
+    ``_LAG_BLOCK_ELEMENTS`` entries, so no (samples x features) matrix is
+    held, and every norm equals the one-block ``_features`` evaluation bit
+    for bit.  Each block is reduced as mapped while the largest row entry is
+    tracked; a block whose powers would overflow waits, and only when the
+    largest entry over all blocks calls for a rescaling do the blocks run
+    again, under that one power of two.  W^{-1,q'} rows stay one block: the
+    dictionary rows are a BLAS product, whose summation order may depend on
+    the row count, and the spectral rows a batched FFT.  Raises
+    ``ValueError`` naming ``values`` unless every sample is finite.
+    """
+    values = np.asarray(values, dtype=float)
+    if geom is not None:
+        _check_spatial_shape(values.shape, geom)
+    m, entries = values.shape[0], math.prod(values.shape[1:])
+    step = max(m, 1) if norm.kind == "wm1p" else max(1, _LAG_BLOCK_ELEMENTS // max(1, entries))
+    blocks = [values[i : i + step] for i in range(0, m, step)]
+    norms, tops = [], []
+    for block in blocks:
+        finite = np.isfinite(block)
+        if not finite.all():
+            raise ValueError(f"values must be finite, got {float(block[~finite][0])!r}")
+        rows, reduce = _feature_map(block, norm, geom)
+        tops.append(_row_top(rows))
+        norms.append(None if _unit_exponent(tops[-1], norm.q) > 0 else reduce(rows))
+    exp = int(_unit_exponent(np.max(tops, initial=0.0), norm.q))
+    for i, block in enumerate(blocks):
+        if exp or norms[i] is None:  # every block under a rescaling, else one that waited
+            rows, reduce = _scaled(*_feature_map(block, norm, geom), exp)
+            norms[i] = reduce(rows)
+    return np.concatenate(norms) if norms else np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +645,7 @@ def _factored_rows(f: TimeGridFunction, x_norm: XNorm) -> tuple | None:
 
 
 _EPS = np.finfo(float).eps
-_LAG_BLOCK_ELEMENTS = 2**16  # differenced entries per block of lags
+_LAG_BLOCK_ELEMENTS = 2**16  # entries per block: differenced ones of lags, ones of samples
 _LAG_BLOCK_LAGS = 128
 
 
@@ -727,8 +770,12 @@ class _NormContext:
 
 
 def lp_norm(f: TimeGridFunction, p: float, x_norm: XNorm = EUCLID) -> float:
-    """Bochner norm |f|_{L^p(I;X)} on the full grid."""
-    return _NormContext(f, x_norm).lp_norm(p)
+    """Bochner norm |f|_{L^p(I;X)} on the full grid.
+
+    Needs no difference rows, so the sample norms stream through
+    :func:`xnorms_over_time` in blocks of samples.
+    """
+    return time_lp(xnorms_over_time(f.values, x_norm, f.geometry), p, f.dt)
 
 
 def admissible_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:

@@ -153,8 +153,8 @@ def _table_contexts(traj: Trajectory, cyl: SubCylinder, table):
     ball's box, since ``restrict`` keeps every "u" restriction on the full grid.
     No context outlives its row, for peak memory: contexts owned by the
     restrictions (``TimeGridFunction.context``) all stay alive until the last
-    row, and raised the ``regularity-p3`` benchmark's peak RSS from 145.0 to
-    149.2 MB.
+    row, and raised the ``regularity-p3`` benchmark's peak RSS from 115.8-116.3
+    to 117.1-117.3 MB (2-core x86_64 box, runs of 20 s).
     """
     made = {}
     for row in table:
