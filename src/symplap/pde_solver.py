@@ -132,7 +132,10 @@ def _check_axes(u, grid: TorusGrid, box: bool = False, tensor: bool = False,
     """Raise ``ValueError`` naming ``name`` unless the field ``u`` ends in the grid's
     (n, n, 2) axes, or (n, n, 2, 2) with ``tensor``, or, with ``box``, in the
     (a, b, 2) axes, a, b <= n, of one of its periodic boxes
-    (:func:`stencil.periodic_box`), on which the analyzer differences."""
+    (:func:`stencil.periodic_box`), on which the analyzer differences, and
+    raise ``TypeError`` naming it if it holds complex numbers."""
+    if np.iscomplexobj(u):
+        raise TypeError(f"{name} must hold real numbers, got complex data")
     n, comps = grid.n, (grid.d,) * (2 if tensor else 1)
     tail = np.shape(u)[-2 - len(comps):]
     if not (len(tail) == 2 + len(comps) and tail[2:] == comps
@@ -308,6 +311,21 @@ ETA_GAMMA = 0.9      # forcing term: factor and power of the residual-norm ratio
 ETA_ALPHA = 2.0
 CG_RTOL = 1e-12      # CG stops once |r| < max(CG_RTOL |b|, atol)
 CG_MAXITER = 600     # CG iterations per linear solve before SolverFailureError
+_DOT_SLICE = 8192    # entries per BLAS inner product; OpenBLAS runs this few on one thread
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``np.vdot(a, b)``, summed in order over slices of at most ``_DOT_SLICE`` entries.
+
+    One slice is exactly ``np.vdot``.  A longer product done in one call would
+    be split over the BLAS threads, and its rounding would then depend on
+    their number; slice by slice it is the same at any thread count.
+    """
+    a, b = a.ravel(), b.ravel()
+    total = np.vdot(a[:_DOT_SLICE], b[:_DOT_SLICE])
+    for i in range(_DOT_SLICE, a.size, _DOT_SLICE):
+        total += np.vdot(a[i:i + _DOT_SLICE], b[i:i + _DOT_SLICE])
+    return total
 
 
 def cg(matvec, b: np.ndarray, *, precond, atol: float, callback=None, _work=None):
@@ -320,13 +338,16 @@ def cg(matvec, b: np.ndarray, *, precond, atol: float, callback=None, _work=None
     products and norms run over all entries.  The iteration stops when
     ``|r| < max(CG_RTOL |b|, atol)``, tested before each iteration, and
     ``callback(x)`` is called after each one.  The operations and their order
-    are those of the library PCG that the tests take as reference, so the
-    iterates equal its iterates bit for bit.  Returns ``(x, 0)`` on
+    are those of the library PCG that the tests take as reference.  Its inner
+    products and norms are one BLAS call each; here they are :func:`_dot`,
+    the same call on at most ``_DOT_SLICE`` entries, where the iterates equal
+    the reference's bit for bit, and an in-order sum of slices beyond, where
+    they do not depend on the BLAS thread count.  Returns ``(x, 0)`` on
     convergence and ``(x, CG_MAXITER)`` when the iteration budget runs out.
     ``_work``, private to :func:`step`, holds three arrays of ``b``'s shape
     for x, r and p; x is then returned in its buffer.
     """
-    bnorm = np.linalg.norm(b)
+    bnorm = np.sqrt(_dot(b, b))
     atol = max(float(atol), CG_RTOL * float(bnorm))
     if bnorm == 0:
         return b.copy(), 0
@@ -334,17 +355,17 @@ def cg(matvec, b: np.ndarray, *, precond, atol: float, callback=None, _work=None
     x.fill(0.0)
     np.copyto(r, b)
     for it in range(CG_MAXITER):
-        if np.linalg.norm(r) < atol:
+        if np.sqrt(_dot(r, r)) < atol:
             return x, 0
         z = precond(r)
-        rho = np.vdot(r, z)
+        rho = _dot(r, z)
         if it == 0:
             np.copyto(p, z)
         else:
             p *= rho / rho_prev
             p += z
         q = matvec(p)
-        alpha = rho / np.vdot(p, q)
+        alpha = rho / _dot(p, q)
         x += np.multiply(alpha, p, out=z)  # z is spent: it holds the products
         r -= np.multiply(alpha, q, out=z)
         rho_prev = rho
@@ -590,7 +611,8 @@ def _require_finite_data(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> 
     """Raise ``ValueError`` unless the energy and the stress of the state ``u`` are finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is what is checked
         e, t = _strain(u, grid.h)
-        finite = (math.isfinite(_energy(t, model, grid.h))
+        # |Du| itself can overflow to inf or NaN, which phi rejects
+        finite = (np.isfinite(t).all() and math.isfinite(_energy(t, model, grid.h))
                   and np.isfinite(_phi_d_over_t(t, model) * e).all())
     if not finite:
         raise ValueError(f"initial data with max |u0| = {np.max(np.abs(u)):.3g} overflow: "
@@ -634,7 +656,8 @@ def solve(u0: SpatialField, t_final: float, dt: float, model: ModelParams,
 
 def initial_condition(tag: str, grid: TorusGrid, seed: int = 0, cutoff: int = 3,
                       amplitude: float = 1.0) -> SpatialField:
-    """Built-in initial data.
+    """Built-in initial data, scaled by the finite number ``amplitude``; ``seed``
+    is a non-negative integer.
 
     ``eigenfield``     divergence-free trigonometric field; for the linear
                        model it decays exactly exponentially, and on the grid
@@ -645,9 +668,22 @@ def initial_condition(tag: str, grid: TorusGrid, seed: int = 0, cutoff: int = 3,
     ``kink``           periodic triangle-wave profile whose symmetrized
                        gradient jumps across two lines; probes how rough an
                        initial state the implicit stepping tolerates.
+
+    ``random_smooth`` is the trigonometric polynomial
+    ``sum_k a_k cos(k . x + theta_k)`` per component over the modes
+    ``0 < |k|_inf <= cutoff``, with ``a_k = N(0, 1) / (1 + |k|^2)`` and
+    ``theta_k`` uniform on [0, 2 pi).  Each mode draws its two phases, then
+    its two amplitudes, with k1 and then k2 running from -cutoff to cutoff.
+    The sum is the real part of one inverse FFT of the spectrum
+    ``a_k exp(i theta_k)`` placed at ``k mod n``, taken unnormalized
+    (``norm="forward"``), which differs from the cosine sum by rounding only.
     """
-    x1, x2 = grid.coordinates()
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be a finite number, got {amplitude!r}")
     if tag == "eigenfield":
+        x1, x2 = grid.coordinates()
         data = amplitude * np.stack([np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)], axis=-1)
     elif tag == "random_smooth":
         # modes n/2 feed the kernel of sym_gradient
@@ -655,17 +691,18 @@ def initial_condition(tag: str, grid: TorusGrid, seed: int = 0, cutoff: int = 3,
             raise ValueError(f"cutoff must be an integer in [1, n/2 - 1] = [1, {grid.n // 2 - 1}] "
                              f"at n = {grid.n}, got {cutoff!r}")
         rng = np.random.default_rng(seed)
-        data = np.zeros((grid.n, grid.n, 2))
+        spectrum = np.zeros((grid.n, grid.n, 2), dtype=complex)
         for k1 in range(-cutoff, cutoff + 1):
             for k2 in range(-cutoff, cutoff + 1):
                 if k1 == 0 and k2 == 0:
                     continue
                 phase = rng.uniform(0.0, 2.0 * math.pi, size=2)
                 amp = rng.normal(size=2) / (1.0 + k1**2 + k2**2)
-                for c in range(2):
-                    data[..., c] += amp[c] * np.cos(k1 * x1 + k2 * x2 + phase[c])
+                spectrum[k1, k2] = amp * np.exp(1j * phase)  # negative k wrap to k mod n
+        data = np.ascontiguousarray(np.fft.ifft2(spectrum, axes=(0, 1), norm="forward").real)
         data *= amplitude / max(np.max(np.abs(data)), 1e-30)
     elif tag == "kink":
+        x1 = grid.coordinates()[0]
         tri = np.pi / 2.0 - np.abs(np.mod(x1, 2.0 * np.pi) - np.pi)
         data = amplitude * np.stack([tri, np.zeros_like(tri)], axis=-1)
     else:

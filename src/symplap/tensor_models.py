@@ -63,9 +63,25 @@ class ModelParams:
 
 def _check_nonneg(t):
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("potential argument must be nonnegative")
+    if not np.all(t >= 0):  # NaN fails the comparison too
+        raise ValueError("potential argument must be nonnegative, not negative or NaN")
     return t
+
+
+def _tensors(name: str, q) -> np.ndarray:
+    """``q`` as a float array, after checking that it is a stack of (..., d, d) matrices."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim < 2 or q.shape[-1] != q.shape[-2]:
+        raise ValueError(f"{name} of shape {q.shape} is not a stack of (..., d, d) matrices")
+    return q
+
+
+def _pair(p_mat, q_mat) -> tuple[np.ndarray, np.ndarray]:
+    """The two matrix stacks of a pairwise comparison, after checking that their shapes agree."""
+    p_mat, q_mat = _tensors("p_mat", p_mat), _tensors("q_mat", q_mat)
+    if p_mat.shape != q_mat.shape:
+        raise ValueError(f"p_mat of shape {p_mat.shape} and q_mat of shape {q_mat.shape} differ")
+    return p_mat, q_mat
 
 
 def phi(t, params: ModelParams):
@@ -141,13 +157,13 @@ def stress(q: np.ndarray, params: ModelParams) -> np.ndarray:
     Symmetric inputs map to symmetric outputs exactly: the result is a scalar
     multiple of Q at every point.
     """
-    q = np.asarray(q, dtype=float)
+    q = _tensors("q", q)
     return _phi_d_over_t(frob(q), params)[..., None, None] * q
 
 
 def v_map(q: np.ndarray, params: ModelParams) -> np.ndarray:
     """Square-root map sqrt(phi'(|Q|)/|Q|) Q; for A2 this is (mu+|Q|^2)^((p-2)/4) Q."""
-    q = np.asarray(q, dtype=float)
+    q = _tensors("q", q)
     return np.sqrt(_phi_d_over_t(frob(q), params))[..., None, None] * q
 
 
@@ -176,8 +192,7 @@ def stress_derivative_apply(q: np.ndarray, h: np.ndarray, params: ModelParams) -
     This is the Hessian of the convex map Q -> phi(|Q|): symmetric and positive
     semidefinite, which is what makes the Newton systems CG-solvable.
     """
-    q = np.asarray(q, dtype=float)
-    h = np.asarray(h, dtype=float)
+    q, h = _tensors("q", q), _tensors("h", h)
     t = frob(q)
     coeff = _rank_one_coefficient(t, params) * np.sum(q * h, axis=(-2, -1))
     return _phi_d_over_t(t, params)[..., None, None] * h + coeff[..., None, None] * q
@@ -185,7 +200,8 @@ def stress_derivative_apply(q: np.ndarray, h: np.ndarray, params: ModelParams) -
 
 def monotone_pairing(p_mat: np.ndarray, q_mat: np.ndarray, params: ModelParams) -> np.ndarray:
     """(stress(P) - stress(Q)) : (P - Q), the monotonicity quadratic form."""
-    diff = np.asarray(p_mat, dtype=float) - np.asarray(q_mat, dtype=float)
+    p_mat, q_mat = _pair(p_mat, q_mat)
+    diff = p_mat - q_mat
     return np.sum((stress(p_mat, params) - stress(q_mat, params)) * diff, axis=(-2, -1))
 
 
@@ -197,11 +213,10 @@ def equivalence_ratios(p_mat: np.ndarray, q_mat: np.ndarray, params: ModelParams
         r1 = pairing / (phi''(|P|+|Q|) |P-Q|^2),
         r2 = pairing / |v_map(P) - v_map(Q)|^2,
 
-    both finite and positive for P != Q.  Accepts batched input of shape
-    (..., d, d); raises if any pair is exactly identical (0/0).
+    both finite and positive for P != Q.  Accepts batched input, two stacks
+    of one shape (..., d, d); raises if any pair is exactly identical (0/0).
     """
-    p_mat = np.asarray(p_mat, dtype=float)
-    q_mat = np.asarray(q_mat, dtype=float)
+    p_mat, q_mat = _pair(p_mat, q_mat)
     diff = p_mat - q_mat
     diff_sq = np.sum(diff**2, axis=(-2, -1))
     if np.any(diff_sq == 0.0):
@@ -217,8 +232,7 @@ def equivalence_ratios(p_mat: np.ndarray, q_mat: np.ndarray, params: ModelParams
 
 def lipschitz_ratio(p_mat: np.ndarray, q_mat: np.ndarray, params: ModelParams):
     """|stress(P)-stress(Q)| / (phi''(|P|+|Q|) |P-Q|), bounded above per the growth band."""
-    p_mat = np.asarray(p_mat, dtype=float)
-    q_mat = np.asarray(q_mat, dtype=float)
+    p_mat, q_mat = _pair(p_mat, q_mat)
     diff_norm = frob(p_mat - q_mat)
     if np.any(diff_norm == 0.0):
         raise DegeneratePairError("Lipschitz ratio is undefined for identical pairs")

@@ -13,7 +13,9 @@ the ``sliding_window_view`` form of the strided lag windows.
 ``sweep_steps`` and ``marchaud_steps`` are the loops that chose the dyadic
 steps of the analyzer's sweep and of the Marchaud check before both took
 them from ``function_spaces.dyadic_steps``.  The current evaluations must
-equal all of them bit for bit.
+equal all of them bit for bit.  ``random_smooth`` is the direct cosine sum
+that built the ``random_smooth`` initial data before one inverse FFT did;
+that synthesis equals it to rounding, not bit for bit.
 """
 
 import math
@@ -125,6 +127,24 @@ def lq_reduction(points, comps, q, cell):
             return np.max(mag, axis=1) if mag.size else np.zeros(m)
         return (cell * np.sum(mag**q, axis=1)) ** (1.0 / q)
     return reduce
+
+
+def random_smooth(grid, seed, cutoff, amplitude):
+    """``pde_solver.initial_condition("random_smooth", ...).data`` as a sum of
+    full-grid cosines, one per mode and component, with the same draws."""
+    x1, x2 = grid.coordinates()
+    rng = np.random.default_rng(seed)
+    data = np.zeros((grid.n, grid.n, 2))
+    for k1 in range(-cutoff, cutoff + 1):
+        for k2 in range(-cutoff, cutoff + 1):
+            if k1 == 0 and k2 == 0:
+                continue
+            phase = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            amp = rng.normal(size=2) / (1.0 + k1**2 + k2**2)
+            for c in range(2):
+                data[..., c] += amp[c] * np.cos(k1 * x1 + k2 * x2 + phase[c])
+    data *= amplitude / max(np.max(np.abs(data)), 1e-30)
+    return data
 
 
 def caccioppoli(traj, center_xy, r, big_r):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 import symplap.pde_solver as ps
 import symplap.tensor_models as tm
 from symplap.baselines import NEWTON_ITER_BASELINE
@@ -76,6 +77,16 @@ class TestEntryPointShapes:
             ps.sym_gradient(np.zeros(shape), self.GRID)
         with pytest.raises(ValueError, match=rf"^u of shape {re.escape(str(shape))} does not end in"):
             ps.energy(np.zeros(shape), P3, self.GRID)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda u, g: ps.sym_gradient(u, g), "u"),
+        (lambda u, g: ps.energy(u, P3, g), "u"),
+        (lambda u, g: ps.divergence(np.stack([u, u], axis=-1), g), "t_field"),
+        (lambda u, g: ps.inner(u.real, u, g), "v"),
+    ], ids=["sym_gradient", "energy", "divergence", "inner"])
+    def test_complex_fields_are_rejected_by_name(self, call, name):
+        with pytest.raises(TypeError, match=f"^{name} must hold real numbers, got complex data$"):
+            call(self.U + 1j, self.GRID)
 
     def test_sym_gradient_takes_a_box_and_energy_does_not(self):
         # the analyzer differences periodic boxes of the grid (stencil.periodic_box)
@@ -322,6 +333,23 @@ class TestConjugateGradients:
         assert info == len(iterates) == ps.CG_MAXITER
         assert np.linalg.norm(lam * x - b) >= ps.CG_RTOL * np.linalg.norm(b)
 
+    @pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+                        reason="two BLAS threads need two usable CPUs")
+    def test_an_n256_solve_does_not_depend_on_the_blas_thread_count(self):
+        # CG's inner products on the 131,072 entries of an n = 256 state once ran
+        # as one threaded BLAS ddot: three p = 3 steps moved 5,490 entries at two threads
+        src = str(Path(ps.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = ("import sys, symplap.pde_solver as ps, symplap.tensor_models as tm\n"
+                 "u0 = ps.initial_condition('random_smooth', ps.TorusGrid(256), seed=11)\n"
+                 "traj = ps.solve(u0, 0.015, 0.005, tm.ModelParams(p=3.0))\n"
+                 "sys.stdout.buffer.write(traj.snapshots[-1].tobytes())")
+        finals = [np.frombuffer(subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, timeout=120, check=True).stdout) for threads in ("1", "2")]
+        assert finals[0].size == 256 * 256 * 2
+        assert np.array_equal(finals[0].view(np.uint64), finals[1].view(np.uint64))
+
     def test_importing_the_package_loads_no_scipy(self):
         src = str(Path(ps.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -358,6 +386,20 @@ class TestSolve:
         u0 = ps.initial_condition("random_smooth", ps.TorusGrid(16), amplitude=amplitude)
         with pytest.raises(ValueError, match="energy or stress is not finite"):
             ps.solve(u0, 0.02, 0.01, P3)
+
+    def test_a_strain_that_overflows_to_nan_is_reported_as_overflow(self, monkeypatch):
+        # u1 = 1e308 s(x2), u2 = -1e308 s(x1) with s = (1, 0, -1, 0, ...): at
+        # odd i = j the two differences of e12 overflow to -inf and +inf, so
+        # e12 and |Du| are NaN there, which phi rejects as an argument
+        grid = ps.TorusGrid(16)
+        s = np.tile([1.0, 0.0, -1.0, 0.0], 4)
+        u = np.zeros((16, 16, 2))
+        u[..., 0], u[..., 1] = 1e308 * s[None, :], -1e308 * s[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(ps._strain(u, grid.h)[1]).any()
+        monkeypatch.setattr(ps, "step", None)
+        with pytest.raises(ValueError, match="overflow: their energy or stress is not finite"):
+            ps.solve(ps.SpatialField(u, grid), 0.02, 0.01, P3)
 
     @settings(max_examples=12, deadline=None)
     @given(p=st.sampled_from([2.0, 2.5, 3.0, 4.0]), model=st.sampled_from(["A1", "A2"]),
@@ -525,6 +567,47 @@ class TestInitialCondition:
     def test_random_smooth_cutoff_in_the_band_is_accepted(self, cutoff):
         u0 = ps.initial_condition("random_smooth", ps.TorusGrid(8), cutoff=cutoff)
         assert np.max(np.abs(u0.data)) == 1.0
+
+    @pytest.mark.parametrize("tag", ["eigenfield", "random_smooth", "kink"])
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_amplitude_is_rejected_by_name(self, tag, amplitude):
+        with pytest.raises(ValueError, match="^amplitude must be a finite number"):
+            ps.initial_condition(tag, ps.TorusGrid(8), amplitude=amplitude)
+
+    @pytest.mark.parametrize("tag", ["eigenfield", "random_smooth", "kink"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_rejected_by_name(self, tag, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            ps.initial_condition(tag, ps.TorusGrid(8), seed=seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([8, 16, 32, 64]), seed=st.integers(0, 2**32 - 1),
+           amplitude=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.sampled_from([1e-300, 1e300]))
+    def test_random_smooth_is_the_cosine_sum_of_its_band(self, data, n, seed, amplitude):
+        # one inverse FFT of the drawn spectrum in place of one full-grid cosine
+        # per mode and component: the same field up to rounding, and nothing
+        # outside the band |k|_inf <= cutoff, the Nyquist modes included.  The
+        # cosine sum rounds its arguments k . x + theta, of size up to 4 pi
+        # cutoff: the two differed by up to 1.0e-14 over 150 seeds at n = 64,
+        # cutoff 31, and 2.9e-15 over 40 at n = 32, cutoff 8, hence an
+        # allowance linear in the cutoff beyond 8
+        cutoff = data.draw(st.integers(1, n // 2 - 1), label="cutoff")
+        grid = ps.TorusGrid(n)
+        u = ps.initial_condition("random_smooth", grid, seed=seed, cutoff=cutoff, amplitude=amplitude).data
+        assert u.flags.c_contiguous
+        want = reference.random_smooth(grid, seed, cutoff, amplitude)
+        assert np.max(np.abs(u - want)) <= 1e-14 * max(1.0, cutoff / 8) * abs(amplitude)
+        spectrum = np.abs(np.fft.rfft2(u, axes=(0, 1), norm="forward"))
+        k1 = np.abs(np.fft.fftfreq(n, 1.0 / n))[:, None]
+        k2 = np.arange(n // 2 + 1)[None, :]
+        outside = (k1 > cutoff) | (k2 > cutoff)
+        assert outside[n // 2].all() and outside[:, n // 2].all()
+        assert np.max(spectrum[outside]) <= 1e-15 * abs(amplitude)
+
+    def test_the_criterion_7_input_is_the_cosine_sum(self):
+        grid = ps.TorusGrid(64)
+        u = ps.initial_condition("random_smooth", grid, seed=8).data
+        assert np.max(np.abs(u - reference.random_smooth(grid, 8, 3, 1.0))) <= 1e-14
 
 
 class TestPersistence:

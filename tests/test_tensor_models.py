@@ -1,6 +1,7 @@
 """Pointwise tensor algebra: closed forms, structure bands, gradient consistency."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,12 @@ class TestPotential:
             tm.phi(-0.1, A2_P2)
         with pytest.raises(ValueError):
             tm.phi_d(np.array([0.5, -1.0]), A2_P2)
+
+    @pytest.mark.parametrize("potential", [tm.phi, tm.phi_d, tm.phi_dd])
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan])])
+    def test_phi_nan_argument_rejected(self, potential, t):
+        with pytest.raises(ValueError, match="^potential argument must be nonnegative, not negative or NaN$"):
+            potential(t, A2_P2)
 
     def test_phi_closed_form_a1_quadratic(self):
         # mu/2 + 1/p = 1/2 + 1/2
@@ -178,6 +185,23 @@ class TestStressAndVMap:
             out = tm.stress_derivative_apply(q, h, params)
             assert np.allclose(out, params.phi_dd0 * h, rtol=1e-14)
             assert np.all(np.isfinite(out))
+
+
+class TestTensorShapes:
+    @pytest.mark.parametrize("tensor_map", [tm.stress, tm.v_map])
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 2, 3)])
+    def test_a_non_matrix_argument_is_rejected_by_name(self, tensor_map, shape):
+        with pytest.raises(ValueError, match=rf"^q of shape {re.escape(str(shape))} is not a stack "
+                                             r"of \(\.\.\., d, d\) matrices$"):
+            tensor_map(np.ones(shape), A2_P2)
+
+    @pytest.mark.parametrize("pair_map", [tm.equivalence_ratios, tm.lipschitz_ratio, tm.monotone_pairing])
+    def test_stacks_of_two_shapes_are_rejected_naming_both(self, pair_map):
+        # (4, 2, 2) against (1, 2, 2) or (2, 2) would broadcast; one shape is the rule
+        for q_shape in [(3, 2, 2), (1, 2, 2), (2, 2)]:
+            with pytest.raises(ValueError, match=rf"^p_mat of shape \(4, 2, 2\) and q_mat of shape "
+                                                 rf"{re.escape(str(q_shape))} differ$"):
+                pair_map(np.ones((4, 2, 2)), np.zeros(q_shape), A2_P2)
 
 
 class TestModelParams:
