@@ -32,8 +32,12 @@ TENSOR_BANDS = {
 
 # Multiplicative constants of the calibrated inequality checks (the explicit
 # structural factors are applied verbatim on top of these), measured over the
-# 100-function corpus (seed 1234, 1025 samples) and padded by 5%
+# calibration corpus ``corpus.build_corpus(CORPUS_SIZE, CORPUS_SEED)``, each
+# function sampled at CORPUS_SAMPLES points of [0, 1], and padded by 5%
 # (``CALIBRATION_HEADROOM``, which ``verify.calibrate_constants`` applies).
+# The corpus constants are the defaults of ``build_corpus``, ``run_matrix``,
+# ``calibrate_constants`` and ``symplap verify-inequalities``.
+CORPUS_SIZE, CORPUS_SEED, CORPUS_SAMPLES = 100, 1234, 1025
 CALIBRATION_HEADROOM = 1.05
 INEQUALITY_CONSTANTS = {
     "ACCESSION": 0.0025883872037866765,

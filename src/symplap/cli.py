@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 
+from . import baselines
 from . import exponent_engine as ee
 from . import function_spaces as fs
 from . import pde_solver as ps
@@ -124,11 +125,11 @@ def run_exponents(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 def run_verify(cfg: dict, out_dir: Path, seed: int | None) -> int:
-    size = int(cfg.get("corpus_size", 100))
-    n_samples = int(cfg.get("samples", 1025))
+    size = int(cfg.get("corpus_size", baselines.CORPUS_SIZE))
+    n_samples = int(cfg.get("samples", baselines.CORPUS_SAMPLES))
     corrupt = cfg.get("corrupt_constants", "false").lower() in ("1", "true", "yes")
-    # the frozen calibration constants belong to the canonical corpus seed
-    corpus = build_corpus(size, 1234 if seed is None else seed)
+    # the frozen calibration constants belong to the calibration corpus seed
+    corpus = build_corpus(size, baselines.CORPUS_SEED if seed is None else seed)
     result = vf.run_matrix(corpus, n_samples=n_samples, corrupt=corrupt)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [rep.csv_row(name) for name, rep in result.rows]

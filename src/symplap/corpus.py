@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import baselines
 from .function_spaces import TimeGridFunction
 from .pde_solver import TorusGrid, initial_condition
 
@@ -117,7 +118,8 @@ def _lacunary(rng) -> CorpusFunction:
 _FAMILIES = (_sinusoid, _polynomial, _kink, _lacunary)
 
 
-def build_corpus(size: int = 100, seed: int = 1234) -> list[CorpusFunction]:
+def build_corpus(size: int = baselines.CORPUS_SIZE,
+                 seed: int = baselines.CORPUS_SEED) -> list[CorpusFunction]:
     """Deterministic corpus cycling through the four families; ``size`` must be
     an integer >= 0 (``ValueError``)."""
     if not isinstance(size, numbers.Integral) or size < 0:

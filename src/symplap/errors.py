@@ -1,17 +1,37 @@
-"""Exception types shared across the package, and its one rule for numeric parameters."""
+"""Exception types shared across the package, and its rules for numeric parameters
+and for real arrays."""
 
 import math
+
+import numpy as np
 
 
 def require_finite(name: str, value, at_least=None, error=ValueError) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is a finite positive number,
-    or a finite number >= ``at_least`` when that is given.  NaN and infinities fail."""
+    or a finite number >= ``at_least`` when that is given.  NaN and infinities fail,
+    and a complex number raises ``TypeError`` naming ``name``."""
+    require_real(name, value)
     if at_least is None:
         ok, what = value > 0, "a finite positive number"
     else:
         ok, what = value >= at_least, f"a finite number >= {at_least:g}"
     if not (math.isfinite(value) and ok):
         raise error(f"{name} must be {what}, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise ``TypeError`` naming ``name`` if ``value`` is a complex number, which no
+    order comparison takes."""
+    if isinstance(value, (complex, np.complexfloating)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, float64 arrays uncopied; raises ``TypeError``
+    naming ``name`` for complex data, whose imaginary part a cast would drop."""
+    if np.iscomplexobj(value):
+        raise TypeError(f"{name} must hold real numbers, got complex data")
+    return np.asarray(value, dtype=float)
 
 
 class GridMismatchError(ValueError):

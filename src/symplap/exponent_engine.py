@@ -31,7 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import UnreachableTargetError, UnsupportedDimensionError, require_finite
+from .errors import UnreachableTargetError, UnsupportedDimensionError, require_finite, require_real
 
 
 class Regime(enum.Enum):
@@ -51,6 +51,7 @@ def _check_p_d(p, d) -> None:
     (p None: a formula of d alone) and the dimension d an integral value >= 1."""
     if p is not None:
         require_finite("growth exponent p", p, at_least=2)
+    require_real("dimension d", d)
     if not (d >= 1 and float(d).is_integer()):
         raise ValueError(f"dimension d must be an integral value >= 1, got {d!r}")
 
@@ -167,6 +168,8 @@ def iterate(p, d, alpha0, target) -> IterationTrace:
     UnreachableTargetError is raised.  So is it for a target just under
     gamma0 that the float recurrence settles below.
     """
+    require_real("alpha0", alpha0)
+    require_real("target", target)
     if not 0 <= alpha0 < target:
         raise ValueError(f"need 0 <= alpha0 < target, got alpha0 = {alpha0!r} "
                          f"and target = {target!r}")
@@ -230,6 +233,7 @@ def interp_params(theta, p, d) -> InterpParams:
     but alpha' < alpha_i (no gain), and at p = 2 the choice theta = 1 gives
     the arithmetic half step.
     """
+    require_real("theta", theta)
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
     _check_p_d(p, d)

@@ -59,7 +59,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import stencil
-from .errors import EmptyDomainError, GridMismatchError, PreconditionError, require_finite
+from .errors import (EmptyDomainError, GridMismatchError, PreconditionError, real_array,
+                     require_finite, require_real)
 from .tensor_models import _plane_dot
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,7 @@ class XNorm:
     def __post_init__(self):
         if self.kind not in ("euclid", "lp", "w1p", "wm1p"):
             raise ValueError(f"unknown spatial norm kind {self.kind!r}")
+        require_real("integrability exponent q", self.q)
         if self.kind != "euclid" and not 1 <= self.q:
             raise ValueError("integrability exponent must be >= 1")
 
@@ -345,7 +347,7 @@ def _feature_map(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
 def spatial_norm(snapshot: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) -> float:
     """State-space norm of a single snapshot (no time axis); a NaN or infinite
     entry raises ``ValueError``, as in :func:`xnorms_over_time`."""
-    return float(xnorms_over_time(np.asarray(snapshot, dtype=float)[None], norm, geom)[0])
+    return float(xnorms_over_time(real_array("snapshot", snapshot)[None], norm, geom)[0])
 
 
 def xnorms_over_time(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None) -> np.ndarray:
@@ -362,7 +364,7 @@ def xnorms_over_time(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None
     the row count, and the spectral rows a batched FFT.  Raises
     ``ValueError`` naming ``values`` unless every sample is finite.
     """
-    values = np.asarray(values, dtype=float)
+    values = real_array("values", values)
     if geom is not None:
         _check_spatial_shape(values.shape, geom)
     m, entries = values.shape[0], math.prod(values.shape[1:])
@@ -410,15 +412,16 @@ class TimeGridFunction:
     _separable: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).view()
+        values = real_array("values", self.values).view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         require_finite("time step dt", self.dt)
+        require_real("start time t0", self.t0)
         if not math.isfinite(self.t0):
             raise ValueError(f"start time t0 must be a finite number, got {self.t0!r}")
         if not np.isfinite(self.values).all():
             raise ValueError("time-grid values must be finite")
-        if self.n_samples < 2:
+        if self.values.ndim == 0 or self.n_samples < 2:
             raise EmptyDomainError("a time-grid function needs at least two samples")
 
     @property
@@ -441,7 +444,8 @@ class TimeGridFunction:
         products summed in order j = 0, 1, ...: no BLAS product runs, and the
         samples are bit for bit those of the same arithmetic written out.
         """
-        coeffs, modes = np.array(coeffs, dtype=float), np.array(modes, dtype=float)
+        coeffs = np.array(real_array("coeffs", coeffs))
+        modes = np.array(real_array("modes", modes))
         if coeffs.ndim != 2 or not len(coeffs):
             raise ValueError(f"coeffs must have shape (k, n_samples) with k >= 1, "
                              f"got shape {coeffs.shape}")
@@ -588,7 +592,7 @@ def time_lp(sample_norms: np.ndarray, p: float, dt: float) -> float:
     and naming ``dt`` unless it is a finite positive number.
     """
     require_finite("time step dt", dt)
-    g = np.asarray(sample_norms, dtype=float)
+    g = real_array("sample_norms", sample_norms)
     if g.shape[0] == 0:
         raise EmptyDomainError("empty index set in time norm")
     bad = g[~(g >= 0.0)]
@@ -608,6 +612,7 @@ def _time_lp_rows(g: np.ndarray, lengths, p: float, dt: float) -> list:
     0 is the identity) and, unlike ``math.ldexp``, returns inf on overflow.
     Every finite-p time norm passes here, so this is where the time exponent
     p >= 1 (or inf) is enforced."""
+    require_real("time exponent p", p)
     if not p >= 1:
         raise ValueError(f"time exponent p must be >= 1 or inf, got {p!r}")
     top = np.max(g, axis=1)
@@ -783,6 +788,7 @@ def admissible_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
     an infinite ``delta`` admits every step that fits.  The order r must be an
     integer >= 1."""
     _check_order(r)
+    require_real("step cap delta", delta)
     if math.isnan(delta):
         raise ValueError("step cap delta must be a number, got nan")
     k_cap = min(delta / f.dt * (1 + 1e-12), (f.n_samples - 2) // r)
@@ -806,7 +812,11 @@ def raw_seminorm(f: TimeGridFunction, alpha: float, r: int, delta: float, p: flo
 
 
 def natural_order(alpha: float) -> int:
-    """The natural difference order floor(alpha) + 1, the least r with r > alpha."""
+    """The natural difference order floor(alpha) + 1, the least r with r > alpha;
+    ``ValueError`` naming alpha unless it is a finite number."""
+    require_real("smoothness exponent alpha", alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"smoothness exponent alpha must be a finite number, got {alpha!r}")
     return math.floor(alpha) + 1
 
 
@@ -826,10 +836,13 @@ class SeminormSpec:
 
     def __post_init__(self):
         require_finite("smoothness exponent alpha", self.alpha, at_least=0)
+        require_real("delta", self.delta)
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
-        if self.r is not None and self.r < natural_order(self.alpha):
-            raise ValueError("difference order r must exceed alpha (r >= floor(alpha)+1)")
+        if self.r is not None:
+            _check_order(self.r)
+            if self.r < natural_order(self.alpha):
+                raise ValueError("difference order r must exceed alpha (r >= floor(alpha)+1)")
 
     @property
     def order(self) -> int:
@@ -921,6 +934,14 @@ def _worst_side(ineq_id, sides, constant, params) -> InequalityReport:
         params[f"side{i}_{name}"] = f"{lhs:.6e}<={rhs:.6e}"
     lhs, rhs = min(((l, r) for _, l, r in sides), key=lambda t: t[1] - t[0])
     return InequalityReport(ineq_id, lhs, rhs, constant, params)
+
+
+def _check_time_exponents(**exponents) -> None:
+    """Raise ``PreconditionError`` naming the first time exponent that is not >= 1
+    or inf, for a check that derives a quantity from it before any norm does."""
+    for name, value in exponents.items():
+        if not value >= 1:
+            raise PreconditionError(f"{name} must be >= 1 or inf, got {value!r}")
 
 
 def _step_cap_equivalence(ineq_id, f, alpha, r, delta1, delta2, p, x_norm, factor, params):
@@ -1063,15 +1084,14 @@ def check_interpolation(f, *, alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0,
     alpha_b = (1-b) alpha1 + b alpha2,  1/p_b = (1-b)/p1 + b/p2.
 
     C covers the multiplicative constant of that triple and comes from the
-    frozen calibration.
+    frozen calibration, which was measured at the step cap delta = 1/16
+    (``verify.CANONICAL_PARAMS``), not at this default.
     """
     if f.geometry is None:
         raise PreconditionError("interpolation needs spatial snapshots")
     if r <= max(alpha1, alpha2):
         raise PreconditionError("need r > max(alpha1, alpha2)")
-    for name, value in (("p1", p1), ("p2", p2)):
-        if not value >= 1:
-            raise PreconditionError(f"{name} must be >= 1 or inf, got {value!r}")
+    _check_time_exponents(p1=p1, p2=p2)
     b = 0.5
     alpha_b = (1 - b) * alpha1 + b * alpha2
     p_b = 1.0 / ((1 - b) / p1 + b / p2)
@@ -1138,8 +1158,9 @@ def check_embed_nikolskii(f, *, alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0,
     The structural constant is the displayed piecewise formula (its interior
     numerical constant set to one); C multiplies it from the calibration.
     """
+    _check_time_exponents(p=p, q=q)
     beta = alpha - 1.0 / p - (alpha_p - 1.0 / q)
-    if beta <= 0 or alpha < alpha_p:
+    if not (beta > 0 and alpha >= alpha_p):  # NaN fails too
         raise PreconditionError("embedding needs alpha >= alpha' and beta > 0")
     delta = _capped_delta(delta, _embed_delta_cap(f, alpha, alpha_p, beta), "the embedding")
     ctx = f.context(x_norm)
@@ -1153,6 +1174,7 @@ def check_embed_nikolskii(f, *, alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0,
 
 def check_holder(f, *, alpha=0.75, p=4.0, delta=0.25, x_norm=EUCLID):
     """Hoelder seminorm bound |f|_{C^{0,alpha-1/p}} <= 3/delta^alpha |f|_{N^{alpha,p}}."""
+    _check_time_exponents(p=p)
     lam = alpha - 1.0 / p
     if not 0 < alpha < 1 or lam <= 0:
         raise PreconditionError("need alpha in (0,1) with alpha - 1/p > 0")
@@ -1199,6 +1221,8 @@ def check_inequality(ineq_id: str, f: TimeGridFunction, fprime: TimeGridFunction
                      **params) -> InequalityReport:
     """Evaluate one structural inequality on f; see the per-id checkers."""
     check = _checker(ineq_id)
+    for name, value in params.items():  # no check compares a complex number
+        require_real(name, value)
     if ineq_id in _NEEDS_DERIVATIVE:
         return check(f, fprime, **params)
     return check(f, **params)

@@ -64,7 +64,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stencil
-from .errors import SolverFailureError, TimeStepError, TrajectoryFormatError, require_finite
+from .errors import (SolverFailureError, TimeStepError, TrajectoryFormatError, real_array,
+                     require_finite, require_real)
 from .function_spaces import SpaceGeometry
 from .tensor_models import ModelParams, _phi_d_over_t, _plane_dot, _rank_one_coefficient, phi
 # The step calls neither of these (..., 2, 2) maps; they stay attributes of this
@@ -114,28 +115,30 @@ class SpatialField:
     grid: TorusGrid
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        _check_state("field", self.data, self.grid)
+        self.data = _check_state("field", self.data, self.grid)
 
 
-def _check_state(name: str, u, grid: TorusGrid) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``u`` is a finite (n, n, 2) state of ``grid``."""
+def _check_state(name: str, u, grid: TorusGrid) -> np.ndarray:
+    """``u`` as a float array (:func:`errors.real_array`); raises ``ValueError``
+    naming ``name`` unless it is a finite (n, n, 2) state of ``grid``."""
+    u = real_array(name, u)
     shape = (grid.n, grid.n, grid.d)
     if np.shape(u) != shape:
         raise ValueError(f"{name} shape {np.shape(u)} does not match grid {shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError(f"{name} entries must be finite")
+    return u
 
 
 def _check_axes(u, grid: TorusGrid, box: bool = False, tensor: bool = False,
-                name: str = "u") -> None:
-    """Raise ``ValueError`` naming ``name`` unless the field ``u`` ends in the grid's
-    (n, n, 2) axes, or (n, n, 2, 2) with ``tensor``, or, with ``box``, in the
-    (a, b, 2) axes, a, b <= n, of one of its periodic boxes
-    (:func:`stencil.periodic_box`), on which the analyzer differences, and
-    raise ``TypeError`` naming it if it holds complex numbers."""
-    if np.iscomplexobj(u):
-        raise TypeError(f"{name} must hold real numbers, got complex data")
+                name: str = "u") -> np.ndarray:
+    """The field ``u`` as a float array (:func:`errors.real_array`, which raises
+    ``TypeError`` naming ``name`` for complex data); raises ``ValueError`` naming
+    it unless it ends in the grid's (n, n, 2) axes, or (n, n, 2, 2) with
+    ``tensor``, or, with ``box``, in the (a, b, 2) axes, a, b <= n, of one of
+    its periodic boxes (:func:`stencil.periodic_box`), on which the analyzer
+    differences, or unless its entries are finite."""
+    u = real_array(name, u)
     n, comps = grid.n, (grid.d,) * (2 if tensor else 1)
     tail = np.shape(u)[-2 - len(comps):]
     if not (len(tail) == 2 + len(comps) and tail[2:] == comps
@@ -143,6 +146,9 @@ def _check_axes(u, grid: TorusGrid, box: bool = False, tensor: bool = False,
         axes = f"({'a, b' if box else 'n, n'}, {', '.join(map(str, comps))})"
         raise ValueError(f"{name} of shape {np.shape(u)} does not end in the axes {axes}"
                          f"{' with a, b <= n' if box else ''} of the grid, n = {n}")
+    if not np.isfinite(u).all():
+        raise ValueError(f"{name} entries must be finite")
+    return u
 
 
 def _sym_gradient_planes(u: np.ndarray, h: float, d1: np.ndarray, d2: np.ndarray) -> None:
@@ -208,7 +214,7 @@ def sym_gradient(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     with a, b <= n: the result then equals the full-grid one at every point
     whose neighbours lie in the box (:func:`stencil.periodic_box`).
     """
-    _check_axes(u, grid, box=True)
+    u = _check_axes(u, grid, box=True)
     out = np.empty(u.shape + (2,))
     # the entries (11, 12, 21, 22) as planes; the (2, 1) entry serves as
     # scratch, so a stack needs nothing beyond its result
@@ -224,7 +230,7 @@ def divergence(t_field: np.ndarray, grid: TorusGrid) -> np.ndarray:
     Accepts leading axes, (..., n, n, 2, 2) -> (..., n, n, 2); exactly minus
     the adjoint of ``sym_gradient`` (periodic centered differences telescope).
     """
-    _check_axes(t_field, grid, tensor=True, name="t_field")
+    t_field = _check_axes(t_field, grid, tensor=True, name="t_field")
     out = np.empty(t_field.shape[:-1])
     rows = np.moveaxis(t_field, (-2, -1), (0, 1))  # rows[i, j] = T_ij
     _divergence_planes(rows[:, 0], rows[:, 1], grid.h, np.moveaxis(out, -1, 0),
@@ -235,8 +241,7 @@ def divergence(t_field: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def inner(u: np.ndarray, v: np.ndarray, grid: TorusGrid) -> float:
     """Grid inner product h^2 sum over points and components of two (..., n, n, 2)
     fields of one shape."""
-    _check_axes(u, grid)
-    _check_axes(v, grid, name="v")
+    u, v = _check_axes(u, grid), _check_axes(v, grid, name="v")
     if np.shape(u) != np.shape(v):
         raise ValueError(f"u of shape {np.shape(u)} and v of shape {np.shape(v)} differ")
     return float(grid.h**2 * np.sum(u * v))
@@ -249,7 +254,7 @@ def _energy(t: np.ndarray, model: ModelParams, h: float) -> float:
 
 def energy(u: np.ndarray, model: ModelParams, grid: TorusGrid) -> float:
     """Discrete dissipated energy h^2 * sum phi(|Du|) of the (..., n, n, 2) field ``u``."""
-    _check_axes(u, grid)
+    u = _check_axes(u, grid)
     return _energy(_strain(u, grid.h)[1], model, grid.h)
 
 
@@ -522,9 +527,9 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     require_finite("dt", dt, error=TimeStepError)
     ws = _work
     if ws is None:
-        _check_state("u_prev", u_prev, grid)
+        u_prev = _check_state("u_prev", u_prev, grid)
         if guess is not None:
-            _check_state("guess", guess, grid)
+            guess = _check_state("guess", guess, grid)
         ws = _Workspace(grid)
         ws.load(u_prev, guess)
     tol = TOL_FACTOR * (1.0 + float(np.max(np.abs(ws.u_prev))))
@@ -575,7 +580,15 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
 
 @dataclass
 class Trajectory:
-    """Time-indexed snapshots of the computed solution plus per-step diagnostics."""
+    """Time-indexed snapshots of the computed solution plus per-step diagnostics.
+
+    ``snapshots`` are real, (n_steps + 1, n, n, 2) states of ``grid``, and
+    ``dt`` is a finite positive number (``TimeStepError``).  Their entries are
+    not checked here, which would take a pass over the whole trajectory:
+    :func:`solve` and :func:`load_trajectory` make finite ones, and every
+    reader of a snapshot (:func:`energy`, ``regularity_analyzer.restrict``)
+    rejects a non-finite entry.
+    """
 
     snapshots: np.ndarray          # (n_steps+1, n, n, 2)
     dt: float
@@ -583,6 +596,14 @@ class Trajectory:
     grid: TorusGrid
     diagnostics: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.snapshots = real_array("snapshots", self.snapshots)
+        state = (self.grid.n, self.grid.n, self.grid.d)
+        if self.snapshots.ndim != 4 or self.snapshots.shape[1:] != state or not len(self.snapshots):
+            raise ValueError(f"snapshots of shape {self.snapshots.shape} are not "
+                             f"(n_steps + 1, {', '.join(map(str, state))}) states of the grid")
+        require_finite("time step dt", self.dt, error=TimeStepError)
 
     @property
     def n_steps(self) -> int:
@@ -680,6 +701,7 @@ def initial_condition(tag: str, grid: TorusGrid, seed: int = 0, cutoff: int = 3,
     """
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    require_real("amplitude", amplitude)
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be a finite number, got {amplitude!r}")
     if tag == "eigenfield":

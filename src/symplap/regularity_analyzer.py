@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exponent_engine as ee
-from .errors import GeometryError, InsufficientResolutionError, PreconditionError, require_finite
+from .errors import (GeometryError, InsufficientResolutionError, PreconditionError,
+                     real_array, require_finite, require_real)
 from . import stencil
 from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, _weighted_sup, dyadic_steps,
                               lp, lp_norm, natural_order, w1p, wm1p)
@@ -55,15 +56,14 @@ class SubCylinder:
     time_halfwidth: float | None = None
 
     def __post_init__(self):
-        if len(self.center) != 3:
+        center = real_array("center", self.center)
+        if center.shape != (3,):
             raise GeometryError(f"cylinder center {self.center!r} is not three coordinates (x1, x2, t)")
-        if not all(math.isfinite(c) for c in self.center):
-            raise GeometryError(f"cylinder center {tuple(map(float, self.center))} is not finite")
-        # the ball mask and the default halfwidth see only r**2
-        if not self.r > 0:
-            raise GeometryError(f"ball radius r = {self.r} is not positive")
-        if self.time_halfwidth is not None and not self.time_halfwidth > 0:
-            raise GeometryError(f"time_halfwidth = {self.time_halfwidth} is not positive")
+        if not np.isfinite(center).all():
+            raise GeometryError(f"cylinder center {tuple(center.tolist())} is not finite")
+        require_finite("ball radius r", self.r, error=GeometryError)
+        if self.time_halfwidth is not None:
+            require_finite("time_halfwidth", self.time_halfwidth, error=GeometryError)
 
     @property
     def halfwidth(self) -> float:
@@ -77,6 +77,7 @@ class SubCylinder:
 def _ball_mask(grid, center_xy, r) -> np.ndarray:
     """Grid nodes within r of the centre on the torus; the centre is taken modulo
     the period, and one that is not two finite coordinates raises ``GeometryError``."""
+    center_xy = real_array("center_xy", center_xy)
     if np.shape(center_xy) != (2,) or not np.isfinite(center_xy).all():
         raise GeometryError(f"ball center {center_xy!r} is not two finite coordinates (x1, x2)")
     x1, x2 = grid.coordinates()
@@ -170,10 +171,12 @@ def estimate_exponent(h_values, norms):
 
     Returns (alpha_hat, r_squared).  Exact constancy (all norms zero) is
     flagged with the +inf sentinel; individual zero entries are dropped.  The
-    steps must be finite and positive, one per norm (``ValueError``).
+    steps must be finite and positive, one per norm, and the norms finite and
+    >= 0 (``ValueError``).
     """
-    h_values = np.asarray(h_values, dtype=float)
-    norms = np.asarray(norms, dtype=float)
+    h_values, norms = real_array("h_values", h_values), real_array("norms", norms)
+    if not (np.isfinite(norms) & (norms >= 0)).all():
+        raise ValueError(f"norms must be finite numbers >= 0, got {norms.tolist()}")
     if h_values.shape != norms.shape:
         raise ValueError(f"h_values of shape {h_values.shape} and norms of shape "
                          f"{norms.shape} must be two lists of equal length")
@@ -255,11 +258,14 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
 
     For each (target, X, time-p) entry: difference norms over dyadic steps at
     the natural order of the row's prediction, the slope estimate, and the
-    seminorm sup for each alpha of the non-empty grid (finite, >= 0).  The
+    seminorm sup for each alpha of the non-empty, one-dimensional grid
+    (finite, >= 0).  The
     default table is the regime table of the trajectory's own growth exponent,
     which admits alphas below its ceiling only.  Requires at least 4
     admissible dyadic steps.
     """
+    if np.ndim(alphas) != 1:
+        raise ValueError(f"alphas must be a list of exponents, got {alphas!r}")
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas lists no exponent")
@@ -385,6 +391,8 @@ def check_caccioppoli(traj: Trajectory, center_xy, r: float, big_r: float) -> Ba
     Rough initial data (the ``kink`` tag) voids the bounded-time-derivative
     hypothesis; such runs are flagged, not failed.
     """
+    require_real("r", r)
+    require_real("big_r", big_r)
     if not 0 < r < big_r:  # the ball masks see only r**2 and R**2
         raise GeometryError(f"need 0 < r < R, got r = {r}, R = {big_r}")
     _check_radius(big_r)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePairError, require_finite
+from .errors import DegeneratePairError, real_array, require_finite
 
 MODELS = ("A1", "A2")
 
@@ -62,17 +62,22 @@ class ModelParams:
 
 
 def _check_nonneg(t):
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):  # NaN fails the comparison too
+    t = real_array("t", t)
+    if not t.min(initial=0.0) >= 0:  # NaN fails the comparison too
         raise ValueError("potential argument must be nonnegative, not negative or NaN")
+    if t.max(initial=0.0) == np.inf:
+        raise ValueError("potential argument must be finite, got inf")
     return t
 
 
 def _tensors(name: str, q) -> np.ndarray:
-    """``q`` as a float array, after checking that it is a stack of (..., d, d) matrices."""
-    q = np.asarray(q, dtype=float)
+    """``q`` as a float array, after checking that it is a stack of (..., d, d)
+    matrices with finite entries."""
+    q = real_array(name, q)
     if q.ndim < 2 or q.shape[-1] != q.shape[-2]:
         raise ValueError(f"{name} of shape {q.shape} is not a stack of (..., d, d) matrices")
+    if not np.isfinite(q).all():
+        raise ValueError(f"{name} entries must be finite")
     return q
 
 
@@ -148,7 +153,7 @@ def _plane_dot(a, b, out: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 def frob(q: np.ndarray) -> np.ndarray:
     """Frobenius norm over the last two axes (matches the ':' inner product)."""
-    return np.sqrt(np.sum(np.asarray(q, dtype=float) ** 2, axis=(-2, -1)))
+    return np.sqrt(np.sum(real_array("q", q) ** 2, axis=(-2, -1)))
 
 
 def stress(q: np.ndarray, params: ModelParams) -> np.ndarray:

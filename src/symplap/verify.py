@@ -1,9 +1,11 @@
 """Matrix runner: every inequality check against every corpus function.
 
-The canonical parameter set of each check is chosen once so that all stated
-hypotheses hold on the unit-interval corpus grid (step caps, positivity of the
-embedding gap, derivative availability); derivative-based checks simply skip
-corpus entries without a tabulated derivative.  Calibrated constants come from
+Each check runs at its own keyword defaults, the parameter set at which all
+its stated hypotheses hold on the unit-interval corpus grid (step caps,
+positivity of the embedding gap, derivative availability), except
+INTERPOLATION's ``delta``: ``CANONICAL_PARAMS`` holds that one departure.
+Derivative-based checks skip corpus entries without a tabulated derivative.
+Calibrated constants, and the corpus they were measured on, come from
 :mod:`symplap.baselines`; ``calibrate_constants`` re-measures them.
 
 ``run_matrix`` and ``calibrate_constants`` (and so ``symplap
@@ -17,7 +19,6 @@ verify-inequalities ...`` runs serially.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -25,20 +26,10 @@ from . import baselines
 from . import function_spaces as fs
 from .corpus import CorpusFunction, build_corpus, lift_to_field
 
-#: canonical per-check keyword arguments used for the corpus run
-CANONICAL_PARAMS = {
-    fs.DELTA_EQ: dict(r=1, alpha=0.5, delta1=1 / 8, delta2=1 / 4, p=math.inf),
-    fs.STEP_CHANGE: dict(alpha=0.5, r=2, delta=1 / 16, p=math.inf),
-    fs.MARCHAUD: dict(r=2, p=math.inf),
-    fs.REDUCTION: dict(r=1, alpha=0.5, delta=1 / 4, p=math.inf),
-    fs.ACCESSION: dict(alpha=1.5, r=2, delta=1 / 8, p=math.inf),
-    fs.INTERPOLATION: dict(alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0, r=2,
-                           delta=1 / 16),
-    fs.EMBED_SOBOLEV: dict(gamma=0.4, k=1, p=math.inf, delta=1 / 8),
-    fs.EMBED_NIK: dict(alpha=0.75, p=math.inf, alpha_p=0.25, q=4.0, delta=1 / 256),
-    fs.HOLDER: dict(alpha=0.75, p=4.0, delta=1 / 4),
-    fs.SOBOLEV_EQ: dict(delta1=1 / 8, delta2=1 / 2, p=2.0),
-}
+#: where the corpus run departs from a check's own keyword defaults, which
+#: every other check takes as they are.  The frozen INTERPOLATION constant
+#: belongs to the step cap delta = 1/16, not to the check's default 1/8.
+CANONICAL_PARAMS = {fs.INTERPOLATION: dict(delta=1 / 16)}
 
 _CALIBRATED = tuple(baselines.INEQUALITY_CONSTANTS)
 
@@ -54,14 +45,13 @@ class MatrixResult:
 
 
 def _params_for(ineq_id: str, corrupt: bool) -> dict:
-    params = dict(CANONICAL_PARAMS[ineq_id])
+    params = dict(CANONICAL_PARAMS.get(ineq_id, {}))
     if ineq_id in _CALIBRATED:
         params["calibrated"] = baselines.INEQUALITY_CONSTANTS[ineq_id]
     if corrupt and ineq_id == fs.DELTA_EQ:
-        # Harness self-test: weaken the step-cap constant 3^r -> 2^r * 0.5 and
-        # drop the alpha weighting so any strict seminorm gain gets flagged.
-        params["constant_factor"] = 2.0 ** params["r"] * 0.5
-        params["alpha"] = 0.0
+        # Harness self-test: at r = 1, weaken the step-cap constant 3^r -> 2^r * 0.5
+        # and drop the alpha weighting so any strict seminorm gain gets flagged.
+        params.update(r=1, alpha=0.0, constant_factor=2.0 ** 1 * 0.5)
     return params
 
 
@@ -126,7 +116,7 @@ def _map_entries(corpus: list[CorpusFunction], n_samples: int, ids, params_of) -
     return [work(index) for index in range(len(corpus))]
 
 
-def run_matrix(corpus: list[CorpusFunction], n_samples: int = 1025,
+def run_matrix(corpus: list[CorpusFunction], n_samples: int = baselines.CORPUS_SAMPLES,
                ids=fs.INEQUALITY_IDS, corrupt: bool = False) -> MatrixResult:
     """Evaluate every applicable (check, function) pair of the corpus; an
     unknown id raises ``check_inequality``'s ``ValueError`` before any entry runs."""
@@ -143,7 +133,8 @@ def run_matrix(corpus: list[CorpusFunction], n_samples: int = 1025,
     return MatrixResult(rows=rows, skipped=skipped)
 
 
-def calibrate_constants(size: int = 100, seed: int = 1234, n_samples: int = 1025) -> dict:
+def calibrate_constants(size: int = baselines.CORPUS_SIZE, seed: int = baselines.CORPUS_SEED,
+                        n_samples: int = baselines.CORPUS_SAMPLES) -> dict:
     """Re-measure the existential constants of the calibrated checks.
 
     Runs each calibrated check with its constant forced to one and records the
@@ -154,7 +145,7 @@ def calibrate_constants(size: int = 100, seed: int = 1234, n_samples: int = 1025
     """
     worst = {}
     for entry_reports in _map_entries(build_corpus(size, seed), n_samples, _CALIBRATED,
-                                      lambda i: dict(CANONICAL_PARAMS[i], calibrated=1.0)):
+                                      lambda i: dict(CANONICAL_PARAMS.get(i, {}), calibrated=1.0)):
         for ineq_id, rep in entry_reports:
             if rep is not None and rep.rhs > 0:
                 worst[ineq_id] = max(worst.get(ineq_id, 0.0), rep.lhs / rep.rhs)
