@@ -25,11 +25,14 @@ norm-decreasing -- the two properties the inequality proofs rely on.  L^infty
 in time is the max over samples.
 
 Spatial norms have one engine, ``_features``: a map that is linear in the
-samples, applied once, then a per-sample reduction (l2, max-abs, or pointwise
-magnitude followed by masked l^q).  Time differences commute with the map, so
-every difference norm -- seminorms, the Hoelder sup, the Marchaud remainder,
-divided differences -- differences feature rows instead of recomputing
-gradients, FFTs or dictionary pairings per step.  Time norms have one
+samples, applied to blocks of samples that fill one matrix of feature rows,
+then a per-sample reduction (l2, max-abs, or pointwise magnitude followed by
+masked l^q), also taken in blocks; one rule (``_sample_blocks``) sizes every
+block, and each sample maps and reduces on its own, so the blocks move no
+bit.  Time differences commute with the map, so every difference norm --
+seminorms, the Hoelder sup, the Marchaud remainder, divided differences --
+differences feature rows instead of recomputing gradients, FFTs or
+dictionary pairings per step.  Time norms have one
 evaluator, ``_NormContext``; a ``TimeGridFunction`` owns one per X-norm, which
 all its checks share (the one-shot wrappers build a throwaway one).  The
 Bochner norm ``lp_norm`` needs no difference rows: it streams the sample
@@ -267,12 +270,36 @@ def _features(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None):
     the all-true mask), which equals the full-grid gradient on the mask bit
     for bit.
 
+    The L^q and W^{1,q} maps run on blocks of samples (``_sample_blocks``)
+    that are written into one preallocated rows matrix, so no whole-stack
+    gather, gradient or concatenation is held next to it; the rows are those
+    of the one-call map bit for bit.  Euclidean rows are a view of the
+    samples, and W^{-1,q'} rows (a batched FFT or a BLAS product, whose
+    summation order may depend on the row count) are one block.
+
     Rows whose squares or q-th powers would leave the normal range are brought
     to unit size by an exact power of two (complex rows through their real
     view), which ``reduce`` undoes; all other rows are returned as mapped.
     """
-    rows, reduce = _feature_map(values, norm, geom)
+    blocks = _sample_blocks(values.shape, geom is None or norm.kind in ("euclid", "wm1p")) \
+        or [slice(None)]  # no sample: one empty block
+    rows, reduce = _feature_map(values[blocks[0]], norm, geom)
+    if len(blocks) > 1:
+        first, rows = rows, np.empty((values.shape[0], rows.shape[1]), rows.dtype)
+        rows[blocks[0]] = first
+        for s in blocks[1:]:
+            rows[s] = _feature_map(values[s], norm, geom)[0]
     return _scaled(rows, reduce, int(_unit_exponent(_row_top(rows), norm.q)))
+
+
+def _sample_blocks(shape: tuple, one_block: bool = False) -> list:
+    """Slices along axis 0 of an array of ``shape``, each holding at most
+    ``_LAG_BLOCK_ELEMENTS`` entries and at least one sample; the whole axis
+    as one slice with ``one_block``; none for no sample.  The one block rule
+    of the sample-wise maps and reductions."""
+    m = shape[0]
+    step = max(m, 1) if one_block else max(1, _LAG_BLOCK_ELEMENTS // max(1, math.prod(shape[1:])))
+    return [slice(i, i + step) for i in range(0, m, step)]
 
 
 def _row_top(rows: np.ndarray) -> float:
@@ -284,10 +311,14 @@ def _row_top(rows: np.ndarray) -> float:
 
 def _scaled(rows: np.ndarray, reduce, exp: int):
     """``(rows, reduce)`` with the rows brought down by the exact power 2**exp,
-    which the returned reduction undoes; as given for exp = 0."""
+    which the returned reduction undoes; as given for exp = 0.  Rows that own
+    their memory are rescaled in place; a view, such as the Euclidean rows of
+    the caller's samples, is copied."""
     if not exp:
         return rows, reduce
-    return np.ldexp(rows.view(float), -exp).view(rows.dtype), lambda r: np.ldexp(reduce(r), exp)
+    real = rows.view(float)
+    real = np.ldexp(real, -exp, out=real if rows.flags.owndata else None)
+    return real.view(rows.dtype), lambda r: np.ldexp(reduce(r), exp)
 
 
 def _unit_exponent(top, q: float) -> np.ndarray:
@@ -367,9 +398,7 @@ def xnorms_over_time(values: np.ndarray, norm: XNorm, geom: SpaceGeometry | None
     values = real_array("values", values)
     if geom is not None:
         _check_spatial_shape(values.shape, geom)
-    m, entries = values.shape[0], math.prod(values.shape[1:])
-    step = max(m, 1) if norm.kind == "wm1p" else max(1, _LAG_BLOCK_ELEMENTS // max(1, entries))
-    blocks = [values[i : i + step] for i in range(0, m, step)]
+    blocks = [values[s] for s in _sample_blocks(values.shape, norm.kind == "wm1p")]
     norms, tops = [], []
     for block in blocks:
         finite = np.isfinite(block)
@@ -419,10 +448,10 @@ class TimeGridFunction:
         require_real("start time t0", self.t0)
         if not math.isfinite(self.t0):
             raise ValueError(f"start time t0 must be a finite number, got {self.t0!r}")
-        if not np.isfinite(self.values).all():
-            raise ValueError("time-grid values must be finite")
         if self.values.ndim == 0 or self.n_samples < 2:
             raise EmptyDomainError("a time-grid function needs at least two samples")
+        if not all(np.isfinite(self.values[s]).all() for s in _sample_blocks(self.values.shape)):
+            raise ValueError("time-grid values must be finite")
 
     @property
     def n_samples(self) -> int:
@@ -658,7 +687,8 @@ class _NormContext:
     """The one evaluator of time norms, per (function, X-norm).
 
     Carries the feature rows of f with their reduction (see ``_features``),
-    the sample norms and the rounding floor scale: per-sample difference
+    the sample norms, reduced in blocks of rows, and the rounding floor
+    scale: per-sample difference
     norms below ``32 * 2**r * eps * max_t |f(t)|_X`` are pure
     binomial-stencil roundoff and are snapped to exact zero, so that
     analytically vanishing differences (affine data under second
@@ -675,7 +705,10 @@ class _NormContext:
 
     def __init__(self, f: TimeGridFunction, x_norm: XNorm):
         self.rows, self.reduce = _factored_rows(f, x_norm) or _features(f.values, x_norm, f.geometry)
-        self.dt, self.n_samples, self.sample_norms = f.dt, f.n_samples, self.reduce(self.rows)
+        self.dt, self.n_samples = f.dt, f.n_samples
+        self.sample_norms = np.empty(self.n_samples)
+        for s in _sample_blocks(self.rows.shape):  # each row reduces on its own
+            self.sample_norms[s] = self.reduce(self.rows[s])
         self.scale = float(np.max(self.sample_norms)) if len(self.sample_norms) else 0.0
         self._profiles = {}
 
@@ -788,11 +821,17 @@ def admissible_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
     an infinite ``delta`` admits every step that fits.  The order r must be an
     integer >= 1."""
     _check_order(r)
-    require_real("step cap delta", delta)
-    if math.isnan(delta):
-        raise ValueError("step cap delta must be a number, got nan")
+    _check_step_cap("step cap delta", delta)
     k_cap = min(delta / f.dt * (1 + 1e-12), (f.n_samples - 2) // r)
     return list(range(1, math.floor(max(k_cap, 0)) + 1))
+
+
+def _check_step_cap(name: str, cap) -> None:
+    """Raise naming ``name`` unless the step cap ``cap`` is a real number other
+    than NaN; any other cap admits the steps up to it, perhaps none."""
+    require_real(name, cap)
+    if math.isnan(cap):
+        raise ValueError(f"{name} must be a number, got nan")
 
 
 def dyadic_steps(f: TimeGridFunction, r: int, delta: float) -> list[int]:
@@ -862,6 +901,7 @@ def nikolskii_norm(f: TimeGridFunction, spec: SeminormSpec) -> float:
 def modulus_of_continuity(f: TimeGridFunction, r: int, h: float, p: float = math.inf,
                           x_norm: XNorm = EUCLID) -> float:
     """max over grid steps t <= h of |D_t^r f|_{L^p(I_rt;X)}; non-decreasing in h."""
+    _check_step_cap("step cap h", h)
     return _NormContext(f, x_norm).seminorm(0.0, r, h, p)
 
 
@@ -1020,6 +1060,7 @@ def check_marchaud(f, *, r=2, p=math.inf, x_norm=EUCLID):
     right on the one admitting (r+1)h; checked over every dyadic h = 2^j dt
     that leaves room for the 2rh index set (worst margin reported).
     """
+    _check_order(r)  # the caller's r, before the derived order 2r is checked
     ks = dyadic_steps(f, 2 * r, f.interval_len)
     if not ks:
         raise PreconditionError("no step h leaves room for the 2rh index set")
@@ -1043,6 +1084,7 @@ def check_reduction(f, fprime, *, r=1, alpha=0.5, delta=0.25, p=math.inf, x_norm
     The derivative order beta is fixed at 1: higher derivatives of corpus
     functions are not tabulated.
     """
+    _check_order(r)  # the caller's r, before the derived order r + 1 is checked
     if fprime is None:
         raise PreconditionError("reduction needs the sampled derivative")
     if not r > alpha >= 0:
@@ -1063,6 +1105,7 @@ def check_accession(f, fprime, *, alpha=1.5, r=2, delta=0.125,
     structural factor 6^r/delta^alpha is explicit; C is existential and
     supplied from the frozen calibration.
     """
+    _check_order(r)  # the caller's r, before the derived order r - 1 is checked
     if fprime is None:
         raise PreconditionError("accession needs the sampled derivative")
     if not r > alpha > 1:
@@ -1089,6 +1132,8 @@ def check_interpolation(f, *, alpha1=0.25, alpha2=1.25, p1=4.0, p2=4.0 / 3.0,
     """
     if f.geometry is None:
         raise PreconditionError("interpolation needs spatial snapshots")
+    for name, alpha in (("alpha1", alpha1), ("alpha2", alpha2)):  # before alpha_b is formed
+        require_finite(f"smoothness exponent {name}", alpha, at_least=0)
     if r <= max(alpha1, alpha2):
         raise PreconditionError("need r > max(alpha1, alpha2)")
     _check_time_exponents(p1=p1, p2=p2)

@@ -35,8 +35,8 @@ from . import exponent_engine as ee
 from .errors import (GeometryError, InsufficientResolutionError, PreconditionError,
                      real_array, require_finite, require_real)
 from . import stencil
-from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, _weighted_sup, dyadic_steps,
-                              lp, lp_norm, natural_order, w1p, wm1p)
+from .function_spaces import (L2, W12, TimeGridFunction, _NormContext, _sample_blocks, _weighted_sup,
+                              dyadic_steps, lp, lp_norm, natural_order, w1p, wm1p)
 from .function_spaces import raw_seminorm  # noqa: F401  uncalled; the benchmark tracer wraps it
 from .pde_solver import Trajectory, sym_gradient
 from .tensor_models import frob, phi, v_map
@@ -134,13 +134,24 @@ def restrict(traj: Trajectory, cyl: SubCylinder, target: str = "u", *,
         if _box:
             box = np.ix_(*stencil.periodic_box(mask, 1))
             values, mask = values[(slice(None),) + box], mask[box]
-        values = v_map(sym_gradient(values, traj.grid), traj.model)
+        values = _vmap_stack(values, traj)
     elif target != "u":
         raise ValueError(f"unknown restriction target {target!r}")
     if not mask.any():
         raise GeometryError(f"ball of radius {cyl.r} contains no grid nodes")
     return TimeGridFunction(values, t0=k_lo * traj.dt, dt=traj.dt,
                             geometry=traj.grid.geometry(mask))
+
+
+def _vmap_stack(values: np.ndarray, traj: Trajectory) -> np.ndarray:
+    """``v_map(sym_gradient(values))`` written block by block of samples
+    (``function_spaces._sample_blocks``) into one array: both maps act on
+    each snapshot on its own, so the result is the one-call one bit for bit,
+    without its whole-stack temporaries."""
+    out = np.empty(values.shape + values.shape[-1:])
+    for s in _sample_blocks(values.shape):
+        out[s] = v_map(sym_gradient(values[s], traj.grid), traj.model)
+    return out
 
 
 sym_gradient4 = sym_gradient  # a name the benchmark tracer wraps
@@ -152,18 +163,22 @@ def _table_contexts(traj: Trajectory, cyl: SubCylinder, table):
     Each distinct restriction is made once per call and shared by its rows:
     the key is (target, box), and only "vmap" rows read pointwise (L^q) use the
     ball's box, since ``restrict`` keeps every "u" restriction on the full grid.
-    No context outlives its row, for peak memory: contexts owned by the
-    restrictions (``TimeGridFunction.context``) all stay alive until the last
-    row, and raised the ``regularity-p3`` benchmark's peak RSS from 115.8-116.3
-    to 117.1-117.3 MB (2-core x86_64 box, runs of 20 s).
+    A restriction is dropped after the last row that uses it, and no context
+    outlives its row; the caller lets go of both before it asks for the next
+    row, so at most one context and one dropped restriction are alive at a
+    time.  Contexts owned by the restrictions (``TimeGridFunction.context``)
+    would all stay alive until the last row: they raised the
+    ``regularity-p3`` benchmark's peak RSS from 104.5-104.8 to 107.2 MB
+    (2-core x86_64 box, three runs of 20 s each).
     """
+    keys = [(target, target == "vmap" and x_norm.kind == "lp") for target, x_norm, *_ in table]
     made = {}
-    for row in table:
-        target, x_norm = row[:2]
-        key = (target, target == "vmap" and x_norm.kind == "lp")
+    for i, (row, key) in enumerate(zip(table, keys)):
         if key not in made:
-            made[key] = restrict(traj, cyl, target=target, _box=key[1])
-        yield row, made[key], _NormContext(made[key], x_norm)
+            made[key] = restrict(traj, cyl, target=key[0], _box=key[1])
+        f = made[key] if key in keys[i + 1 :] else made.pop(key)
+        yield row, f, _NormContext(f, row[1])
+        del f  # a dropped restriction dies before the next one is made
 
 
 def estimate_exponent(h_values, norms):
@@ -290,6 +305,7 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
                              alpha_hat=alpha_hat, r_squared=r_sq,
                              predicted=alpha_pred,
                              lower_bound_norm=x_norm.is_lower_bound(f.geometry)))
+        del f, ctx  # before the next row's context is built
     return rows
 
 
@@ -316,13 +332,14 @@ class InteriorEstimateReport:
 def _interior_norms(traj: Trajectory, cyl: SubCylinder, alpha: float, delta: float) -> dict:
     out = {}
     table = regime_norm_table(traj.model.p, alpha)
-    for (target, x_norm, time_p, alpha_pred), _, ctx in _table_contexts(traj, cyl, table):
+    for (target, x_norm, time_p, alpha_pred), f, ctx in _table_contexts(traj, cyl, table):
         label = f"{target}:{x_norm.label()}:p{time_p:g}"
         if alpha_pred == int(alpha_pred):
             # full-derivative row: divided differences up to the predicted order
             out[label] = ctx.sobolev_norm(int(alpha_pred), time_p)
         else:
             out[label] = ctx.nikolskii_norm(alpha_pred, natural_order(alpha_pred), delta, time_p)
+        del f, ctx  # before the next row's context is built
     return out
 
 

@@ -10,6 +10,9 @@ full grid, where the analyzer works on the balls' periodic boxes.
 ``l2`` is the ``np.sum`` form of the row-wise l2 norm, which the engine
 sums column plane by column plane on narrow real rows, and ``lag_windows``
 the ``sliding_window_view`` form of the strided lag windows.
+``features`` maps every sample through one ``_feature_map`` call and
+rescales the whole matrix at once, where ``_features`` maps blocks of
+samples into one preallocated matrix and rescales it in place.
 ``sweep_steps`` and ``marchaud_steps`` are the loops that chose the dyadic
 steps of the analyzer's sweep and of the Marchaud check before both took
 them from ``function_spaces.dyadic_steps``.  The current evaluations must
@@ -60,6 +63,16 @@ def lag_windows(a, start, step, lags, m):
     if short > 0:
         a = np.concatenate([a, np.zeros((short,) + a.shape[1:], a.dtype)])
     return np.moveaxis(sliding_window_view(a, m, axis=0)[::step][:lags], -1, 1)
+
+
+def features(values, norm, geom):
+    """``(rows, reduce)`` of all samples from one ``_feature_map`` call, brought
+    to unit size by one power of two when their powers would leave the float range."""
+    rows, reduce = fs._feature_map(values, norm, geom)
+    exp = int(fs._unit_exponent(fs._row_top(rows), norm.q))
+    if not exp:
+        return rows, reduce
+    return np.ldexp(rows.view(float), -exp).view(rows.dtype), lambda r: np.ldexp(reduce(r), exp)
 
 
 def difference(a, r, k):

@@ -128,8 +128,7 @@ CONTRACT = {
                 [Arg("p", 3.0, "real"), Arg("d", 2, "int"), Arg("alpha0", 0.0, "real", ("zero",)),
                  Arg("target", 0.4, "real")]),
     "modulus_of_continuity": (lambda r, h, p: symplap.modulus_of_continuity(F, r, h, p),
-                              # h is the step cap of the seminorm sup
-                              [Arg("r", 1, "int"), Arg("h", 1 / 16, "real", ("inf",), says="h|step cap"),
+                              [Arg("r", 1, "int"), Arg("h", 1 / 16, "real", ("inf",)),
                                Arg("p", 2.0, "real", ("inf",))]),
     "nikolskii_norm": (lambda alpha, p, delta: symplap.nikolskii_norm(
                            F, symplap.SeminormSpec(alpha, p, delta=delta)),
@@ -262,6 +261,10 @@ def test_malformed_arguments_fail_typed_or_give_a_documented_result(name, arg, d
     ("EMBED_NIK", dict(q=0.0), r"^q must be >= 1 or inf, got 0.0$"),
     ("HOLDER", dict(p=0.0), r"^p must be >= 1 or inf, got 0.0$"),
     ("ACCESSION", dict(delta=1j), r"^delta must be a real number, got 1j$"),
+    # the caller's r, not the derived order 2r, r + 1 or r - 1 a norm takes
+    ("MARCHAUD", dict(r=1.5), r"^difference order r must be an integer >= 1, got 1.5$"),
+    ("REDUCTION", dict(r=1.5), r"^difference order r must be an integer >= 1, got 1.5$"),
+    ("ACCESSION", dict(r=2.5), r"^difference order r must be an integer >= 1, got 2.5$"),
 ])
 def test_check_parameters_fail_by_name(ineq_id, params, match):
     f = symplap.TimeGridFunction(np.sin(2 * math.pi * np.linspace(0.0, 1.0, 65)), 0.0, 1 / 64)

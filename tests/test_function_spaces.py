@@ -336,8 +336,11 @@ class TestModulus:
             == list(range(1, 32))
         assert fs.modulus_of_continuity(f, 1, INF) == fs.modulus_of_continuity(f, 1, 1e300)
         assert fs.admissible_steps(f, 1, -INF) == []
-        with pytest.raises(ValueError, match="delta"):
+        # the message names the caller's argument h, not admissible_steps' delta
+        with pytest.raises(ValueError, match="^step cap h must be a number, got nan$"):
             fs.modulus_of_continuity(f, 1, math.nan)
+        with pytest.raises(ValueError, match="^step cap delta must be a number, got nan$"):
+            fs.admissible_steps(f, 1, math.nan)
 
 
 
@@ -457,6 +460,16 @@ class TestInequalities:
     def test_interpolation_needs_spatial_snapshots(self):
         with pytest.raises(PreconditionError):
             fs.check_inequality(fs.INTERPOLATION, self.sin4)
+
+    @pytest.mark.parametrize("name, value", [("alpha1", math.nan), ("alpha2", math.nan),
+                                             ("alpha1", -0.5), ("alpha2", INF)])
+    def test_interpolation_smoothness_exponents_are_named(self, name, value):
+        # each exponent is named itself, before the derived alpha_b is formed
+        f = fs.TimeGridFunction(np.zeros((4, 8, 8, 2)), 0.0, 0.1,
+                                geometry=fs.SpaceGeometry(h=2.0 * math.pi / 8))
+        with pytest.raises(ValueError, match=f"^smoothness exponent {name} must be a finite "
+                                             f"number >= 0, got {value!r}$"):
+            fs.check_inequality(fs.INTERPOLATION, f, **{name: value})
 
     @pytest.mark.parametrize("name, value", [("p1", 0.0), ("p2", 0.0), ("p1", 0.5),
                                              ("p2", math.nan), ("p1", -INF)])

@@ -1,6 +1,8 @@
 """Trajectory restriction, slope estimation, and the two interior checks."""
 
+import gc
 import math
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -190,6 +192,38 @@ class TestSweep:
                        for call in spy.call_args_list)
         assert made == {(CYL, "u", False): 2, (CYL, "vmap", True): 2, (outer, "u", False): 1}
 
+    @pytest.mark.parametrize("measure", ["sweep", "bounds"])
+    def test_one_context_and_one_dropped_restriction_at_a_time(self, p3_traj, monkeypatch, measure):
+        # while a row's context is built, no earlier row's context is alive, and
+        # no "vmap" restriction but the row's own: each dies with its last row,
+        # by reference counting alone
+        made, built = [], []
+        restrict, init = ra.restrict, fs._NormContext.__init__
+
+        def tracked_restrict(*args, **kwargs):
+            f = restrict(*args, **kwargs)
+            made.append((kwargs.get("target", "u"), weakref.ref(f)))
+            return f
+
+        def tracked_init(ctx, f, x_norm):
+            assert [ref() for ref in built] == [None] * len(built)
+            assert all(ref() in (None, f) for target, ref in made if target == "vmap")
+            init(ctx, f, x_norm)
+            built.append(weakref.ref(ctx))
+
+        monkeypatch.setattr(ra, "restrict", tracked_restrict)
+        monkeypatch.setattr(fs._NormContext, "__init__", tracked_init)
+        outer = ra.SubCylinder(center=CENTER, r=1.7, time_halfwidth=CYL.halfwidth)
+        gc.disable()
+        try:
+            if measure == "sweep":
+                ra.seminorm_sweep(p3_traj, CYL, alphas=[0.5], delta=0.16)
+            else:
+                ra.check_seminorm_bounds(p3_traj, CYL, outer, alpha=0.5, delta=0.16)
+        finally:
+            gc.enable()
+        assert len(built) == 6 and [target for target, _ in made].count("vmap") == 1
+
     def test_sweep_weights_share_the_engine_range_rule(self):
         # (k dt)**-400 overflows at dt = 1/128: the sweep raises the engine's ValueError
         grid = ps.TorusGrid(16)
@@ -202,6 +236,16 @@ class TestSweep:
     def test_insufficient_dyadic_resolution(self, p2_traj):
         with pytest.raises(InsufficientResolutionError):
             ra.seminorm_sweep(p2_traj, CYL, alphas=[0.5], delta=0.05)
+
+    @pytest.mark.parametrize("block", [2**16, 512, 512 * 7 + 100])
+    def test_vmap_stack_is_mapped_in_blocks_of_samples(self, p3_traj, block):
+        # 145 snapshots of 512 entries: one or two blocks at 2^16 entries, one
+        # snapshot or seven per block when patched; each equals one whole-stack call
+        f = ra.restrict(p3_traj, CYL)
+        with mock.patch.object(fs, "_LAG_BLOCK_ELEMENTS", block):
+            got = ra.restrict(p3_traj, CYL, target="vmap")
+        want = tm.v_map(ps.sym_gradient(f.values, p3_traj.grid), P3)
+        assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
 
     def test_vmap_consistency_bit_exact(self, p3_traj):
         # the square-root map acts snapshot by snapshot before any differencing,
