@@ -18,13 +18,13 @@ difference steps stay on-grid.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import baselines
+from .errors import require_integer
 from .function_spaces import TimeGridFunction
 from .pde_solver import TorusGrid, initial_condition
 
@@ -32,8 +32,7 @@ from .pde_solver import TorusGrid, initial_condition
 def _unit_grid(n_samples: int):
     """The ``n_samples`` equispaced points of [0, 1] and their step ``t[1] - t[0]``;
     raises ``ValueError`` unless ``n_samples`` is an integer >= 2."""
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
-        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    require_integer("n_samples", n_samples, 2)
     t = np.linspace(0.0, 1.0, n_samples)
     return t, t[1] - t[0]
 
@@ -122,8 +121,7 @@ def build_corpus(size: int = baselines.CORPUS_SIZE,
                  seed: int = baselines.CORPUS_SEED) -> list[CorpusFunction]:
     """Deterministic corpus cycling through the four families; ``size`` must be
     an integer >= 0 (``ValueError``)."""
-    if not isinstance(size, numbers.Integral) or size < 0:
-        raise ValueError(f"corpus size must be an integer >= 0, got {size!r}")
+    require_integer("corpus size", size, 0)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(size):

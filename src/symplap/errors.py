@@ -1,22 +1,41 @@
 """Exception types shared across the package, and its rules for numeric parameters
-and for real arrays."""
+and for real arrays.
+
+Each rule has one home here, and the library function that consumes a parameter
+calls it: :func:`require_integer` for an integer >= k (orders, sample and step
+counts, sizes, ``ndim``), :func:`require_finite` for a finite positive number, a
+finite number >= k, or, with ``at_least=-math.inf``, any finite number (a start
+time, an amplitude, an exponent), and :func:`require_real` for a parameter that
+only order comparisons read.  ``TorusGrid``'s size and ``initial_condition``'s
+``seed`` and ``cutoff`` keep rules of their own, whose messages state more.
+"""
 
 import math
+import numbers
 
 import numpy as np
 
 
 def require_finite(name: str, value, at_least=None, error=ValueError) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is a finite positive number,
-    or a finite number >= ``at_least`` when that is given.  NaN and infinities fail,
-    and a complex number raises ``TypeError`` naming ``name``."""
+    or a finite number >= ``at_least`` when that is given (any finite number for
+    ``-math.inf``).  NaN and infinities fail, and a complex number raises
+    ``TypeError`` naming ``name``."""
     require_real(name, value)
     if at_least is None:
         ok, what = value > 0, "a finite positive number"
     else:
-        ok, what = value >= at_least, f"a finite number >= {at_least:g}"
+        bound = f" >= {at_least:g}" if at_least > -math.inf else ""
+        ok, what = value >= at_least, f"a finite number{bound}"
     if not (math.isfinite(value) and ok):
         raise error(f"{name} must be {what}, got {value!r}")
+
+
+def require_integer(name: str, value, at_least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (any
+    ``numbers.Integral``) >= ``at_least``."""
+    if not (isinstance(value, numbers.Integral) and value >= at_least):
+        raise ValueError(f"{name} must be an integer >= {at_least}, got {value!r}")
 
 
 def require_real(name: str, value) -> None:

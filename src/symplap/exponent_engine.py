@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import UnreachableTargetError, UnsupportedDimensionError, require_finite, require_real
+from .errors import (UnreachableTargetError, UnsupportedDimensionError, require_finite,
+                     require_integer, require_real)
 
 
 class Regime(enum.Enum):
@@ -189,8 +189,7 @@ def closed_form_alpha(p, d, n, alpha0=0.0):
     """n-th formal iterate alpha0*A^n + B*(1-A^n)/(1-A) (geometric closed form),
     for a step count n that is an integer >= 0."""
     A, B = recurrence_coefficients(p, d)
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"step count n must be an integer >= 0, got {n!r}")
+    require_integer("step count n", n, 0)
     if p == 2:
         return alpha0 + n * B
     return alpha0 * A**n + B * (1 - A**n) / (1 - A)
@@ -235,7 +234,7 @@ def interp_params(theta, p, d) -> InterpParams:
     """
     require_real("theta", theta)
     if not 0 <= theta <= 1:
-        raise ValueError("theta must lie in [0, 1]")
+        raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
     _check_p_d(p, d)
     alpha_coeff = (2 + (p - 2) * theta / 2) / p
     alpha_const = theta / 2

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +62,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import stencil
 from .errors import (EmptyDomainError, GridMismatchError, PreconditionError, real_array,
-                     require_finite, require_real)
+                     require_finite, require_integer, require_real)
 from .tensor_models import _plane_dot
 
 # ---------------------------------------------------------------------------
@@ -87,8 +86,7 @@ class SpaceGeometry:
 
     def __post_init__(self):
         require_finite("grid spacing h", self.h)
-        if not isinstance(self.ndim, numbers.Integral) or self.ndim < 1:
-            raise ValueError(f"ndim must be an integer >= 1, got {self.ndim!r}")
+        require_integer("ndim", self.ndim, 1)
         if self.mask is not None and (getattr(self.mask, "dtype", None) != bool
                                       or self.mask.ndim != self.ndim):
             raise ValueError(f"mask must be a boolean array with ndim = {self.ndim} axes, "
@@ -115,7 +113,7 @@ class XNorm:
             raise ValueError(f"unknown spatial norm kind {self.kind!r}")
         require_real("integrability exponent q", self.q)
         if self.kind != "euclid" and not 1 <= self.q:
-            raise ValueError("integrability exponent must be >= 1")
+            raise ValueError(f"integrability exponent q must be >= 1, got {self.q!r}")
 
     def label(self) -> str:
         if self.kind == "euclid":
@@ -445,9 +443,7 @@ class TimeGridFunction:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         require_finite("time step dt", self.dt)
-        require_real("start time t0", self.t0)
-        if not math.isfinite(self.t0):
-            raise ValueError(f"start time t0 must be a finite number, got {self.t0!r}")
+        require_finite("start time t0", self.t0, at_least=-math.inf)
         if self.values.ndim == 0 or self.n_samples < 2:
             raise EmptyDomainError("a time-grid function needs at least two samples")
         if not all(np.isfinite(self.values[s]).all() for s in _sample_blocks(self.values.shape)):
@@ -511,8 +507,7 @@ def _binomial_weights(r: int) -> np.ndarray:
 
 def _check_order(r) -> None:
     """Raise ``ValueError`` unless the difference order r is an integer >= 1."""
-    if not isinstance(r, numbers.Integral) or r < 1:
-        raise ValueError(f"difference order r must be an integer >= 1, got {r!r}")
+    require_integer("difference order r", r, 1)
 
 
 def _lag_weights(dt: float, ks, power: float, what: str) -> list:
@@ -788,8 +783,7 @@ class _NormContext:
 
     def sobolev_norm(self, order: int, p: float) -> float:
         """Grid-native W^{k,p}(I;X) norm: L^p norms of divided differences up to k."""
-        if not isinstance(order, numbers.Integral) or order < 0:
-            raise ValueError(f"derivative order k must be an integer >= 0, got {order!r}")
+        require_integer("derivative order k", order, 0)
         total = self.lp_norm(p)
         for j in range(1, order + 1):
             total += self.difference_norm(j, 1, p) / self.dt**j
@@ -853,9 +847,7 @@ def raw_seminorm(f: TimeGridFunction, alpha: float, r: int, delta: float, p: flo
 def natural_order(alpha: float) -> int:
     """The natural difference order floor(alpha) + 1, the least r with r > alpha;
     ``ValueError`` naming alpha unless it is a finite number."""
-    require_real("smoothness exponent alpha", alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"smoothness exponent alpha must be a finite number, got {alpha!r}")
+    require_finite("smoothness exponent alpha", alpha, at_least=-math.inf)
     return math.floor(alpha) + 1
 
 
@@ -877,7 +869,7 @@ class SeminormSpec:
         require_finite("smoothness exponent alpha", self.alpha, at_least=0)
         require_real("delta", self.delta)
         if not 0 < self.delta <= 1:
-            raise ValueError("delta must lie in (0, 1]")
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
         if self.r is not None:
             _check_order(self.r)
             if self.r < natural_order(self.alpha):

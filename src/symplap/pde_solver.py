@@ -65,7 +65,7 @@ import numpy as np
 
 from . import stencil
 from .errors import (SolverFailureError, TimeStepError, TrajectoryFormatError, real_array,
-                     require_finite, require_real)
+                     require_finite)
 from .function_spaces import SpaceGeometry
 from .tensor_models import ModelParams, _phi_d_over_t, _plane_dot, _rank_one_coefficient, phi
 # The step calls neither of these (..., 2, 2) maps; they stay attributes of this
@@ -701,9 +701,7 @@ def initial_condition(tag: str, grid: TorusGrid, seed: int = 0, cutoff: int = 3,
     """
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    require_real("amplitude", amplitude)
-    if not math.isfinite(amplitude):
-        raise ValueError(f"amplitude must be a finite number, got {amplitude!r}")
+    require_finite("amplitude", amplitude, at_least=-math.inf)
     if tag == "eigenfield":
         x1, x2 = grid.coordinates()
         data = amplitude * np.stack([np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)], axis=-1)

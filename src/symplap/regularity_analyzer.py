@@ -26,6 +26,7 @@ the inner ball; the observed ratio is compared to a frozen constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -157,28 +158,28 @@ def _vmap_stack(values: np.ndarray, traj: Trajectory) -> np.ndarray:
 sym_gradient4 = sym_gradient  # a name the benchmark tracer wraps
 
 
-def _table_contexts(traj: Trajectory, cyl: SubCylinder, table):
-    """Yield each norm-table row with its restriction f and a throwaway ``_NormContext``.
+def _measure_table(traj: Trajectory, cyl: SubCylinder, table, measure) -> list:
+    """``measure(f, ctx, *row)`` for each norm-table row, in order, with the row's
+    restriction f and a throwaway ``_NormContext`` ctx of f in the row's norm.
 
-    Each distinct restriction is made once per call and shared by its rows:
-    the key is (target, box), and only "vmap" rows read pointwise (L^q) use the
-    ball's box, since ``restrict`` keeps every "u" restriction on the full grid.
-    A restriction is dropped after the last row that uses it, and no context
-    outlives its row; the caller lets go of both before it asks for the next
-    row, so at most one context and one dropped restriction are alive at a
-    time.  Contexts owned by the restrictions (``TimeGridFunction.context``)
-    would all stay alive until the last row: they raised the
-    ``regularity-p3`` benchmark's peak RSS from 104.5-104.8 to 107.2 MB
-    (2-core x86_64 box, three runs of 20 s each).
+    The "u" rows share one full-grid restriction per call, made on first use: it
+    is a read-only view of the trajectory.  Each "vmap" row makes its own, on the
+    ball's box when it reads pointwise (L^q).  Each row is measured in a call of
+    its own, so its context and "vmap" field die when that call returns, and at
+    most one context and one "vmap" field are alive at a time.  Contexts owned
+    by the restrictions (``TimeGridFunction.context``) would all stay alive
+    until the last row: they raised the ``regularity-p3`` benchmark's peak RSS
+    from 104.5-104.8 to 107.2 MB (2-core x86_64 box, three runs of 20 s each).
     """
-    keys = [(target, target == "vmap" and x_norm.kind == "lp") for target, x_norm, *_ in table]
-    made = {}
-    for i, (row, key) in enumerate(zip(table, keys)):
-        if key not in made:
-            made[key] = restrict(traj, cyl, target=key[0], _box=key[1])
-        f = made[key] if key in keys[i + 1 :] else made.pop(key)
-        yield row, f, _NormContext(f, row[1])
-        del f  # a dropped restriction dies before the next one is made
+    shared_u = functools.cache(lambda: restrict(traj, cyl))
+
+    def measured(row):
+        target, x_norm = row[:2]
+        f = shared_u() if target == "u" else \
+            restrict(traj, cyl, target=target, _box=x_norm.kind == "lp")
+        return measure(f, _NormContext(f, x_norm), *row)
+
+    return [measured(row) for row in table]
 
 
 def estimate_exponent(h_values, norms):
@@ -288,8 +289,8 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
         require_finite("smoothness exponent in alphas", a, at_least=0)
     if table is None:
         table = regime_norm_table(traj.model.p, max(alphas))
-    rows = []
-    for (target, x_norm, time_p, alpha_pred), f, ctx in _table_contexts(traj, cyl, table):
+
+    def measure(f, ctx, target, x_norm, time_p, alpha_pred):
         r = natural_order(alpha_pred + 1e-12)  # difference order strictly above the prediction
         ks = dyadic_steps(f, r, delta)[1:]  # from 2 dt on
         if len(ks) < 4:
@@ -299,14 +300,14 @@ def seminorm_sweep(traj: Trajectory, cyl: SubCylinder, alphas, delta: float,
         diffs = [ctx.difference_norm(r, k, time_p) for k in ks]
         alpha_hat, r_sq = estimate_exponent(h_values, diffs)
         semis = [_weighted_sup(f.dt, ks, a, diffs) for a in alphas]
-        rows.append(SweepRow(target=target, x_label=x_norm.label(), time_p=time_p,
-                             r=r, alpha_grid=alphas, seminorms=semis,
-                             h_values=h_values, diff_norms=diffs,
-                             alpha_hat=alpha_hat, r_squared=r_sq,
-                             predicted=alpha_pred,
-                             lower_bound_norm=x_norm.is_lower_bound(f.geometry)))
-        del f, ctx  # before the next row's context is built
-    return rows
+        return SweepRow(target=target, x_label=x_norm.label(), time_p=time_p,
+                        r=r, alpha_grid=alphas, seminorms=semis,
+                        h_values=h_values, diff_norms=diffs,
+                        alpha_hat=alpha_hat, r_squared=r_sq,
+                        predicted=alpha_pred,
+                        lower_bound_norm=x_norm.is_lower_bound(f.geometry))
+
+    return _measure_table(traj, cyl, table, measure)
 
 
 @dataclass
@@ -330,17 +331,16 @@ class InteriorEstimateReport:
 
 
 def _interior_norms(traj: Trajectory, cyl: SubCylinder, alpha: float, delta: float) -> dict:
-    out = {}
-    table = regime_norm_table(traj.model.p, alpha)
-    for (target, x_norm, time_p, alpha_pred), f, ctx in _table_contexts(traj, cyl, table):
-        label = f"{target}:{x_norm.label()}:p{time_p:g}"
+    def measure(f, ctx, target, x_norm, time_p, alpha_pred):
         if alpha_pred == int(alpha_pred):
             # full-derivative row: divided differences up to the predicted order
-            out[label] = ctx.sobolev_norm(int(alpha_pred), time_p)
-        else:
-            out[label] = ctx.nikolskii_norm(alpha_pred, natural_order(alpha_pred), delta, time_p)
-        del f, ctx  # before the next row's context is built
-    return out
+            return ctx.sobolev_norm(int(alpha_pred), time_p)
+        return ctx.nikolskii_norm(alpha_pred, natural_order(alpha_pred), delta, time_p)
+
+    table = regime_norm_table(traj.model.p, alpha)
+    norms = _measure_table(traj, cyl, table, measure)
+    return {f"{target}:{x_norm.label()}:p{time_p:g}": norm
+            for (target, x_norm, time_p, _), norm in zip(table, norms)}
 
 
 def check_seminorm_bounds(traj: Trajectory, inner: SubCylinder, outer: SubCylinder,

@@ -224,6 +224,40 @@ class TestSweep:
             gc.enable()
         assert len(built) == 6 and [target for target, _ in made].count("vmap") == 1
 
+    def test_any_table_holds_one_vmap_field_and_one_shared_u_restriction(self, p3_traj,
+                                                                         monkeypatch):
+        # two "vmap" rows in a row each make their own field, and the earlier one
+        # is gone before the later one is made; the "u" rows share one
+        # restriction, made at the first "u" row
+        table = [("vmap", fs.L2, 2.0, 0.5), ("vmap", fs.lp(2.0), 2.0, 0.5),
+                 ("u", fs.L2, 2.0, 0.5), ("vmap", fs.L2, 2.0, 0.5), ("u", fs.W12, 2.0, 0.5)]
+        made, rows_seen = [], []
+        restrict, init = ra.restrict, fs._NormContext.__init__
+
+        def tracked_restrict(*args, **kwargs):
+            assert all(ref() is None for target, ref in made if target == "vmap")
+            f = restrict(*args, **kwargs)
+            made.append((kwargs.get("target", "u"), weakref.ref(f)))
+            return f
+
+        def tracked_init(ctx, f, x_norm):
+            rows_seen.append(next(i for i, (_, ref) in enumerate(made) if ref() is f))
+            init(ctx, f, x_norm)
+
+        monkeypatch.setattr(ra, "restrict", tracked_restrict)
+        monkeypatch.setattr(fs._NormContext, "__init__", tracked_init)
+        gc.disable()
+        try:
+            got = ra.seminorm_sweep(p3_traj, CYL, alphas=[0.5], delta=0.16, table=table)
+        finally:
+            gc.enable()
+        assert [target for target, _ in made] == ["vmap", "vmap", "u", "vmap"]
+        assert rows_seen == [0, 1, 2, 3, 2]
+        monkeypatch.undo()
+        want = [ra.seminorm_sweep(p3_traj, CYL, alphas=[0.5], delta=0.16, table=[row])[0]
+                for row in table]
+        assert [row.diff_norms for row in got] == [row.diff_norms for row in want]
+
     def test_sweep_weights_share_the_engine_range_rule(self):
         # (k dt)**-400 overflows at dt = 1/128: the sweep raises the engine's ValueError
         grid = ps.TorusGrid(16)
