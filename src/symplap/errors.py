@@ -2,11 +2,11 @@
 and for real arrays.
 
 Each rule has one home here, and the library function that consumes a parameter
-calls it: :func:`require_integer` for an integer >= k (orders, sample and step
-counts, sizes, ``ndim``), :func:`require_finite` for a finite positive number, a
-finite number >= k, or, with ``at_least=-math.inf``, any finite number (a start
-time, an amplitude, an exponent), and :func:`require_real` for a parameter that
-only order comparisons read.  ``TorusGrid``'s size and ``initial_condition``'s
+calls it: :func:`require_integer` for an integer >= k, never a ``bool`` (orders,
+sample and step counts, sizes, ``ndim``), :func:`require_finite` for a finite
+positive number, a finite number >= k, or, with ``at_least=-math.inf``, any
+finite number (a start time, an amplitude, an exponent), and
+:func:`require_real` for a parameter that only order comparisons read.  ``TorusGrid``'s size and ``initial_condition``'s
 ``seed`` and ``cutoff`` keep rules of their own, whose messages state more.
 """
 
@@ -33,8 +33,8 @@ def require_finite(name: str, value, at_least=None, error=ValueError) -> None:
 
 def require_integer(name: str, value, at_least: int) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (any
-    ``numbers.Integral``) >= ``at_least``."""
-    if not (isinstance(value, numbers.Integral) and value >= at_least):
+    ``numbers.Integral`` but ``bool``, which would pass ``True`` as 1) >= ``at_least``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= at_least):
         raise ValueError(f"{name} must be an integer >= {at_least}, got {value!r}")
 
 

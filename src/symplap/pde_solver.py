@@ -25,9 +25,11 @@ iteration needs: the k-th to ``eta_k |r_k|``, with the Eisenstat-Walker
 forcing term, choice 2 -- ``eta_0 = 0.1`` and ``eta_k = min(0.1, 0.9
 (|r_k| / |r_{k-1}|)^2)`` (Eisenstat and Walker, SIAM J. Sci. Comput. 17,
 1996; Knoll and Keyes, J. Comput. Phys. 193, 2004).  :func:`solve` starts
-every step after the first from the linear predictor ``2 u_k - u_{k-1}``.
-Neither changes what a step returns beyond the Newton tolerance: the sup +
-L^2 stopping rule is the same.
+step k >= 1 from the extrapolation of order m = min(``PREDICTOR_ORDER``, k)
+through the states u_{k-m}, ..., u_k, ``sum_{j=0..m} (-1)^j C(m+1, j+1)
+u_{k-j}``, which is exact for polynomials in t of degree m; the second step
+thus starts from ``2 u_1 - u_0``.  Neither changes what a step returns beyond
+the Newton tolerance: the sup + L^2 stopping rule is the same.
 
 Field layout: public vector fields -- states, snapshots and the files of
 :func:`save_trajectory` -- are arrays of shape (n, n, 2), spatial axes
@@ -35,9 +37,10 @@ first, component last, and the public tensor fields of :func:`sym_gradient`
 and :func:`divergence` are (n, n, 2, 2), so the pointwise tensor algebra of
 ``tensor_models`` applies along trailing axes.  Inside :func:`step`, vectors
 -- the iterates, the residual and the CG vectors -- are planar,
-component-stacked (2, n, n).  :func:`solve` keeps the previous state, the
-accepted iterate and the predictor planar across steps and writes each
-accepted iterate once, transposed, into its snapshot; a lone ``step``
+component-stacked (2, n, n).  :func:`solve` keeps the previous state and
+the accepted iterate planar across steps and writes each accepted iterate
+once, transposed, into its snapshot; it builds the predictor from the
+snapshots, which hold the past states contiguously; a lone ``step``
 transposes its input on entry and its result on exit.  A symmetric tensor
 field is three contiguous planes (e11, e12, e22) of shape (3, n, n).  One
 difference along each spatial axis then covers both components, one
@@ -310,6 +313,7 @@ def _spectral_preconditioner(symbol, dt: float, gbar: float):
 
 
 MAX_NEWTON = 50      # Newton iterations per step before SolverFailureError
+PREDICTOR_ORDER = 4  # solve's predictor: order of the extrapolation of past states
 TOL_FACTOR = 1e-10   # residual tolerance relative to 1 + |u_prev|_inf
 ETA_MAX = 0.1        # forcing term (module docstring): eta_0 and the ceiling of eta_k
 ETA_GAMMA = 0.9      # forcing term: factor and power of the residual-norm ratio
@@ -411,12 +415,16 @@ class StepDiagnostics:
     grid-L^2 norms of the returned state's residual, and ``energy`` is
     ``h^2 * sum phi(|Du|)`` of the returned state, computed from the ``|Du|``
     of its last residual evaluation: bit for bit :func:`energy` of the result.
+    ``residual_evaluations`` counts the evaluations of the residual: one at the
+    start, and j + 1 for each Newton update that the line search damped by
+    2**-j, so it exceeds ``newton_iterations + 1`` by the damping halvings.
     """
 
     newton_iterations: int
     residual: float
     cg_iterations: int
     energy: float
+    residual_evaluations: int
 
 
 class _Workspace:
@@ -424,8 +432,8 @@ class _Workspace:
 
     Vectors are planar, (2, n, n).  ``u_prev`` is the previous state and
     ``u`` the Newton iterate: the start of a step, then its accepted result;
-    ``trial`` is the line search's trial, and after a step the predictor is
-    built there (:meth:`advance`).  ``state`` holds the planes
+    ``trial`` is the line search's trial, and after a step the scratch in
+    which the predictor is built (:meth:`advance`).  ``state`` holds the planes
     (e11, e12, e22) of the current Du and then |Du|, ``flux`` the planes of
     the stress or of the Hessian action's tensor and then Q:H.  One residual
     state lives here, so each line-search trial overwrites the last; the
@@ -449,12 +457,33 @@ class _Workspace:
         np.copyto(self.u_prev, np.moveaxis(u_prev, -1, 0))
         np.copyto(self.u, self.u_prev if guess is None else np.moveaxis(guess, -1, 0))
 
-    def advance(self) -> None:
+    def advance(self, past: np.ndarray) -> None:
         """Start the next step after an accepted one: ``u`` becomes ``u_prev``, and
-        ``u`` the predictor ``2 u_k - u_{k-1}``.  The buffers only change roles."""
-        np.multiply(self.u, 2.0, out=self.trial)
-        self.trial -= self.u_prev
-        self.u_prev, self.u, self.trial = self.u, self.trial, self.u_prev
+        ``u`` the :func:`_predictor` of ``past``, the contiguous (m + 1, n, n, 2)
+        states u_{k-m}, ..., u_k, the last of them the accepted one.  The
+        predictor is built in ``trial``, read as one (n, n, 2) state, and copied
+        plane by plane into the buffer of the old ``u_prev``."""
+        guess = _predictor(past, out=self.trial.reshape(-1)).reshape(past.shape[1:])
+        self.u_prev, self.u = self.u, self.u_prev
+        for c in range(guess.shape[-1]):
+            self.u[c] = guess[..., c]
+
+
+def _predictor(past: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``sum_{j=0..m} (-1)^j C(m+1, j+1) u_{k-j}`` of the contiguous states
+    ``past = (u_{k-m}, ..., u_k)``, flat (in ``out`` when given): the value at
+    t_{k+1} of the polynomial of degree m in t through them.
+
+    One BLAS product of the weights with the states, each read as one row,
+    which reads the m + 1 states once and writes one.  Each entry is the sum
+    of its m + 1 products in one order; OpenBLAS splits such a product over
+    its threads by entries, not by sums, so the bits do not depend on the
+    thread count (an n = 256 solve is byte-identical at one and two threads).
+    """
+    m = len(past) - 1
+    weights = np.array([(-1) ** (m - i) * math.comb(m + 1, m + 1 - i) for i in range(m + 1)],
+                       dtype=float)
+    return np.dot(weights, past.reshape(m + 1, -1), out=out)
 
 
 def _residual(u, u_prev, dt: float, model: ModelParams, h: float, ws: _Workspace):
@@ -539,7 +568,7 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
     key = (dt, float(np.mean(g)))
     if ws.blocks is None or ws.blocks[0] != key:
         ws.blocks = key, _spectral_preconditioner(ws.symbol, *key)
-    actions = 0
+    actions, evaluations = 0, 1
 
     def matvec(v):  # reads the current g and c2
         nonlocal actions
@@ -554,7 +583,8 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
         if worst < tol:
             ws.u, ws.trial = u, trial
             diag = StepDiagnostics(newton_iterations=it, residual=worst, cg_iterations=actions,
-                                   energy=_energy(t, model, grid.h))
+                                   energy=_energy(t, model, grid.h),
+                                   residual_evaluations=evaluations)
             return (u if _work is not None else np.moveaxis(u, 0, -1).copy()), diag
         if it:
             eta = _forcing_term(rnorm / rnorm_prev)
@@ -572,6 +602,7 @@ def step(u_prev: np.ndarray, dt: float, model: ModelParams, grid: TorusGrid,
             trial_sup = float(np.max(np.abs(r)))
             if trial_sup < rsup or j == 12:
                 break
+        evaluations += j + 1
         u, trial, rsup = trial, u, trial_sup
     raise SolverFailureError(
         f"Newton iteration did not reach tolerance {tol:.3e} in {MAX_NEWTON} steps",
@@ -658,8 +689,8 @@ def solve(u0: SpatialField, t_final: float, dt: float, model: ModelParams,
     diagnostics, work = [], _Workspace(grid)
     work.load(u0.data)
     for k in range(n_steps):
-        if k:  # from the predictor 2 u_k - u_{k-1}
-            work.advance()
+        if k:  # from the extrapolation of the last min(PREDICTOR_ORDER, k) + 1 states
+            work.advance(snapshots[max(k - PREDICTOR_ORDER, 0): k + 1])
         try:
             u_next, diag = step(snapshots[k], dt, model, grid, _work=work)
         except SolverFailureError as exc:

@@ -274,7 +274,7 @@ class TestStep:
         first, diag = ps.step(u0, 1e-2, P3, grid, _work=work)
         assert first is work.u
         first = np.moveaxis(first, 0, -1).copy()
-        work.advance()
+        work.advance(np.stack([u0, first]))
         second, _ = ps.step(first, 1e-2, P3, grid, _work=work)
         second = np.moveaxis(second, 0, -1).copy()
         assert diag.newton_iterations >= 1

@@ -114,6 +114,33 @@ def test_every_rule_site_keeps_its_full_message(site, call, error, message):
         call()
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_require_integer_rejects_bool(value):
+    with pytest.raises(ValueError, match=exactly(f"count must be an integer >= 0, got {value!r}")):
+        require_integer("count", value, 0)
+
+
+# every site of the integer rule, each given True, which numbers.Integral includes
+BOOL_SITES = [
+    ("SpaceGeometry ndim", lambda: fs.SpaceGeometry(0.1, ndim=True), "ndim >= 1"),
+    ("corpus size", lambda: corpus.build_corpus(True), "corpus size >= 0"),
+    ("unit grid", lambda: corpus.build_corpus(1)[0].sample(True), "n_samples >= 2"),
+    ("sobolev order", lambda: unit_function().context(fs.EUCLID).sobolev_norm(True, 2.0),
+     "derivative order k >= 0"),
+    ("difference order", lambda: fs.admissible_steps(unit_function(), True, 1.0),
+     "difference order r >= 1"),
+    ("closed form", lambda: ee.closed_form_alpha(3.0, 2, True), "step count n >= 0"),
+]
+
+
+@pytest.mark.parametrize("site, call, rule", BOOL_SITES, ids=[s[0] for s in BOOL_SITES])
+def test_every_integer_site_rejects_bool(site, call, rule):
+    name, bound = rule.split(" >= ")
+    with pytest.raises(ValueError,
+                       match=exactly(f"{name} must be an integer >= {bound}, got True")):
+        call()
+
+
 def test_finite_number_sites_take_negative_and_zero_values():
     assert fs.TimeGridFunction(np.zeros(3), -2.5, 0.1).t0 == -2.5
     assert fs.natural_order(-0.5) == 0
