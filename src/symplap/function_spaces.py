@@ -39,8 +39,8 @@ Bochner norm ``lp_norm`` needs no difference rows: it streams the sample
 norms of ``xnorms_over_time``, which maps and reduces blocks of samples.
 Its difference norms, W^{k,p} divided differences included, snap values below
 the binomial-stencil rounding floor to zero; the Hoelder sup and the Marchaud
-remainder report raw values.  It differences whole blocks of lags at once and
-keeps the difference norms of lags 1..K per (r, p) (``lag_profile``); every
+remainder report raw values.  It differences whole blocks of lags at once, a
+lag too wide for one block in blocks of samples, and keeps the difference norms of lags 1..K per (r, p) (``lag_profile``); every
 value equals the one-lag evaluation bit for bit.
 
 A function built by ``TimeGridFunction.separable`` keeps the factor of its
@@ -170,14 +170,26 @@ def _test_dictionary(shape, ncomp: int) -> np.ndarray:
 
 
 def _dictionary_functionals(geom: SpaceGeometry, shape, ncomp: int, q: float) -> np.ndarray:
-    """Matrix of the dual lower-bound functionals u -> <u, v>/|v|_{W^{1,q*}} (q* dual to q)."""
+    """Matrix of the dual lower-bound functionals u -> <u, v>/|v|_{W^{1,q*}} (q* dual to q).
+
+    Built in place: the kept dictionary rows are gathered once, then
+    multiplied by the mask weight and the cell measure and divided by their
+    norms, the elementwise steps of ``(dictionary * weight)[keep] * c / v``
+    in that order, so the matrix is that expression's bit for bit (an
+    unmasked weight is 1.0, whose product is exact and is skipped).  No
+    temporary of the matrix's size is made beside the gathered rows.
+    """
     dictionary = _test_dictionary(shape, ncomp)
     q_dual = math.inf if q == 1.0 else 1.0 if math.isinf(q) else q / (q - 1.0)
     vnorms = xnorms_over_time(dictionary, w1p(q_dual), geom)
     keep = vnorms > 0
-    weight = np.where(geom.mask, 1.0, 0.0)[..., None] if geom.mask is not None else 1.0
-    rows = (dictionary * weight).reshape(len(dictionary), -1)[keep]
-    return rows * geom.cell_measure() / vnorms[keep, None]
+    rows = dictionary.reshape(len(dictionary), -1)[keep]
+    if geom.mask is not None:
+        fields = rows.reshape(-1, *dictionary.shape[1:])  # a view of the rows
+        fields *= np.where(geom.mask, 1.0, 0.0)[..., None]
+    rows *= geom.cell_measure()
+    rows /= vnorms[keep, None]
+    return rows
 
 
 def _spectral_rows(values: np.ndarray, geom: SpaceGeometry) -> np.ndarray:
@@ -712,7 +724,9 @@ class _NormContext:
 
     def _lag_blocks(self, r: int, first: int, last: int):
         """(k0, lags) blocks covering lags first..last, each differencing at
-        most ``_LAG_BLOCK_ELEMENTS`` entries and ``_LAG_BLOCK_LAGS`` lags."""
+        most ``_LAG_BLOCK_ELEMENTS`` entries and ``_LAG_BLOCK_LAGS`` lags; a
+        wide lag, whose difference alone holds more, is a block of its own,
+        which ``_block_sample_norms`` differences in blocks of samples."""
         n, width = self.rows.shape
         k = first
         while k <= last:
@@ -729,12 +743,19 @@ class _NormContext:
         or below ``floor`` are zero too.  The stencils of ``_differences``
         are reduced row by row, and every reduction maps each row on its own,
         so each value equals the one-lag evaluation bit for bit; the floor is
-        snapped in place in the reduction's fresh output (NaN is never at or
-        below it, so it stays).
+        snapped in place in g (NaN is never at or below it, so it stays).  A
+        single lag whose difference holds more than ``_LAG_BLOCK_ELEMENTS``
+        entries is differenced and reduced in blocks of samples
+        (``_sample_blocks``) into g, so no whole difference is held.
         """
-        m0 = self.rows.shape[0] - r * k0
-        diff = _differences(self.rows, r, k0, lags)
-        g = self.reduce(diff.reshape(lags * m0, self.rows.shape[1])).reshape(lags, m0)
+        m0, width = self.rows.shape[0] - r * k0, self.rows.shape[1]
+        if lags == 1 and m0 * width > _LAG_BLOCK_ELEMENTS:
+            g = np.empty((1, m0))
+            for s in _sample_blocks((m0, width)):  # sample i reads rows i, i + k0, .., i + r*k0
+                g[0, s] = self.reduce(_differences(self.rows[s.start : s.stop + r * k0], r, k0, 1)[0])
+        else:
+            diff = _differences(self.rows, r, k0, lags)
+            g = self.reduce(diff.reshape(lags * m0, width)).reshape(lags, m0)
         np.copyto(g, 0.0, where=g <= floor)
         tail = r * (lags - 1)  # the tails all lie in the last columns, as a staircase
         if tail:

@@ -25,10 +25,12 @@ iteration needs: the k-th to ``eta_k |r_k|``, with the Eisenstat-Walker
 forcing term, choice 2 -- ``eta_0 = 0.1`` and ``eta_k = min(0.1, 0.9
 (|r_k| / |r_{k-1}|)^2)`` (Eisenstat and Walker, SIAM J. Sci. Comput. 17,
 1996; Knoll and Keyes, J. Comput. Phys. 193, 2004).  :func:`solve` starts
-step k >= 1 from the extrapolation of order m = min(``PREDICTOR_ORDER``, k)
-through the states u_{k-m}, ..., u_k, ``sum_{j=0..m} (-1)^j C(m+1, j+1)
-u_{k-j}``, which is exact for polynomials in t of degree m; the second step
-thus starts from ``2 u_1 - u_0``.  Neither changes what a step returns beyond
+step k >= 1 from the extrapolation of order m = min(q, k) through the
+states u_{k-m}, ..., u_k, ``sum_{j=0..m} (-1)^j C(m+1, j+1) u_{k-j}``,
+which is exact for polynomials in t of degree m; the second step thus
+starts from ``2 u_1 - u_0``.  q is ``PREDICTOR_ORDER``, or 1 for the linear
+model p = 2, where any start takes one Newton iteration
+(:func:`_predictor_order`).  Neither changes what a step returns beyond
 the Newton tolerance: the sup + L^2 stopping rule is the same.
 
 Field layout: public vector fields -- states, snapshots and the files of
@@ -469,6 +471,14 @@ class _Workspace:
             self.u[c] = guess[..., c]
 
 
+def _predictor_order(model: ModelParams) -> int:
+    """Order of :func:`solve`'s predictor: ``PREDICTOR_ORDER``, or 1 (the
+    linear ``2 u_k - u_{k-1}``) for the linear model p = 2, whose steps take
+    one Newton and one CG iteration from any start, so a longer
+    extrapolation would only cost reads of past states."""
+    return 1 if model.p == 2.0 else PREDICTOR_ORDER
+
+
 def _predictor(past: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``sum_{j=0..m} (-1)^j C(m+1, j+1) u_{k-j}`` of the contiguous states
     ``past = (u_{k-m}, ..., u_k)``, flat (in ``out`` when given): the value at
@@ -686,11 +696,11 @@ def solve(u0: SpatialField, t_final: float, dt: float, model: ModelParams,
     _require_finite_data(u0.data, model, grid)
     snapshots = np.empty((n_steps + 1,) + u0.data.shape)
     snapshots[0] = u0.data
-    diagnostics, work = [], _Workspace(grid)
+    diagnostics, work, order = [], _Workspace(grid), _predictor_order(model)
     work.load(u0.data)
     for k in range(n_steps):
-        if k:  # from the extrapolation of the last min(PREDICTOR_ORDER, k) + 1 states
-            work.advance(snapshots[max(k - PREDICTOR_ORDER, 0): k + 1])
+        if k:  # from the extrapolation of the last min(order, k) + 1 states
+            work.advance(snapshots[max(k - order, 0): k + 1])
         try:
             u_next, diag = step(snapshots[k], dt, model, grid, _work=work)
         except SolverFailureError as exc:

@@ -19,6 +19,9 @@ them from ``function_spaces.dyadic_steps``.  The current evaluations must
 equal all of them bit for bit.  ``random_smooth`` is the direct cosine sum
 that built the ``random_smooth`` initial data before one inverse FFT did;
 that synthesis equals it to rounding, not bit for bit.
+``dictionary_functionals`` is the expression that built the W^{-1,q'}
+functionals out of place, where ``_dictionary_functionals`` scales the
+gathered rows in place.
 """
 
 import math
@@ -126,6 +129,16 @@ def holder_seminorm(ctx, lam):
         diff = ctx.reduce(ctx.rows[k:] - ctx.rows[:-k])
         best = max(best, np.max(diff) / (k * ctx.dt) ** lam)
     return float(best)
+
+
+def dictionary_functionals(geom, shape, ncomp, q):
+    dictionary = fs._test_dictionary(shape, ncomp)
+    q_dual = math.inf if q == 1.0 else 1.0 if math.isinf(q) else q / (q - 1.0)
+    vnorms = fs.xnorms_over_time(dictionary, fs.w1p(q_dual), geom)
+    keep = vnorms > 0
+    weight = np.where(geom.mask, 1.0, 0.0)[..., None] if geom.mask is not None else 1.0
+    rows = (dictionary * weight).reshape(len(dictionary), -1)[keep]
+    return rows * geom.cell_measure() / vnorms[keep, None]
 
 
 def lq_reduction(points, comps, q, cell):

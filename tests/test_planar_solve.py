@@ -31,7 +31,7 @@ def test_solve_equals_a_chain_of_public_steps(u0, model):
     traj = ps.solve(u0, STEPS * DT, DT, model)
     states, diags = [u0.data], []
     for k in range(STEPS):
-        guess = (ps._predictor(np.stack(states[max(k - ps.PREDICTOR_ORDER, 0):k + 1]))
+        guess = (ps._predictor(np.stack(states[max(k - ps._predictor_order(model), 0):k + 1]))
                  .reshape(u0.data.shape) if k else None)
         u, diag = ps.step(states[k], DT, model, u0.grid, guess)
         states.append(u)

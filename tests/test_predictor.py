@@ -1,6 +1,6 @@
-"""The solve's predictor, the order-4 extrapolation of past states, and the
-per-step count of residual evaluations that shows whether it makes the line
-search damp."""
+"""The solve's predictor, the order-4 extrapolation of past states (the
+linear one for p = 2), and the per-step count of residual evaluations that
+shows whether it makes the line search damp."""
 
 import numpy as np
 import pytest
@@ -32,6 +32,21 @@ def test_criterion_7_counts_fall_from_the_linear_predictor(criterion_7):
     assert max(d.newton_iterations for d in diags) <= NEWTON_ITER_BASELINE
     # no update was damped: one evaluation at the start and one per update
     assert evaluations == len(diags) + newton
+
+
+def test_linear_solves_keep_the_linear_predictor():
+    # at p = 2 any start takes one Newton and one CG iteration, so every step
+    # starts from 2 u_k - u_{k-1}, in that arithmetic, as before the order-4 start
+    grid = ps.TorusGrid(16)
+    u0 = ps.initial_condition("random_smooth", grid, seed=5)
+    model = tm.ModelParams(p=2.0, mu=1.0, model="A2")
+    traj = ps.solve(u0, 6 * 0.01, 0.01, model)
+    states = [u0.data]
+    for k in range(6):
+        guess = 2.0 * states[k] - states[k - 1] if k else None
+        states.append(ps.step(states[k], 0.01, model, grid, guess)[0])
+    assert np.array_equal(np.stack(states).view(np.uint64), traj.snapshots.view(np.uint64))
+    assert all((d.newton_iterations, d.cg_iterations) == (1, 1) for d in traj.diagnostics)
 
 
 @settings(max_examples=30, deadline=None)
