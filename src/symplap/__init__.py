@@ -5,8 +5,8 @@ Subpackages by concern:
 * ``tensor_models``        pointwise potential / stress / square-root algebra
 * ``stencil``              the centred periodic difference: gradient and
                            Fourier symbol, the one spatial derivative
-* ``function_spaces``      discrete Bochner norms, differences, seminorms and
-                           the structural-inequality harness
+* ``function_spaces``      discrete Bochner norms, differences and seminorms
+* ``inequalities``         the structural-inequality harness on those seminorms
 * ``exponent_engine``      closed-form regularity-exponent machinery
 * ``pde_solver``           implicit solver on the periodic torus
 * ``regularity_analyzer``  seminorm sweeps and interior estimates on trajectories
@@ -18,9 +18,9 @@ Subpackages by concern:
 from .tensor_models import (ModelParams, equivalence_ratios, phi, phi_d, phi_dd,
                             stress, v_map)
 from .function_spaces import (SeminormSpec, SpaceGeometry, TimeGridFunction, XNorm,
-                              check_inequality, higher_difference,
-                              modulus_of_continuity, nikolskii_norm,
+                              higher_difference, modulus_of_continuity, nikolskii_norm,
                               nikolskii_seminorm, spatial_norm)
+from .inequalities import check_inequality
 from .exponent_engine import (Regime, classify, gamma0, gamma1, holder_range,
                               interp_params, iterate)
 from .pde_solver import (SpatialField, TorusGrid, Trajectory, divergence,

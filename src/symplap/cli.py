@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import baselines
 from . import exponent_engine as ee
-from . import function_spaces as fs
+from . import inequalities as iq
 from . import pde_solver as ps
 from . import regularity_analyzer as ra
 from . import verify as vf
@@ -135,7 +135,7 @@ def run_verify(cfg: dict, out_dir: Path, seed: int | None) -> int:
     rows = [rep.csv_row(name) for name, rep in result.rows]
     for name, ineq_id, reason in result.skipped:
         rows.append([ineq_id, name, "", "", "", "", "skipped", reason])
-    _write_csv(out_dir / "inequalities.csv", fs.CSV_HEADER, rows)
+    _write_csv(out_dir / "inequalities.csv", iq.CSV_HEADER, rows)
     n_fail = len(result.failures)
     print(f"wrote inequalities.csv: {len(result.rows)} checks, {n_fail} failures, "
           f"{len(result.skipped)} skipped")

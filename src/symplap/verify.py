@@ -23,13 +23,13 @@ import os
 from dataclasses import dataclass
 
 from . import baselines
-from . import function_spaces as fs
+from . import inequalities as iq
 from .corpus import CorpusFunction, build_corpus, lift_to_field
 
 #: where the corpus run departs from a check's own keyword defaults, which
 #: every other check takes as they are.  The frozen INTERPOLATION constant
 #: belongs to the step cap delta = 1/16, not to the check's default 1/8.
-CANONICAL_PARAMS = {fs.INTERPOLATION: dict(delta=1 / 16)}
+CANONICAL_PARAMS = {iq.INTERPOLATION: dict(delta=1 / 16)}
 
 _CALIBRATED = tuple(baselines.INEQUALITY_CONSTANTS)
 
@@ -48,7 +48,7 @@ def _params_for(ineq_id: str, corrupt: bool) -> dict:
     params = dict(CANONICAL_PARAMS.get(ineq_id, {}))
     if ineq_id in _CALIBRATED:
         params["calibrated"] = baselines.INEQUALITY_CONSTANTS[ineq_id]
-    if corrupt and ineq_id == fs.DELTA_EQ:
+    if corrupt and ineq_id == iq.DELTA_EQ:
         # Harness self-test: at r = 1, weaken the step-cap constant 3^r -> 2^r * 0.5
         # and drop the alpha weighting so any strict seminorm gain gets flagged.
         params.update(r=1, alpha=0.0, constant_factor=2.0 ** 1 * 0.5)
@@ -61,11 +61,11 @@ def _entry_reports(entry: CorpusFunction, n_samples: int, ids, params_of):
     f = entry.sample(n_samples)
     fprime = entry.sample_derivative(n_samples)
     for ineq_id in ids:
-        if ineq_id in fs._NEEDS_DERIVATIVE and fprime is None:
+        if ineq_id in iq._NEEDS_DERIVATIVE and fprime is None:
             yield ineq_id, None
             continue
-        arg = lift_to_field(entry, n_samples) if ineq_id == fs.INTERPOLATION else f
-        yield ineq_id, fs.check_inequality(ineq_id, arg, fprime, **params_of(ineq_id))
+        arg = lift_to_field(entry, n_samples) if ineq_id == iq.INTERPOLATION else f
+        yield ineq_id, iq.check_inequality(ineq_id, arg, fprime, **params_of(ineq_id))
 
 
 #: the per-entry function of the pool that forked this worker (set in the worker)
@@ -117,11 +117,11 @@ def _map_entries(corpus: list[CorpusFunction], n_samples: int, ids, params_of) -
 
 
 def run_matrix(corpus: list[CorpusFunction], n_samples: int = baselines.CORPUS_SAMPLES,
-               ids=fs.INEQUALITY_IDS, corrupt: bool = False) -> MatrixResult:
+               ids=iq.INEQUALITY_IDS, corrupt: bool = False) -> MatrixResult:
     """Evaluate every applicable (check, function) pair of the corpus; an
     unknown id raises ``check_inequality``'s ``ValueError`` before any entry runs."""
     for ineq_id in ids:
-        fs._checker(ineq_id)
+        iq._checker(ineq_id)
     rows, skipped = [], []
     reports = _map_entries(corpus, n_samples, ids, lambda i: _params_for(i, corrupt))
     for entry, entry_reports in zip(corpus, reports):

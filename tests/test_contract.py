@@ -265,6 +265,18 @@ def test_malformed_arguments_fail_typed_or_give_a_documented_result(name, arg, d
     ("MARCHAUD", dict(r=1.5), r"^difference order r must be an integer >= 1, got 1.5$"),
     ("REDUCTION", dict(r=1.5), r"^difference order r must be an integer >= 1, got 1.5$"),
     ("ACCESSION", dict(r=2.5), r"^difference order r must be an integer >= 1, got 2.5$"),
+    # an infinite alpha passes the beta test and once reached math.floor
+    ("EMBED_NIK", dict(alpha=math.inf), r"^smoothness exponent alpha must be a finite number, got inf$"),
+    # a NaN or infinite constant once passed silently, and a NaN, zero or negative
+    # calibrated constant gave a NaN, zero or negative bound
+    ("DELTA_EQ", dict(constant_factor=math.nan), r"^constant_factor must be a finite positive number, got nan$"),
+    ("DELTA_EQ", dict(constant_factor=math.inf), r"^constant_factor must be a finite positive number, got inf$"),
+    ("ACCESSION", dict(calibrated=math.nan), r"^calibrated must be a finite positive number, got nan$"),
+    ("EMBED_SOBOLEV", dict(calibrated=math.nan), r"^calibrated must be a finite positive number, got nan$"),
+    ("ACCESSION", dict(calibrated=-1.0), r"^calibrated must be a finite positive number, got -1.0$"),
+    ("EMBED_SOBOLEV", dict(calibrated=0.0), r"^calibrated must be a finite positive number, got 0.0$"),
+    ("INTERPOLATION", dict(calibrated=math.inf), r"^calibrated must be a finite positive number, got inf$"),
+    ("EMBED_NIK", dict(calibrated=-1.0), r"^calibrated must be a finite positive number, got -1.0$"),
 ])
 def test_check_parameters_fail_by_name(ineq_id, params, match):
     f = symplap.TimeGridFunction(np.sin(2 * math.pi * np.linspace(0.0, 1.0, 65)), 0.0, 1 / 64)
