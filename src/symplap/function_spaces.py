@@ -776,6 +776,14 @@ class _NormContext:
     def difference_norm(self, r: int, k: int, p: float) -> float:
         return self._difference_norms(r, k, 1, p)[0]
 
+    def marchaud_remainder(self, r: int, k: int, p: float) -> float:
+        """|D_h^r f - 2^-r D_2h^r f|_{L^p(X)} at h = k*dt, on the index set of
+        steps 2rh.  The feature rows are differenced (differences commute with
+        the feature map), combined and reduced; no rounding floor is applied."""
+        d_2h = _difference(self.rows, r, 2 * k, self.dt)
+        d_h = _difference(self.rows, r, k, self.dt)[: len(d_2h)]
+        return time_lp(self.reduce(d_h - 2.0 ** (-r) * d_2h), p, self.dt)
+
     def lag_profile(self, r: int, K: int, p: float) -> np.ndarray:
         """|D_h^r f|_{L^p(X)} at h = k*dt for k = 1..K, as one array.
 

@@ -79,7 +79,7 @@ from .tensor_models import stress, stress_derivative_apply  # noqa: F401
 
 __all__ = [
     "TorusGrid", "SpatialField", "Trajectory", "StepDiagnostics",
-    "sym_gradient", "divergence", "energy", "step", "step_count", "solve",
+    "sym_gradient", "divergence", "inner", "energy", "step", "step_count", "solve",
     "initial_condition", "save_trajectory", "load_trajectory",
 ]
 

@@ -9,6 +9,11 @@ Two convex potentials drive the diffusion law, both with safety parameter
 Both satisfy ``phi(0) = phi'(0) = 0`` and ``phi''(0) > 0``, and ``phi''`` stays
 within a constant band of ``phi''(0) * (1 + t**(p-2))`` for ``p >= 2``.
 
+The table ``_CLOSED_FORMS`` is the one home of each model's closed forms: for
+each model name it holds phi, ``phi'(t)/t``, phi'' and ``g'(t)/t`` with
+``g = phi'/t``, as functions of ``(t, p, mu)``, and ``MODELS`` is its keys.
+The functions below look the model up there and keep their own input checks.
+
 The stress is the gradient of the potential of the Frobenius norm,
 
     ``stress(Q) = phi'(|Q|) * Q / |Q|``,
@@ -26,6 +31,18 @@ tensor fields in one call.  The coefficients of the stress and of its
 derivative are also given as functions of ``t = |Q|`` alone
 (:func:`_phi_d_over_t`, :func:`_rank_one_coefficient`), which the solver
 calls on its own plane-stored fields.
+
+Two blind spots come from squaring in floating point:
+
+* ``|Q|**2`` overflows once ``|Q|`` passes about 1e154.  numpy then
+  emits a ``RuntimeWarning``, which the test suite's settings turn into an
+  error; ``stress(np.full((2, 2), 1e200), params)`` does this.
+* ``equivalence_ratios`` and ``lipschitz_ratio`` count a pair as identical
+  when the squares of its difference underflow to 0, i.e. when the entries
+  differ by less than about 1e-162 (below about 1e-154 those squares are
+  subnormal and lose digits).  At such a radius ``measure_assumption_bands``
+  raises ``DegeneratePairError``; ``sample_symmetric_pairs`` itself tests ties
+  exactly and returns.
 """
 
 from __future__ import annotations
@@ -34,9 +51,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePairError, real_array, require_finite
+from .errors import DegeneratePairError, real_array, require_finite, require_integer
 
-MODELS = ("A1", "A2")
+#: model name -> its closed forms as functions of (t, p, mu): phi, phi'(t)/t,
+#: phi'' and g'(t)/t with g = phi'/t
+_CLOSED_FORMS = {
+    "A1": {"phi": lambda t, p, mu: mu * t**2 / 2.0 + t**p / p,
+           "phi_d_over_t": lambda t, p, mu: mu + t ** (p - 2.0),
+           "phi_dd": lambda t, p, mu: mu + (p - 1.0) * t ** (p - 2.0),
+           "rank_one": lambda t, p, mu: (p - 2.0) * t ** (p - 4.0)},
+    "A2": {"phi": lambda t, p, mu: ((mu + t**2) ** (p / 2.0) - mu ** (p / 2.0)) / p,
+           "phi_d_over_t": lambda t, p, mu: (mu + t**2) ** ((p - 2.0) / 2.0),
+           "phi_dd": lambda t, p, mu: (mu + t**2) ** ((p - 4.0) / 2.0) * (mu + (p - 1.0) * t**2),
+           "rank_one": lambda t, p, mu: (p - 2.0) * (mu + t**2) ** ((p - 4.0) / 2.0)},
+}
+MODELS = tuple(_CLOSED_FORMS)
 
 
 @dataclass(frozen=True)
@@ -92,11 +121,7 @@ def _pair(p_mat, q_mat) -> tuple[np.ndarray, np.ndarray]:
 def phi(t, params: ModelParams):
     """Potential value; closed-form antiderivative of phi'(s) from 0 to t."""
     t = _check_nonneg(t)
-    p, mu = params.p, params.mu
-    if params.model == "A1":
-        out = mu * t**2 / 2.0 + t**p / p
-    else:
-        out = ((mu + t**2) ** (p / 2.0) - mu ** (p / 2.0)) / p
+    out = _CLOSED_FORMS[params.model]["phi"](t, params.p, params.mu)
     return out if out.ndim else float(out)
 
 
@@ -115,22 +140,15 @@ def phi_dd(t, params: ModelParams):
     ``mu + 1`` (the integrand weight is then constant).
     """
     t = _check_nonneg(t)
-    p, mu = params.p, params.mu
-    if params.model == "A1":
-        out = mu + (p - 1.0) * t ** (p - 2.0)
-    else:
-        out = (mu + t**2) ** ((p - 4.0) / 2.0) * (mu + (p - 1.0) * t**2)
+    out = _CLOSED_FORMS[params.model]["phi_dd"](t, params.p, params.mu)
     return out if out.ndim else float(out)
 
 
 def _phi_d_over_t(t, params: ModelParams):
-    """phi'(t)/t with its analytic value phi''(0) at t = 0: the one home of the
-    model branch of phi', which :func:`phi_d` multiplies back by t."""
+    """phi'(t)/t with its analytic value phi''(0) at t = 0, the coefficient of
+    the stress; :func:`phi_d` multiplies it back by t."""
     t = np.asarray(t, dtype=float)
-    p, mu = params.p, params.mu
-    if params.model == "A1":
-        return mu + t ** (p - 2.0)
-    return (mu + t**2) ** ((p - 2.0) / 2.0)
+    return _CLOSED_FORMS[params.model]["phi_d_over_t"](t, params.p, params.mu)
 
 
 def sym(m: np.ndarray) -> np.ndarray:
@@ -181,12 +199,8 @@ def _rank_one_coefficient(t, params: ModelParams):
     limit g(0) H of the stress derivative there.
     """
     t = np.asarray(t, dtype=float)
-    p, mu = params.p, params.mu
     with np.errstate(divide="ignore", invalid="ignore"):  # A1 at t = 0, replaced below
-        if params.model == "A1":
-            c2 = (p - 2.0) * t ** (p - 4.0)
-        else:
-            c2 = (p - 2.0) * (mu + t**2) ** ((p - 4.0) / 2.0)
+        c2 = _CLOSED_FORMS[params.model]["rank_one"](t, params.p, params.mu)
     return np.where(t > 0.0, c2, 0.0)
 
 
@@ -246,11 +260,17 @@ def lipschitz_ratio(p_mat: np.ndarray, q_mat: np.ndarray, params: ModelParams):
 
 
 def sample_symmetric_pairs(rng: np.random.Generator, count: int, d: int = 2, radius: float = 10.0):
-    """Seeded corpus of symmetric matrix pairs with |P|, |Q| <= radius.
+    """Seeded corpus of ``count`` pairs of symmetric d-by-d matrices with |P|, |Q| <= radius.
 
     Entries are drawn uniformly, symmetrized, then rescaled to a uniform
-    Frobenius radius in (0, radius]; a defensive resample guards exact ties.
+    Frobenius radius in [0, radius); a pair whose matrices are equal entry by
+    entry is redrawn.  ``count`` and ``d`` must be integers >= 1 and ``radius``
+    a finite positive number.
     """
+    require_integer("count", count, 1)
+    require_integer("matrix size d", d, 1)
+    require_finite("radius", radius)
+
     def draw():
         m = rng.uniform(-1.0, 1.0, size=(count, d, d))
         m = sym(m)
@@ -260,10 +280,8 @@ def sample_symmetric_pairs(rng: np.random.Generator, count: int, d: int = 2, rad
         return m / norms[:, None, None] * target[:, None, None]
 
     p_mat, q_mat = draw(), draw()
-    bad = frob(p_mat - q_mat) == 0.0
-    while np.any(bad):
-        q_mat[bad] = draw()[bad]
-        bad = frob(p_mat - q_mat) == 0.0
+    while np.any(tie := np.all(p_mat == q_mat, axis=(-2, -1))):  # exact: squares of tiny entries underflow
+        q_mat[tie] = draw()[tie]
     return p_mat, q_mat
 
 
@@ -272,8 +290,10 @@ def measure_assumption_bands(params: ModelParams, n_pairs: int = 10_000, seed: i
     """Empirical constants of the growth/monotonicity structure on a seeded corpus.
 
     The structural constants are existential; this records the realized band so
-    the test suite can freeze it as a regression baseline.
+    the test suite can freeze it as a regression baseline.  ``n_pairs`` must be
+    an integer >= 1.
     """
+    require_integer("n_pairs", n_pairs, 1)
     rng = np.random.default_rng(seed)
     p_mat, q_mat = sample_symmetric_pairs(rng, n_pairs, radius=radius)
     r1, r2 = equivalence_ratios(p_mat, q_mat, params)

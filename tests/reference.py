@@ -21,7 +21,11 @@ that built the ``random_smooth`` initial data before one inverse FFT did;
 that synthesis equals it to rounding, not bit for bit.
 ``dictionary_functionals`` is the expression that built the W^{-1,q'}
 functionals out of place, where ``_dictionary_functionals`` scales the
-gathered rows in place.
+gathered rows in place.  ``marchaud_remainder`` is the left side that
+``check_marchaud`` once evaluated inline on a context's feature rows, where
+``_NormContext.marchaud_remainder`` evaluates it now.  ``closed_forms``
+writes out the potentials' closed forms of the ``tensor_models`` docstrings
+with a branch per model, where ``tensor_models`` looks them up in one table.
 """
 
 import math
@@ -121,6 +125,31 @@ def marchaud_steps(f, r):
         ks.append(k)
         k *= 2
     return ks
+
+
+def marchaud_remainder(ctx, r, k, p):
+    d_2h = fs._difference(ctx.rows, r, 2 * k, ctx.dt)
+    d_h = fs._difference(ctx.rows, r, k, ctx.dt)[: len(d_2h)]
+    return fs.time_lp(ctx.reduce(d_h - 2.0 ** (-r) * d_2h), p, ctx.dt)
+
+
+def closed_forms(t, p, mu, model):
+    """phi, phi', phi'', phi'(t)/t and g'(t)/t with g = phi'/t (0 at t = 0) of
+    ``model`` at t, keyed by the ``tensor_models`` function that evaluates each."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # A1's g'/t at t = 0
+        if model == "A1":
+            phi_ = mu * t**2 / 2.0 + t**p / p
+            d_over_t = mu + t ** (p - 2.0)
+            dd = mu + (p - 1.0) * t ** (p - 2.0)
+            rank_one = (p - 2.0) * t ** (p - 4.0)
+        else:
+            phi_ = ((mu + t**2) ** (p / 2.0) - mu ** (p / 2.0)) / p
+            d_over_t = (mu + t**2) ** ((p - 2.0) / 2.0)
+            dd = (mu + t**2) ** ((p - 4.0) / 2.0) * (mu + (p - 1.0) * t**2)
+            rank_one = (p - 2.0) * (mu + t**2) ** ((p - 4.0) / 2.0)
+    return {"phi": phi_, "phi_d": d_over_t * t, "phi_dd": dd, "_phi_d_over_t": d_over_t,
+            "_rank_one_coefficient": np.where(t > 0.0, rank_one, 0.0)}
 
 
 def holder_seminorm(ctx, lam):

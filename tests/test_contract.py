@@ -25,7 +25,11 @@ import dataclasses
 import enum
 import math
 import numbers
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +38,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import symplap
+import symplap.tensor_models as tm
 from symplap import errors
 
 G8 = symplap.TorusGrid(8)
@@ -282,3 +287,71 @@ def test_check_parameters_fail_by_name(ineq_id, params, match):
     f = symplap.TimeGridFunction(np.sin(2 * math.pi * np.linspace(0.0, 1.0, 65)), 0.0, 1 / 64)
     with pytest.raises((ValueError, TypeError), match=match):
         symplap.check_inequality(ineq_id, f, f, **params)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+@pytest.mark.parametrize("call, match", [
+    # each once failed with a bare numpy or Python message
+    (lambda: tm.sample_symmetric_pairs(_rng(), 3, radius=-1.0),
+     r"^radius must be a finite positive number, got -1.0$"),
+    (lambda: tm.sample_symmetric_pairs(_rng(), 3, radius=math.inf),
+     r"^radius must be a finite positive number, got inf$"),
+    (lambda: tm.sample_symmetric_pairs(_rng(), 1.5),
+     r"^count must be an integer >= 1, got 1.5$"),
+    (lambda: tm.measure_assumption_bands(P3, n_pairs=0),
+     r"^n_pairs must be an integer >= 1, got 0$"),
+    # and these returned empty or unchecked draws
+    (lambda: tm.sample_symmetric_pairs(_rng(), 0), r"^count must be an integer >= 1, got 0$"),
+    (lambda: tm.sample_symmetric_pairs(_rng(), 3, d=2.0),
+     r"^matrix size d must be an integer >= 1, got 2.0$"),
+    (lambda: tm.sample_symmetric_pairs(_rng(), 3, radius=math.nan),
+     r"^radius must be a finite positive number, got nan$"),
+], ids=["radius-negative", "radius-inf", "count-noninteger", "n_pairs-zero", "count-zero",
+        "d-float", "radius-nan"])
+def test_sampling_arguments_fail_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+# prints the message of the ValueError the call raises, or what it returned
+_SAMPLING_CHILD = """
+import sys
+import numpy as np
+import symplap.tensor_models as tm
+rng, P3 = np.random.default_rng(0), tm.ModelParams(3.0)
+try:
+    p_mat, q_mat = eval(sys.argv[1])
+except ValueError as exc:
+    print(f"{type(exc).__name__}: {exc}")
+else:
+    tied = int(np.all(p_mat == q_mat, axis=(-2, -1)).sum())
+    print(f"returned {p_mat.shape} and {q_mat.shape}, {tied} tied")
+"""
+
+
+@pytest.mark.parametrize("call, outcome", [
+    ("tm.sample_symmetric_pairs(rng, 3, radius=0.0)",
+     "ValueError: radius must be a finite positive number, got 0.0"),
+    ("tm.sample_symmetric_pairs(rng, 3, d=0)",
+     "ValueError: matrix size d must be an integer >= 1, got 0"),
+    # the squares inside frob underflow to 0 here; ties are tested exactly
+    ("tm.sample_symmetric_pairs(rng, 3, radius=1e-300)", "returned (3, 2, 2) and (3, 2, 2), 0 tied"),
+    ("tm.sample_symmetric_pairs(rng, 3, radius=5e-324)", "returned (3, 2, 2) and (3, 2, 2), 0 tied"),
+    ("tm.measure_assumption_bands(P3, radius=0.0)",
+     "ValueError: radius must be a finite positive number, got 0.0"),
+    # the documented blind spot of equivalence_ratios
+    ("tm.measure_assumption_bands(P3, n_pairs=3, radius=1e-300)",
+     "DegeneratePairError: equivalence ratios are undefined for identical pairs"),
+], ids=["radius-zero", "d-zero", "radius-1e-300", "radius-5e-324", "bands-radius-zero",
+        "bands-radius-1e-300"])
+def test_sampling_calls_that_once_looped_forever_return_or_fail_by_name(call, outcome):
+    # in a subprocess with a timeout, so an endless tie loop fails the test
+    # instead of stalling the suite
+    src = str(Path(symplap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _SAMPLING_CHILD, call],
+                          env=env, capture_output=True, text=True, timeout=30, check=True)
+    assert proc.stdout.strip() == outcome

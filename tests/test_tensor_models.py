@@ -5,7 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import symplap.tensor_models as tm
 from symplap.baselines import TENSOR_BANDS
 from symplap.errors import DegeneratePairError
@@ -263,3 +266,25 @@ class TestEquivalence:
                 for key, frozen in band.items():
                     pad = 0.99 if key.endswith("_min") else 1.01
                     assert measured[key] * pad == pytest.approx(frozen, rel=1e-12)
+
+
+def test_the_models_are_the_keys_of_the_closed_form_table():
+    assert tm.MODELS == tuple(tm._CLOSED_FORMS) == ("A1", "A2")
+
+
+POSITIVE_T = st.floats(1e-6, 100.0)  # no tiny t: A1's t**(p-4) would overflow
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(["A1", "A2"]), p=st.just(2.0) | st.floats(2.0, 6.0),
+       mu=st.floats(0.05, 5.0),
+       t=st.just(0.0) | POSITIVE_T
+       | st.lists(st.just(0.0) | POSITIVE_T, max_size=8).map(lambda ts: np.array([0.0, *ts])))
+def test_the_potentials_are_the_docstring_closed_forms_bit_for_bit(model, p, mu, t):
+    # both models, p = 2 included, a scalar t and arrays holding t = 0
+    params = tm.ModelParams(p=p, mu=mu, model=model)
+    for name, want in reference.closed_forms(t, p, mu, model).items():
+        got = getattr(tm, name)(t, params)
+        assert np.shape(got) == np.shape(t), name
+        assert np.array_equal(np.asarray(got, dtype=float).view(np.uint64),
+                              np.asarray(want, dtype=float).view(np.uint64)), name
